@@ -56,14 +56,11 @@ from .hindex import (
     h_index,
 )
 from .textsim import (
-    SimilarityRecord,
     TfIdfVector,
     TokenizedAbstract,
     build_vectors,
     cosine,
-    pair_similarities,
     preprocess,
-    similarity_by_type,
 )
 from .synth import GroundTruth, SynthConfig, generate, ground_truth
 

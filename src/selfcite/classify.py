@@ -175,41 +175,76 @@ def write_classifications(
 def read_classifications(
     path: Union[str, Path], corpus: Corpus
 ) -> Iterator[AuthorEdgeClass]:
-    """Parse a classification export back into records; edge years are
-    re-derived from the corpus.
+    """Parse a classification export back into records, checked against the
+    corpus; edge years are re-derived from the corpus.
 
-    Rows for one edge are contiguous in the export, so the edge tuple is
-    rebuilt only when the (citing, cited) pair changes.
+    The export must be exactly what ``classify_all`` writes: one block per
+    resolvable reference in increasing (citing_id, cited_id) order, each
+    block one reference row per citing author, then one citation row per
+    cited author, in author order. Anything else raises
+    :class:`CorpusError` naming the line. Types are taken as given.
     """
     papers = corpus.papers
     perspectives = {p.value: p for p in Perspective}
     ctypes = {t.value: t for t in CitationType}
-    last_pair = None
+    reference, citation = Perspective.REFERENCE, Perspective.CITATION
+    pair = None
     edge = None
+    expected: tuple[str, ...] = ()  # citing authors, then cited authors
+    n_ref = 0
+    pos = 0
+    n_edges = 0
+    lineno = 0
+
+    def fail(message: str) -> CorpusError:
+        return CorpusError(f"classifications line {lineno}: {message}")
+
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.rstrip("\n").split("\t")
             if parts == [""]:
                 continue
             if len(parts) != 5:
-                raise CorpusError(f"classifications line {lineno}: expected 5 tab-separated fields")
+                raise fail("expected 5 tab-separated fields")
             author_id, citing_id, cited_id, perspective, ctype = parts
-            if (citing_id, cited_id) != last_pair:
+            if (citing_id, cited_id) != pair:
+                if pos < len(expected):
+                    raise fail(f"edge {pair[0]} -> {pair[1]} ends before the row "
+                               f"of author {expected[pos]!r}")
+                if pair is not None and (citing_id, cited_id) < pair:
+                    raise fail(f"edge {citing_id} -> {cited_id} is out of order "
+                               f"after {pair[0]} -> {pair[1]}")
                 citing = papers.get(citing_id)
                 cited = papers.get(cited_id)
                 if citing is None or cited is None:
-                    raise CorpusError(
-                        f"classifications line {lineno}: unknown paper id "
-                        f"'{citing_id if citing is None else cited_id}'"
-                    )
+                    raise fail(f"unknown paper id "
+                               f"'{citing_id if citing is None else cited_id}'")
+                if cited_id not in citing.reference_ids:
+                    raise fail(f"paper {citing_id} does not reference {cited_id}")
                 edge = CitationEdge(citing_id, cited_id, citing.year, cited.year)
-                last_pair = (citing_id, cited_id)
+                pair = (citing_id, cited_id)
+                expected = citing.author_ids + cited.author_ids
+                n_ref = len(citing.author_ids)
+                pos = 0
+                n_edges += 1
             persp = perspectives.get(perspective)
             ct = ctypes.get(ctype)
             if persp is None or ct is None:
-                raise CorpusError(
-                    f"classifications line {lineno}: unknown "
-                    f"{'perspective' if persp is None else 'citation type'} "
+                raise fail(
+                    f"unknown {'perspective' if persp is None else 'citation type'} "
                     f"'{perspective if persp is None else ctype}'"
                 )
+            if pos == len(expected):
+                raise fail(f"extra row for edge {citing_id} -> {cited_id}")
+            side = reference if pos < n_ref else citation
+            if persp is not side or author_id != expected[pos]:
+                raise fail(f"expected the {side.value} row of author {expected[pos]!r}, "
+                           f"found the {perspective} row of {author_id!r}")
+            pos += 1
             yield AuthorEdgeClass(author_id, edge, persp, ct)
+    lineno += 1
+    if pos < len(expected):
+        raise fail(f"end of file inside edge {pair[0]} -> {pair[1]}")
+    if n_edges != corpus.resolvable_references:
+        raise fail(f"end of file after {n_edges} edges; the corpus has "
+                   f"{corpus.resolvable_references} resolvable references")

@@ -179,7 +179,7 @@ def _load(args, run: _Run) -> Corpus:
 def _common_options(args) -> dict:
     options = {}
     for name in ("papers", "authors", "out", "min_pubs", "n_percentiles",
-                 "weighting", "agg_mode", "threads", "seed", "config",
+                 "weighting", "threads", "seed", "config",
                  "individual"):
         if hasattr(args, name):
             value = getattr(args, name)
@@ -461,8 +461,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n-percentiles", type=int, default=100, dest="n_percentiles")
     p.add_argument("--no-weighting", action="store_false", dest="weighting",
                    help="skip citation-inflation weighting")
-    p.add_argument("--agg-mode", choices=("pooled", "author-mean"), default="pooled",
-                   dest="agg_mode", help="which aggregation column is canonical (both are emitted)")
     p.set_defaults(func=cmd_metrics)
 
     p = subs.add_parser("hindex", help="h-index decomposition tables")
@@ -476,8 +474,6 @@ def build_parser() -> _Parser:
     _add_io_options(p)
     _add_analysis_options(p)
     p.add_argument("--n-percentiles", type=int, default=100, dest="n_percentiles")
-    p.add_argument("--agg-mode", choices=("pooled", "author-mean"), default="author-mean",
-                   dest="agg_mode")
     p.set_defaults(func=cmd_simil)
 
     p = subs.add_parser("report", help="all tables from a prior classify export")
@@ -485,8 +481,6 @@ def build_parser() -> _Parser:
     _add_analysis_options(p)
     p.add_argument("--n-percentiles", type=int, default=100, dest="n_percentiles")
     p.add_argument("--no-weighting", action="store_false", dest="weighting")
-    p.add_argument("--agg-mode", choices=("pooled", "author-mean"), default="pooled",
-                   dest="agg_mode")
     p.add_argument("--no-individual", action="store_false", dest="individual")
     p.set_defaults(func=cmd_report)
 

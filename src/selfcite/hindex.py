@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .classify import AuthorEdgeClass, CitationType, Perspective
+from .classify import AuthorEdgeClass, CitationType
 from .corpus import Corpus
+from .pipeline import run_record_tallies
 
 _DIRECT = CitationType.DIRECT
 _COAUTHOR = CitationType.COAUTHOR
@@ -119,23 +120,6 @@ class HindexTally:
             elif t is _COLLABORATOR:
                 cell[3] += 1
 
-    def add_record(self, rec: AuthorEdgeClass) -> None:
-        if rec.perspective is not Perspective.CITATION:
-            return
-        key = (rec.author_id, rec.edge.cited_id)
-        cell = self.per_paper.get(key)
-        if cell is None:
-            cell = [0, 0, 0, 0]
-            self.per_paper[key] = cell
-        cell[0] += 1
-        t = rec.ctype
-        if t is _DIRECT:
-            cell[1] += 1
-        elif t is _COAUTHOR:
-            cell[2] += 1
-        elif t is _COLLABORATOR:
-            cell[3] += 1
-
     def merge(self, other: "HindexTally") -> None:
         per_paper = self.per_paper
         for key, src in other.per_paper.items():
@@ -202,9 +186,7 @@ def decompose(
     if entry is None:
         raise ValueError(f"unknown author: {author!r}")
     tally = HindexTally()
-    for rec in classifications:
-        if rec.author_id == author:
-            tally.add_record(rec)
+    run_record_tallies((rec for rec in classifications if rec.author_id == author), [tally])
     return tally.decompose_author(author, entry.publication_ids)
 
 
@@ -214,8 +196,7 @@ def decompose_all(
     include_authors: Optional[set] = None,
 ) -> dict[str, HDecomposition]:
     tally = HindexTally()
-    for rec in classifications:
-        tally.add_record(rec)
+    run_record_tallies(classifications, [tally])
     return finalize_decompositions(corpus, tally, include_authors)
 
 

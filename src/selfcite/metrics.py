@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .classify import CITATION_TYPES, AuthorEdgeClass, CitationType, Perspective
 from .corpus import Corpus, CorpusError
+from .pipeline import run_record_tallies
 
 _DIRECT = CitationType.DIRECT
 _EXTERNAL = CitationType.EXTERNAL
@@ -213,14 +214,6 @@ class ProfileTally:
             key = (a, t, year)
             cc[key] = cc.get(key, 0) + 1
 
-    def add_record(self, rec: AuthorEdgeClass) -> None:
-        if rec.perspective is _REFERENCE:
-            key = (rec.author_id, rec.ctype)
-            self.ref_counts[key] = self.ref_counts.get(key, 0) + 1
-        else:
-            key = (rec.author_id, rec.ctype, rec.edge.citing_year)
-            self.cite_year_counts[key] = self.cite_year_counts.get(key, 0) + 1
-
     def merge(self, other: "ProfileTally") -> None:
         for key, n in other.ref_counts.items():
             self.ref_counts[key] = self.ref_counts.get(key, 0) + n
@@ -280,8 +273,7 @@ def build_profiles(
 ) -> dict[str, AuthorProfile]:
     """Tally a classification stream into per-author profiles."""
     tally = ProfileTally()
-    for rec in classifications:
-        tally.add_record(rec)
+    run_record_tallies(classifications, [tally])
     return finalize_profiles(corpus, tally, weights)
 
 
@@ -371,9 +363,6 @@ class AgeCurveTally:
             self._add(a, _REFERENCE, year, t)
         for a, t in zip(cited_authors, cite_types):
             self._add(a, _CITATION, year, t)
-
-    def add_record(self, rec: AuthorEdgeClass) -> None:
-        self._add(rec.author_id, rec.perspective, rec.edge.citing_year, rec.ctype)
 
     def merge(self, other: "AgeCurveTally") -> None:
         for key, n in other.per_author.items():
@@ -515,8 +504,7 @@ def age_curves(
     Events of authors outside ``include_authors`` (when given) are skipped
     and counted, as are events predating an author's first publication."""
     tally = AgeCurveTally.for_corpus(corpus, include_authors)
-    for rec in classifications:
-        tally.add_record(rec)
+    run_record_tallies(classifications, [tally])
     return tally.finalize(domains=domains, by_production=by_production,
                           production_bins=production_bins, weights=weights)
 
@@ -547,14 +535,6 @@ class CitationAgeTally:
         for a, t in zip(cited_authors, cite_types):
             key = (_CITATION, t, age)
             counts[key] = counts.get(key, 0) + 1
-
-    def add_record(self, rec: AuthorEdgeClass) -> None:
-        age = rec.edge.citing_year - rec.edge.cited_year
-        if age < 0:
-            self.negative_excluded += 1
-            return
-        key = (rec.perspective, rec.ctype, age)
-        self.counts[key] = self.counts.get(key, 0) + 1
 
     def merge(self, other: "CitationAgeTally") -> None:
         for key, n in other.counts.items():
@@ -591,8 +571,7 @@ def citation_age_distribution(
     peak-normalized variant. Negative ages are excluded and counted;
     returns (rows, n_excluded)."""
     tally = CitationAgeTally()
-    for rec in classifications:
-        tally.add_record(rec)
+    run_record_tallies(classifications, [tally])
     n_papers = (
         len(corpus_or_n_papers.papers)
         if isinstance(corpus_or_n_papers, Corpus)

@@ -1,22 +1,28 @@
-"""Deterministic, optionally threaded execution of edge tallies.
+"""The one tally feed: every tally takes classified edges via ``add_edge``.
 
-The edge list is cut into fixed-size chunks regardless of the worker
-count; each chunk is classified into fresh tally instances and partials
-are merged in chunk order. Integer tallies are associative anyway, and
-floating sums see the exact same association for any ``threads`` value,
-so runs are bit-identical whether one or many workers execute the chunks.
+``run_edge_tallies`` classifies the edge list in fixed-size chunks,
+regardless of the worker count, into fresh tally instances and merges the
+partials in chunk order, so floating sums see the same association for any
+``threads`` value and runs are bit-identical. ``run_record_tallies``
+regroups a classification record stream into edges, the inverse of
+``classify_all``.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Sequence
+from itertools import groupby
+from operator import attrgetter
+from typing import Iterable, Sequence
 
-from .classify import build_author_sets, iter_edge_types
+from .classify import AuthorEdgeClass, Perspective, build_author_sets, iter_edge_types
 from .corpus import Corpus
 from .graph import CitationEdge, CollaborationIndex
 
 DEFAULT_CHUNK_SIZE = 65536
+
+_REFERENCE = Perspective.REFERENCE
+_edge_pair = attrgetter("edge.citing_id", "edge.cited_id")
 
 
 def run_edge_tallies(
@@ -62,8 +68,24 @@ def run_edge_tallies(
                     tally.merge(part)
 
 
-def run_record_tallies(records, tallies: Sequence) -> None:
-    """Feed a classification record stream into ``add_record`` tallies."""
-    for rec in records:
+def run_record_tallies(records: Iterable[AuthorEdgeClass], tallies: Sequence) -> None:
+    """Regroup a classification record stream into edges and feed each
+    tally's ``add_edge`` once per edge.
+
+    Contiguous records of one (citing_id, cited_id) pair form one edge, split
+    by perspective in stream order: the order ``add_edge`` walks authors, so
+    a full ``classify_all`` stream gives the tallies of one edge chunk, floats
+    included. A filtered stream feeds only the authors present.
+    """
+    for _pair, group in groupby(records, _edge_pair):
+        citing, ref_types, cited, cite_types = [], [], [], []
+        for rec in group:
+            if rec.perspective is _REFERENCE:
+                citing.append(rec.author_id)
+                ref_types.append(rec.ctype)
+            else:
+                cited.append(rec.author_id)
+                cite_types.append(rec.ctype)
+        edge = rec.edge
         for tally in tallies:
-            tally.add_record(rec)
+            tally.add_edge(edge, citing, ref_types, cited, cite_types)

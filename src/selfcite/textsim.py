@@ -12,8 +12,8 @@ scored 0, so short or generic abstracts do not drag type comparisons down.
 
 Aggregation is author-first: each author's mean per citation type is
 computed before averaging across authors (the pooled per-record mean is
-reported alongside). Both perspectives of a pair enter the stream; for
-direct self-citations the two records carry the same cosine, so author
+reported alongside). Both sides of an edge are tallied; for direct
+self-citations the author's two entries carry the same cosine, so author
 means are unaffected by the duplication.
 """
 
@@ -25,9 +25,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from .classify import AuthorEdgeClass, CitationType, Perspective
+from .classify import CitationType
 from .corpus import Corpus, CorpusError
 from .graph import CitationEdge
 from .porter import stem
@@ -162,15 +162,6 @@ def cosine(u: TfIdfVector, v: TfIdfVector) -> float:
     return value if value < 1.0 else 1.0
 
 
-class SimilarityRecord(NamedTuple):
-    author_id: str
-    edge: CitationEdge
-    perspective: Perspective
-    ctype: CitationType
-    cosine: float
-    citation_age: int
-
-
 @dataclass(slots=True)
 class SimilarityCoverage:
     """Why edges did or did not produce similarity records."""
@@ -189,61 +180,6 @@ class SimilarityCoverage:
         }
 
 
-def pair_similarities(
-    corpus: Corpus,
-    classifications: Iterable[AuthorEdgeClass],
-    vectors: Optional[dict[str, TfIdfVector]] = None,
-    coverage: Optional[SimilarityCoverage] = None,
-) -> Iterator[SimilarityRecord]:
-    """One record per perspective author per side of every scoreable edge.
-
-    The cosine for an edge is computed once and replicated across that
-    edge's records. ``coverage`` (if given) is updated in place while the
-    stream is consumed.
-    """
-    if vectors is None:
-        vectors = build_vectors(corpus)
-    norms = {pid: _norm(v.weights) for pid, v in vectors.items()}
-
-    last_key: Optional[tuple[str, str]] = None
-    last_cos: Optional[float] = None
-    for rec in classifications:
-        edge = rec.edge
-        key = (edge.citing_id, edge.cited_id)
-        if key != last_key:
-            last_key = key
-            u = vectors.get(edge.citing_id)
-            v = vectors.get(edge.cited_id)
-            if u is None or v is None:
-                last_cos = None
-                if coverage is not None:
-                    coverage.missing_abstract_edges += 1
-            else:
-                nu = norms[edge.citing_id]
-                nv = norms[edge.cited_id]
-                if nu == 0.0 or nv == 0.0:
-                    last_cos = None
-                    if coverage is not None:
-                        coverage.zero_vector_edges += 1
-                else:
-                    value = _dot(u.weights, v.weights) / (nu * nv)
-                    last_cos = value if value < 1.0 else 1.0
-                    if coverage is not None:
-                        coverage.scored_edges += 1
-        if last_cos is None:
-            continue
-        if coverage is not None:
-            coverage.records += 1
-        yield SimilarityRecord(
-            rec.author_id,
-            edge,
-            rec.perspective,
-            rec.ctype,
-            last_cos,
-            edge.citing_year - edge.cited_year,
-        )
-
-
 def citation_age_bin(age: int) -> str:
     return str(age) if age <= MAX_SINGLE_CITATION_AGE else f"{MAX_SINGLE_CITATION_AGE + 1}+"
 
@@ -258,7 +194,6 @@ class SimilarityTally:
     __slots__ = (
         "vectors", "norms", "include", "author_type", "author_type_age",
         "author_selfref", "coverage", "negative_age_records",
-        "_last_key", "_last_cos",
     )
 
     def __init__(self, vectors: dict[str, TfIdfVector], norms=None, include=None):
@@ -272,8 +207,6 @@ class SimilarityTally:
         self.author_selfref: dict = {}    # author -> [sum, n]; direct reference-side only
         self.coverage = SimilarityCoverage()
         self.negative_age_records = 0
-        self._last_key: Optional[tuple[str, str]] = None
-        self._last_cos: Optional[float] = None
 
     def spawn(self) -> "SimilarityTally":
         return SimilarityTally(self.vectors, self.norms, self.include)
@@ -338,55 +271,6 @@ class SimilarityTally:
                         cell[0] += cos
                         cell[1] += 1
 
-    def add_record(self, rec: AuthorEdgeClass) -> None:
-        """Tally one classification record, scoring its edge on first sight
-        (stream API for classification exports)."""
-        edge = rec.edge
-        key = (edge.citing_id, edge.cited_id)
-        if key != self._last_key:
-            self._last_key = key
-            self._last_cos = self._edge_cosine(edge)
-        cos = self._last_cos
-        if cos is None:
-            return
-        self._tally_one(rec.author_id, rec.ctype, rec.perspective,
-                        cos, edge.citing_year - edge.cited_year)
-
-    def add_similarity_record(self, rec: SimilarityRecord) -> None:
-        """Tally one pre-scored similarity record."""
-        self._tally_one(rec.author_id, rec.ctype, rec.perspective,
-                        rec.cosine, rec.citation_age)
-
-    def _tally_one(self, author, ctype, perspective, cos: float, age: int) -> None:
-        if self.include is not None and author not in self.include:
-            return
-        self.coverage.records += 1
-        key = (author, ctype)
-        cell = self.author_type.get(key)
-        if cell is None:
-            self.author_type[key] = [cos, 1]
-        else:
-            cell[0] += cos
-            cell[1] += 1
-        if age < 0:
-            self.negative_age_records += 1
-        else:
-            age_key = age if age <= MAX_SINGLE_CITATION_AGE else MAX_SINGLE_CITATION_AGE + 1
-            akey = (author, ctype, age_key)
-            cell = self.author_type_age.get(akey)
-            if cell is None:
-                self.author_type_age[akey] = [cos, 1]
-            else:
-                cell[0] += cos
-                cell[1] += 1
-        if perspective is Perspective.REFERENCE and ctype is CitationType.DIRECT:
-            cell = self.author_selfref.get(author)
-            if cell is None:
-                self.author_selfref[author] = [cos, 1]
-            else:
-                cell[0] += cos
-                cell[1] += 1
-
     def merge(self, other: "SimilarityTally") -> None:
         for target, source in (
             (self.author_type, other.author_type),
@@ -405,10 +289,6 @@ class SimilarityTally:
         self.coverage.zero_vector_edges += other.coverage.zero_vector_edges
         self.coverage.records += other.coverage.records
         self.negative_age_records += other.negative_age_records
-
-
-def author_type_means(tally: SimilarityTally) -> dict[tuple[str, CitationType], float]:
-    return {key: s / n for key, (s, n) in tally.author_type.items()}
 
 
 def similarity_means(tally, profiles, key: str = "discipline") -> list[dict]:
@@ -533,38 +413,3 @@ def similarity_by_selfref_percentile(tally, profiles, n_groups: int = 10) -> lis
             "low_support": int(len(members) < 5),
         })
     return rows
-
-
-def collect_similarity_tally(
-    records: Iterable[SimilarityRecord], vectors: Optional[dict] = None
-) -> SimilarityTally:
-    tally = SimilarityTally(vectors if vectors is not None else {})
-    for rec in records:
-        tally.add_similarity_record(rec)
-    return tally
-
-
-def similarity_by_type(
-    records: Iterable[SimilarityRecord],
-    grouping: str,
-    profiles=None,
-    n_groups: int = 10,
-) -> list[dict]:
-    """Aggregate similarity records by the requested grouping.
-
-    ``grouping`` is one of "discipline", "gender", "citation_age" or
-    "self_reference_percentile"; the first two and the last need author
-    profiles.
-    """
-    tally = collect_similarity_tally(records)
-    if grouping in ("discipline", "gender"):
-        if profiles is None:
-            raise ValueError(f"grouping by {grouping} requires profiles")
-        return similarity_means(tally, profiles, key=grouping)
-    if grouping == "citation_age":
-        return similarity_by_citation_age(tally)
-    if grouping == "self_reference_percentile":
-        if profiles is None:
-            raise ValueError("grouping by self_reference_percentile requires profiles")
-        return similarity_by_selfref_percentile(tally, profiles, n_groups=n_groups)
-    raise ValueError(f"unknown grouping: {grouping!r}")

@@ -19,7 +19,8 @@ from selfcite.metrics import (
     unit_weights,
 )
 from selfcite.synth import SynthConfig, generate, generate_with_stats, write_corpus
-from selfcite.textsim import TfIdfVector, build_vectors, cosine, pair_similarities, similarity_by_type
+from selfcite.pipeline import run_record_tallies
+from selfcite.textsim import SimilarityTally, TfIdfVector, build_vectors, cosine, similarity_means
 from conftest import TESTDATA
 from oracles import brute_force_classify_all, brute_force_decompose, random_corpus
 
@@ -195,8 +196,7 @@ def test_criterion_7_age_curve_shapes():
     edges = build_edges(corpus)
     collab = build_collaboration_index(corpus)
     tally = AgeCurveTally.for_corpus(corpus)
-    for rec in classify_all(corpus, edges, collab):
-        tally.add_record(rec)
+    run_record_tallies(classify_all(corpus, edges, collab), [tally])
     curve = tally.finalize()
 
     ref_shares = [curve.pooled_share(REF, D, {age}) for age in range(6)]
@@ -229,8 +229,9 @@ def test_criterion_8_similarity_ordering():
     collab = build_collaboration_index(corpus)
     records = list(classify_all(corpus, edges, collab))
     profiles = build_profiles(corpus, iter(records))
-    sims = list(pair_similarities(corpus, iter(records)))
-    rows = similarity_by_type(iter(sims), "discipline", profiles)
+    tally = SimilarityTally(build_vectors(corpus))
+    run_record_tallies(iter(records), [tally])
+    rows = similarity_means(tally, profiles, key="discipline")
     means = {row["citation_type"]: row["similarity_author_mean"] for row in rows}
     assert means["direct"] > means["collaborator"] > means["external"]
     print(f"ACCEPTANCE 8: PASS - author-mean similarity direct {means['direct']:.3f} "

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from selfcite.cli import main
 from conftest import TESTDATA
 
@@ -100,11 +102,6 @@ class TestMetrics:
         col = header.split(",").index("pct_pooled_weighted")
         assert all(r.split(",")[col] == "" for r in rows)
 
-    def test_agg_mode_recorded_in_manifest(self, tmp_path):
-        assert run("metrics", "--papers", PAPERS, "--out", tmp_path,
-                   "--agg-mode", "author-mean") == 0
-        assert manifest(tmp_path)["options"]["agg_mode"] == "author-mean"
-
 
 class TestHindex:
     def test_artifacts_written(self, tmp_path):
@@ -170,6 +167,26 @@ class TestReport:
                    "--out", direct, "--min-pubs", "0") == 0
         for name in ("fig1_age_curves.csv", "figS7_strata.csv", "figS8_heatmap.csv"):
             assert (shared / name).read_bytes() == (direct / name).read_bytes()
+
+    @pytest.mark.parametrize("tamper", [
+        lambda rows: rows[:-3],                                  # truncated
+        lambda rows: rows[:-2],                                  # last edge dropped
+        lambda rows: ["ZZZ" + rows[0][rows[0].index("\t"):]] + rows[1:],  # foreign author
+        lambda rows: rows[3:] + rows[:3],                        # first edge moved last
+        lambda rows: rows + rows[:3],                            # first edge duplicated
+        lambda rows: ["A\tP1\tP5\treference\tdirect",          # P5 -> P1 turned around
+                      "A\tP1\tP5\tcitation\tdirect"] + rows[:13] + rows[15:],
+    ], ids=["truncated", "last_edge_dropped", "foreign_author", "reordered_edge", "duplicated_edge",
+            "unreferenced_edge"])
+    def test_export_checked_against_corpus(self, tmp_path, capsys, tamper):
+        assert run("classify", "--papers", PAPERS, "--authors", AUTHORS,
+                   "--out", tmp_path) == 0
+        tsv = tmp_path / "classifications.tsv"
+        rows = tsv.read_text().splitlines()
+        tsv.write_text("".join(r + "\n" for r in tamper(rows)))
+        assert run("report", "--papers", PAPERS, "--authors", AUTHORS,
+                   "--out", tmp_path, "--min-pubs", "0") == 2
+        assert "classifications line" in capsys.readouterr().err
 
     def test_report_without_abstracts_writes_headers(self, tmp_path):
         papers = tmp_path / "papers.jsonl"

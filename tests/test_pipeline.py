@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from selfcite.classify import classify_all, read_classifications, write_classifications
 from selfcite.graph import build_collaboration_index, build_edges
 from selfcite.hindex import HindexTally, finalize_decompositions
-from selfcite.metrics import ProfileTally, finalize_profiles
-from selfcite.pipeline import run_edge_tallies
+from selfcite.metrics import AgeCurveTally, CitationAgeTally, ProfileTally, finalize_profiles
+from selfcite.pipeline import run_edge_tallies, run_record_tallies
 from selfcite.textsim import SimilarityTally, build_vectors
 from oracles import random_corpus
 
@@ -13,6 +14,23 @@ from oracles import random_corpus
 def tallies_for(corpus):
     vectors = build_vectors(corpus)
     return [ProfileTally(), HindexTally(), SimilarityTally(vectors)]
+
+
+def all_five(corpus, vectors, include):
+    return [ProfileTally(), AgeCurveTally.for_corpus(corpus, include=include),
+            CitationAgeTally(), HindexTally(), SimilarityTally(vectors, include=include)]
+
+
+def integer_state(tallies):
+    profile, age, citeage, hind, sim = tallies
+    return (profile.ref_counts, profile.cite_year_counts,
+            age.per_author, age.skipped_ineligible, age.skipped_preage,
+            citeage.counts, citeage.negative_excluded, hind.per_paper,
+            sim.coverage.as_dict(), sim.negative_age_records)
+
+
+def similarity_state(sim):
+    return sim.author_type, sim.author_type_age, sim.author_selfref
 
 
 class TestThreadIndependence:
@@ -38,15 +56,39 @@ class TestThreadIndependence:
             assert sim.author_type == base_sim.author_type
             assert sim.author_type_age == base_sim.author_type_age
 
-    def test_chunked_equals_stream(self, fix1, fix1_edges, fix1_collab, fix1_records):
-        profile_chunked = ProfileTally()
-        run_edge_tallies(fix1, fix1_edges, fix1_collab, [profile_chunked],
-                         threads=2, chunk_size=2)
-        profile_stream = ProfileTally()
-        for rec in fix1_records:
-            profile_stream.add_record(rec)
-        assert profile_chunked.ref_counts == profile_stream.ref_counts
-        assert profile_chunked.cite_year_counts == profile_stream.cite_year_counts
+    def test_chunked_equals_stream(self, tmp_path):
+        # run_record_tallies regroups a record stream into edges; fed from
+        # classify_all or from a TSV round trip it must match the edge feed
+        # in one chunk, floats bit for bit, and chunked edge runs must match
+        # it on every integer tally
+        rng = random.Random(83)
+        for trial in range(20):
+            corpus = random_corpus(rng, max_papers=40, max_authors=10)
+            edges = build_edges(corpus)
+            collab = build_collaboration_index(corpus)
+            vectors = build_vectors(corpus) if corpus.papers_with_abstract else {}
+            include = {a for a in corpus.author_index if rng.random() < 0.7}
+
+            base = all_five(corpus, vectors, include)
+            run_edge_tallies(corpus, edges, collab, base, chunk_size=len(edges) + 1)
+
+            streamed = all_five(corpus, vectors, include)
+            run_record_tallies(classify_all(corpus, edges, collab), streamed)
+
+            tsv = tmp_path / f"classifications-{trial}.tsv"
+            write_classifications(classify_all(corpus, edges, collab), tsv)
+            from_tsv = all_five(corpus, vectors, include)
+            run_record_tallies(read_classifications(tsv, corpus), from_tsv)
+
+            for other in (streamed, from_tsv):
+                assert integer_state(other) == integer_state(base)
+                assert similarity_state(other[4]) == similarity_state(base[4])
+
+            for chunk_size in (1, 3, 7):
+                chunked = all_five(corpus, vectors, include)
+                run_edge_tallies(corpus, edges, collab, chunked,
+                                 threads=2, chunk_size=chunk_size)
+                assert integer_state(chunked) == integer_state(base)
 
     def test_profiles_and_decompositions_match_stream_api(self):
         rng = random.Random(79)

@@ -4,19 +4,20 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from selfcite.classify import CitationType, Perspective, classify_all
+from selfcite.classify import CitationType, classify_all
 from selfcite.corpus import CorpusError, PaperRecord, corpus_from_records
 from selfcite.graph import build_collaboration_index, build_edges
+from selfcite.pipeline import run_edge_tallies, run_record_tallies
 from selfcite.textsim import (
     SimilarityCoverage,
+    SimilarityTally,
     TfIdfVector,
     build_vectors,
-    collect_similarity_tally,
     cosine,
     load_stopwords,
-    pair_similarities,
     preprocess,
-    similarity_by_type,
+    similarity_by_citation_age,
+    similarity_means,
     stopwords_sha256,
 )
 
@@ -27,6 +28,14 @@ def classified(corpus):
     edges = build_edges(corpus)
     collab = build_collaboration_index(corpus)
     return list(classify_all(corpus, edges, collab))
+
+
+def similarity_tally(corpus, vectors=None, include=None):
+    tally = SimilarityTally(build_vectors(corpus) if vectors is None else vectors,
+                            include=include)
+    run_edge_tallies(corpus, build_edges(corpus), build_collaboration_index(corpus),
+                     [tally])
+    return tally
 
 
 class TestPreprocess:
@@ -165,32 +174,35 @@ class TestCosine:
 
 class TestPairSimilarities:
     def test_fix1_records(self, fix1, fix1_records):
-        coverage = SimilarityCoverage()
-        records = list(pair_similarities(fix1, iter(fix1_records), coverage=coverage))
+        tally = SimilarityTally(build_vectors(fix1))
+        run_record_tallies(iter(fix1_records), [tally])
         # only P2 -> P1 has both abstracts; its vectors are disjoint
-        assert len(records) == 3
-        assert {(r.author_id, r.perspective, r.ctype) for r in records} == {
-            ("A", Perspective.REFERENCE, CitationType.DIRECT),
-            ("B", Perspective.REFERENCE, CitationType.COAUTHOR),
-            ("A", Perspective.CITATION, CitationType.DIRECT),
+        assert tally.coverage.records == 3
+        assert tally.author_type == {
+            ("A", D): [0.0, 2],
+            ("B", CitationType.COAUTHOR): [0.0, 1],
         }
-        assert all(r.cosine == 0.0 for r in records)
-        assert all(r.citation_age == 1 for r in records)
-        assert coverage.scored_edges == 1
-        assert coverage.missing_abstract_edges == 5
+        # one of A's two direct records is reference-side, the other citation-side
+        assert tally.author_selfref == {"A": [0.0, 1]}
+        assert set(tally.author_type_age) == {("A", D, 1), ("B", CitationType.COAUTHOR, 1)}
+        assert tally.coverage.scored_edges == 1
+        assert tally.coverage.missing_abstract_edges == 5
 
     def test_zero_vector_pairs_skipped_and_counted(self):
         corpus = corpus_from_records([
             PaperRecord("P1", 2000, "health", ("A",), (), abstract="shared term"),
             PaperRecord("P2", 2001, "health", ("A",), ("P1",), abstract="shared term"),
         ])
-        coverage = SimilarityCoverage()
-        records = list(pair_similarities(corpus, classified(corpus), coverage=coverage))
-        assert records == []
-        assert coverage.zero_vector_edges == 1
+        tally = similarity_tally(corpus)
+        assert tally.author_type == {}
+        assert tally.coverage.records == 0
+        assert tally.coverage.zero_vector_edges == 1
 
     def test_empty_corpus_stream(self, fix1, fix1_collab):
-        assert list(pair_similarities(fix1, iter([]))) == []
+        tally = SimilarityTally(build_vectors(fix1))
+        run_record_tallies(iter([]), [tally])
+        assert tally.author_type == {}
+        assert tally.coverage == SimilarityCoverage()
 
     def test_near_duplicate_pair_scores_high(self):
         # same stem support, different term counts: cosine near but below 1
@@ -202,9 +214,9 @@ class TestPairSimilarities:
             PaperRecord("P3", 2002, "health", ("B",), (),
                         abstract="protein folding pathways dynamics"),
         ])
-        records = list(pair_similarities(corpus, classified(corpus)))
-        assert records
-        assert all(0.9 < r.cosine <= 1.0 for r in records)
+        tally = similarity_tally(corpus)
+        assert tally.author_type
+        assert all(0.9 < s / n <= 1.0 for s, n in tally.author_type.values())
 
 
 class TestAggregation:
@@ -217,14 +229,15 @@ class TestAggregation:
             PaperRecord("P3", 2002, "health", ("B",), (),
                         abstract="iota kappa nu"),
         ])
-        records = list(pair_similarities(corpus, classified(corpus)))
-        direct = [r for r in records if r.ctype is D]
-        assert direct
+        vectors = build_vectors(corpus)
+        tally = similarity_tally(corpus, vectors)
+        assert ("A", D) in tally.author_type
         from selfcite.metrics import build_profiles
         profiles = build_profiles(corpus, classified(corpus))
-        rows = similarity_by_type(iter(records), "discipline", profiles)
+        rows = similarity_means(tally, profiles, key="discipline")
         direct_row = next(r for r in rows if r["citation_type"] == "direct")
-        assert direct_row["similarity_author_mean"] == pytest.approx(direct[0].cosine)
+        assert direct_row["similarity_author_mean"] == pytest.approx(
+            cosine(vectors["P2"], vectors["P1"]))
         assert direct_row["n_authors"] == 1
 
     def test_citation_age_grouping(self):
@@ -233,17 +246,8 @@ class TestAggregation:
             PaperRecord("P2", 2005, "health", ("A",), ("P1",), abstract="alpha gamma"),
             PaperRecord("P3", 2006, "health", ("B",), (), abstract="mu nu xi"),
         ])
-        records = list(pair_similarities(corpus, classified(corpus)))
-        rows = similarity_by_type(iter(records), "citation_age")
+        rows = similarity_by_citation_age(similarity_tally(corpus))
         assert all(row["citation_age_bin"] == "5" for row in rows)
-
-    def test_selfref_percentile_grouping_needs_profiles(self):
-        with pytest.raises(ValueError):
-            similarity_by_type(iter([]), "self_reference_percentile")
-
-    def test_unknown_grouping(self):
-        with pytest.raises(ValueError):
-            similarity_by_type(iter([]), "venue")
 
     def test_selfref_reuse_coupling_drives_fig3d_decline(self):
         # heavy self-referencers draw abstract terms from the shared
@@ -251,7 +255,7 @@ class TestAggregation:
         # reference similarity drops across self-reference groups
         from selfcite.synth import SynthConfig, generate
         from selfcite.metrics import build_profiles
-        from selfcite.textsim import SimilarityTally, similarity_by_selfref_percentile
+        from selfcite.textsim import similarity_by_selfref_percentile
 
         config = SynthConfig(
             n_authors=120, year_start=2000, year_end=2019, entry_years=4,
@@ -268,8 +272,7 @@ class TestAggregation:
         profiles = build_profiles(corpus, iter(records))
         vectors = build_vectors(corpus)
         tally = SimilarityTally(vectors)
-        for rec in records:
-            tally.add_record(rec)
+        run_record_tallies(iter(records), [tally])
         rows = similarity_by_selfref_percentile(tally, profiles, n_groups=4)
         sims = [row["mean_direct_reference_similarity"] for row in rows]
         assert len(sims) == 4
@@ -278,12 +281,9 @@ class TestAggregation:
 
     def test_tally_include_filter(self, fix1, fix1_records):
         vectors = build_vectors(fix1)
-        records = list(pair_similarities(fix1, iter(fix1_records), vectors))
-        tally = collect_similarity_tally(records, vectors)
-        assert ("A", D) in tally.author_type
-        from selfcite.textsim import SimilarityTally
+        tally = SimilarityTally(vectors)
         filtered = SimilarityTally(vectors, include={"B"})
-        for rec in records:
-            filtered.add_similarity_record(rec)
+        run_record_tallies(iter(fix1_records), [tally, filtered])
+        assert ("A", D) in tally.author_type
         assert ("A", D) not in filtered.author_type
         assert ("B", CitationType.COAUTHOR) in filtered.author_type
