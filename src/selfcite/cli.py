@@ -4,7 +4,7 @@ report, plus synthetic-corpus generation.
 Every analysis subcommand is deterministic: rerunning with identical
 inputs and options reproduces every CSV artifact byte for byte (the run
 manifest carries wall-clock and memory measurements and is excluded from
-that guarantee), and results do not depend on ``--threads``.
+that guarantee).
 
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
@@ -179,8 +179,7 @@ def _load(args, run: _Run) -> Corpus:
 def _common_options(args) -> dict:
     options = {}
     for name in ("papers", "authors", "out", "min_pubs", "n_percentiles",
-                 "weighting", "threads", "seed", "config",
-                 "individual"):
+                 "weighting", "seed", "config", "individual"):
         if hasattr(args, name):
             value = getattr(args, name)
             options[name] = str(value) if isinstance(value, Path) else value
@@ -275,8 +274,7 @@ def cmd_metrics(args) -> int:
     profile_tally = ProfileTally()
     age_tally = AgeCurveTally.for_corpus(corpus, include=eligible)
     citeage_tally = CitationAgeTally()
-    run_edge_tallies(corpus, edges, collab,
-                     [profile_tally, age_tally, citeage_tally], threads=args.threads)
+    run_edge_tallies(corpus, edges, collab, [profile_tally, age_tally, citeage_tally])
     _metrics_outputs(run, corpus, profile_tally, age_tally, citeage_tally,
                      weights, eligible, args.n_percentiles)
     run.finish()
@@ -307,7 +305,7 @@ def cmd_hindex(args) -> int:
     run.counts["eligible_authors"] = len(eligible)
 
     hindex_tally = HindexTally()
-    run_edge_tallies(corpus, edges, collab, [hindex_tally], threads=args.threads)
+    run_edge_tallies(corpus, edges, collab, [hindex_tally])
     _hindex_outputs(run, corpus, hindex_tally, eligible, args.individual)
     run.finish()
     print(f"hindex: wrote {len(run.artifacts)} artifacts to {run.out_dir}")
@@ -346,8 +344,7 @@ def cmd_simil(args) -> int:
     vectors = build_vectors(corpus)
     sim_tally = SimilarityTally(vectors, include=eligible)
     profile_tally = ProfileTally()
-    run_edge_tallies(corpus, edges, collab, [sim_tally, profile_tally],
-                     threads=args.threads)
+    run_edge_tallies(corpus, edges, collab, [sim_tally, profile_tally])
     _simil_outputs(run, corpus, sim_tally, profile_tally, eligible,
                    args.n_percentiles)
     run.finish()
@@ -427,17 +424,13 @@ def cmd_synth(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_io_options(sub, authors_required=False):
+def _add_io_options(sub, min_pubs=True):
     sub.add_argument("--papers", required=True, help="papers file (one JSON object per line)")
     sub.add_argument("--authors", default=None, help="optional authors file")
     sub.add_argument("--out", required=True, help="output directory")
-
-
-def _add_analysis_options(sub):
-    sub.add_argument("--min-pubs", type=int, default=5, dest="min_pubs",
-                     help="eligibility: authors need strictly more papers than this (default 5)")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker cap for data-parallel tallies (results are thread-count independent)")
+    if min_pubs:
+        sub.add_argument("--min-pubs", type=int, default=5, dest="min_pubs",
+                         help="eligibility: authors need strictly more papers than this (default 5)")
 
 
 def build_parser() -> _Parser:
@@ -447,17 +440,14 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("validate", help="load and validate a corpus")
     _add_io_options(p)
-    _add_analysis_options(p)
     p.set_defaults(func=cmd_validate)
 
     p = subs.add_parser("classify", help="export per-author edge classifications")
-    _add_io_options(p)
-    _add_analysis_options(p)
+    _add_io_options(p, min_pubs=False)
     p.set_defaults(func=cmd_classify)
 
     p = subs.add_parser("metrics", help="age curves, strata, heatmap, inflation weights")
     _add_io_options(p)
-    _add_analysis_options(p)
     p.add_argument("--n-percentiles", type=int, default=100, dest="n_percentiles")
     p.add_argument("--no-weighting", action="store_false", dest="weighting",
                    help="skip citation-inflation weighting")
@@ -465,20 +455,17 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("hindex", help="h-index decomposition tables")
     _add_io_options(p)
-    _add_analysis_options(p)
     p.add_argument("--no-individual", action="store_false", dest="individual",
                    help="skip the single-type exclusion table")
     p.set_defaults(func=cmd_hindex)
 
     p = subs.add_parser("simil", help="abstract-similarity tables")
     _add_io_options(p)
-    _add_analysis_options(p)
     p.add_argument("--n-percentiles", type=int, default=100, dest="n_percentiles")
     p.set_defaults(func=cmd_simil)
 
     p = subs.add_parser("report", help="all tables from a prior classify export")
     _add_io_options(p)
-    _add_analysis_options(p)
     p.add_argument("--n-percentiles", type=int, default=100, dest="n_percentiles")
     p.add_argument("--no-weighting", action="store_false", dest="weighting")
     p.add_argument("--no-individual", action="store_false", dest="individual")
@@ -497,8 +484,6 @@ def _check_numeric(args) -> None:
         raise UsageError("--min-pubs must be >= 0")
     if getattr(args, "n_percentiles", 1) < 1:
         raise UsageError("--n-percentiles must be >= 1")
-    if getattr(args, "threads", 1) < 1:
-        raise UsageError("--threads must be >= 1")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

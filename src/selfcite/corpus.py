@@ -177,16 +177,28 @@ def _parse_author(obj, source: str, lineno: int) -> AuthorRecord:
 
 
 def _iter_json_lines(path: Path, source: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                obj = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise _fail(source, lineno, f"invalid JSON: {exc.msg}") from exc
-            yield lineno, obj
+    # Lines are split as bytes on \n, \r and \r\n (the universal newlines
+    # of text mode; no UTF-8 character contains those bytes) and each one is
+    # decoded on its own, so a bad byte names its line.
+    lineno = 0
+    with open(path, "rb") as fh:
+        for block in fh:
+            for raw in block.splitlines():
+                lineno += 1
+                try:
+                    stripped = raw.decode("utf-8").strip()
+                except UnicodeDecodeError as exc:
+                    raise _fail(source, lineno,
+                                f"invalid UTF-8 at byte {exc.start + 1} of the line") from exc
+                if not stripped:
+                    continue
+                try:
+                    obj = json.loads(stripped)
+                except json.JSONDecodeError as exc:
+                    raise _fail(source, lineno, f"invalid JSON: {exc.msg}") from exc
+                except RecursionError as exc:
+                    raise _fail(source, lineno, "JSON nested too deeply") from exc
+                yield lineno, obj
 
 
 def load_corpus(

@@ -100,9 +100,6 @@ class HindexTally:
         # (author, cited paper) -> [total, direct, coauthor, collaborator]
         self.per_paper: dict = {}
 
-    def spawn(self) -> "HindexTally":
-        return HindexTally()
-
     def add_edge(self, edge, citing_authors, ref_types, cited_authors, cite_types):
         cited_id = edge.cited_id
         per_paper = self.per_paper
@@ -119,18 +116,6 @@ class HindexTally:
                 cell[2] += 1
             elif t is _COLLABORATOR:
                 cell[3] += 1
-
-    def merge(self, other: "HindexTally") -> None:
-        per_paper = self.per_paper
-        for key, src in other.per_paper.items():
-            cell = per_paper.get(key)
-            if cell is None:
-                per_paper[key] = list(src)
-            else:
-                cell[0] += src[0]
-                cell[1] += src[1]
-                cell[2] += src[2]
-                cell[3] += src[3]
 
     def decompose_author(self, author: str, publication_ids: Sequence[str]) -> HDecomposition:
         per_paper = self.per_paper

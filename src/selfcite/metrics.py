@@ -3,8 +3,8 @@ citation-age tables, percentile strata and production/age heatmaps.
 
 Counts are tallied as exact integers; floating aggregates (weighted counts,
 percentages) are derived from those integers in a fixed order at finalize
-time, so results do not depend on how the classification stream was
-chunked. Weights apply to citation-side aggregates only; reference-side
+time, so results do not depend on the order in which edges were tallied.
+Weights apply to citation-side aggregates only; reference-side
 percentages are scale-free ratios within one citing year and stay
 unweighted.
 
@@ -192,16 +192,13 @@ class AuthorProfile:
 
 
 class ProfileTally:
-    """Integer tallies behind AuthorProfile, mergeable across chunks."""
+    """Integer tallies behind AuthorProfile."""
 
     __slots__ = ("ref_counts", "cite_year_counts")
 
     def __init__(self) -> None:
         self.ref_counts: dict = {}        # (author, ctype) -> int
         self.cite_year_counts: dict = {}  # (author, ctype, citing_year) -> int
-
-    def spawn(self) -> "ProfileTally":
-        return ProfileTally()
 
     def add_edge(self, edge, citing_authors, ref_types, cited_authors, cite_types):
         rc = self.ref_counts
@@ -214,12 +211,6 @@ class ProfileTally:
             key = (a, t, year)
             cc[key] = cc.get(key, 0) + 1
 
-    def merge(self, other: "ProfileTally") -> None:
-        for key, n in other.ref_counts.items():
-            self.ref_counts[key] = self.ref_counts.get(key, 0) + n
-        for key, n in other.cite_year_counts.items():
-            self.cite_year_counts[key] = self.cite_year_counts.get(key, 0) + n
-
 
 def finalize_profiles(
     corpus: Corpus,
@@ -228,7 +219,7 @@ def finalize_profiles(
 ) -> dict[str, AuthorProfile]:
     """Profiles for every indexed author. Weighted citation counts scale
     each citation by w[citing year], summed in ascending year order so the
-    result is independent of stream chunking; with ``weights=None`` the
+    result is independent of edge order; with ``weights=None`` the
     weighted counts equal the raw counts exactly."""
     per_author_years: dict = {}  # (author, ctype) -> {year: n}
     for (a, t, y), n in tally.cite_year_counts.items():
@@ -342,9 +333,6 @@ class AgeCurveTally:
         }
         return cls(meta, include)
 
-    def spawn(self) -> "AgeCurveTally":
-        return AgeCurveTally(self.meta, self.include)
-
     def _add(self, author: str, side: Perspective, year: int, ctype: CitationType) -> None:
         include = self.include
         if include is not None and author not in include:
@@ -363,12 +351,6 @@ class AgeCurveTally:
             self._add(a, _REFERENCE, year, t)
         for a, t in zip(cited_authors, cite_types):
             self._add(a, _CITATION, year, t)
-
-    def merge(self, other: "AgeCurveTally") -> None:
-        for key, n in other.per_author.items():
-            self.per_author[key] = self.per_author.get(key, 0) + n
-        self.skipped_ineligible += other.skipped_ineligible
-        self.skipped_preage += other.skipped_preage
 
     def finalize(
         self,
@@ -520,9 +502,6 @@ class CitationAgeTally:
         self.counts: dict = {}  # (side, ctype, publication_age) -> int
         self.negative_excluded = 0
 
-    def spawn(self) -> "CitationAgeTally":
-        return CitationAgeTally()
-
     def add_edge(self, edge, citing_authors, ref_types, cited_authors, cite_types):
         age = edge.citing_year - edge.cited_year
         if age < 0:
@@ -535,11 +514,6 @@ class CitationAgeTally:
         for a, t in zip(cited_authors, cite_types):
             key = (_CITATION, t, age)
             counts[key] = counts.get(key, 0) + 1
-
-    def merge(self, other: "CitationAgeTally") -> None:
-        for key, n in other.counts.items():
-            self.counts[key] = self.counts.get(key, 0) + n
-        self.negative_excluded += other.negative_excluded
 
     def finalize(self, n_papers: int) -> list[dict]:
         peaks: dict = {}

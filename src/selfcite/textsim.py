@@ -185,7 +185,7 @@ def citation_age_bin(age: int) -> str:
 
 
 class SimilarityTally:
-    """Streaming per-author similarity sums, mergeable chunk by chunk.
+    """Streaming per-author similarity sums, added in edge order.
 
     ``include`` (when given) restricts tallies to that author set; skipped
     records are not counted anywhere.
@@ -196,20 +196,15 @@ class SimilarityTally:
         "author_selfref", "coverage", "negative_age_records",
     )
 
-    def __init__(self, vectors: dict[str, TfIdfVector], norms=None, include=None):
+    def __init__(self, vectors: dict[str, TfIdfVector], include=None):
         self.vectors = vectors
-        self.norms = norms if norms is not None else {
-            pid: _norm(v.weights) for pid, v in vectors.items()
-        }
+        self.norms = {pid: _norm(v.weights) for pid, v in vectors.items()}
         self.include = include
         self.author_type: dict = {}       # (author, ctype) -> [sum, n]
         self.author_type_age: dict = {}   # (author, ctype, age 0..21) -> [sum, n]
         self.author_selfref: dict = {}    # author -> [sum, n]; direct reference-side only
         self.coverage = SimilarityCoverage()
         self.negative_age_records = 0
-
-    def spawn(self) -> "SimilarityTally":
-        return SimilarityTally(self.vectors, self.norms, self.include)
 
     def _edge_cosine(self, edge: CitationEdge) -> Optional[float]:
         u = self.vectors.get(edge.citing_id)
@@ -270,25 +265,6 @@ class SimilarityTally:
                     else:
                         cell[0] += cos
                         cell[1] += 1
-
-    def merge(self, other: "SimilarityTally") -> None:
-        for target, source in (
-            (self.author_type, other.author_type),
-            (self.author_type_age, other.author_type_age),
-            (self.author_selfref, other.author_selfref),
-        ):
-            for key, (s, n) in source.items():
-                cell = target.get(key)
-                if cell is None:
-                    target[key] = [s, n]
-                else:
-                    cell[0] += s
-                    cell[1] += n
-        self.coverage.scored_edges += other.coverage.scored_edges
-        self.coverage.missing_abstract_edges += other.coverage.missing_abstract_edges
-        self.coverage.zero_vector_edges += other.coverage.zero_vector_edges
-        self.coverage.records += other.coverage.records
-        self.negative_age_records += other.negative_age_records
 
 
 def similarity_means(tally, profiles, key: str = "discipline") -> list[dict]:

@@ -36,11 +36,19 @@ class TestValidate:
         assert m["counts"]["papers"] == 0
         assert m["counts"]["authors"] == 0
 
-    def test_malformed_input_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("content", [
+        b'{"id": "P1"}\n',
+        b'{"id": "P1", "year": 2000, "discipline": "health", "authors": ["A"], '
+        b'"references": [], "title": "caf\xe9"}\n',
+        b"[" * 100_000 + b"]" * 100_000 + b"\n",
+    ], ids=["missing_fields", "invalid_utf8", "deeply_nested"])
+    def test_malformed_input_exit_2(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"id": "P1"}\n', encoding="utf-8")
+        bad.write_bytes(content)
         assert run("validate", "--papers", bad, "--out", tmp_path / "o") == 2
-        assert "data error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert "papers line 1:" in err
 
     def test_missing_file_exit_2(self, tmp_path):
         assert run("validate", "--papers", tmp_path / "nope.jsonl",
@@ -57,10 +65,6 @@ class TestUsageErrors:
 
     def test_missing_required_option(self):
         assert run("validate") == 1
-
-    def test_bad_threads(self, tmp_path):
-        assert run("classify", "--papers", PAPERS, "--out", tmp_path,
-                   "--threads", "0") == 1
 
     def test_bad_n_percentiles(self, tmp_path):
         assert run("metrics", "--papers", PAPERS, "--out", tmp_path,
@@ -163,10 +167,14 @@ class TestReport:
         assert run("report", "--papers", PAPERS, "--authors", AUTHORS,
                    "--out", shared, "--min-pubs", "0") == 0
         direct = tmp_path / "direct"
-        assert run("metrics", "--papers", PAPERS, "--authors", AUTHORS,
-                   "--out", direct, "--min-pubs", "0") == 0
-        for name in ("fig1_age_curves.csv", "figS7_strata.csv", "figS8_heatmap.csv"):
-            assert (shared / name).read_bytes() == (direct / name).read_bytes()
+        for command in ("metrics", "hindex", "simil"):
+            assert run(command, "--papers", PAPERS, "--authors", AUTHORS,
+                       "--out", direct, "--min-pubs", "0") == 0
+        tables = sorted(p.name for p in shared.glob("*.csv"))
+        assert len(tables) == 14
+        assert tables == sorted(p.name for p in direct.glob("*.csv"))
+        for name in tables:
+            assert (shared / name).read_bytes() == (direct / name).read_bytes(), name
 
     @pytest.mark.parametrize("tamper", [
         lambda rows: rows[:-3],                                  # truncated

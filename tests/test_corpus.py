@@ -54,6 +54,14 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="line 2"):
             load_corpus(papers)
 
+    def test_crlf_and_cr_line_endings_count_lines(self, tmp_path):
+        papers = tmp_path / "papers.jsonl"
+        papers.write_bytes((paper_line("P1", 2000, ["A"], []) + "\r\n"
+                            + paper_line("P2", 2001, ["A"], ["P1"]) + "\r"
+                            + "{broken\n").encode("utf-8"))
+        with pytest.raises(CorpusError, match="line 3"):
+            load_corpus(papers)
+
     def test_empty_author_list(self, tmp_path):
         papers = tmp_path / "papers.jsonl"
         write_lines(papers, [paper_line("P1", 2000, [], [])])

@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from selfcite.classify import classify_all, read_classifications, write_classifications
 from selfcite.graph import build_collaboration_index, build_edges
 from selfcite.hindex import HindexTally, finalize_decompositions
@@ -9,11 +7,6 @@ from selfcite.metrics import AgeCurveTally, CitationAgeTally, ProfileTally, fina
 from selfcite.pipeline import run_edge_tallies, run_record_tallies
 from selfcite.textsim import SimilarityTally, build_vectors
 from oracles import random_corpus
-
-
-def tallies_for(corpus):
-    vectors = build_vectors(corpus)
-    return [ProfileTally(), HindexTally(), SimilarityTally(vectors)]
 
 
 def all_five(corpus, vectors, include):
@@ -34,33 +27,10 @@ def similarity_state(sim):
 
 
 class TestThreadIndependence:
-    def test_results_identical_across_thread_counts(self):
-        rng = random.Random(73)
-        corpus = random_corpus(rng, max_papers=50, max_authors=12)
-        edges = build_edges(corpus)
-        collab = build_collaboration_index(corpus)
-
-        results = []
-        for threads in (1, 2, 4):
-            profile, hind, sim = tallies_for(corpus)
-            run_edge_tallies(corpus, edges, collab, [profile, hind, sim],
-                             threads=threads, chunk_size=7)
-            results.append((profile, hind, sim))
-
-        base_profile, base_hind, base_sim = results[0]
-        for profile, hind, sim in results[1:]:
-            assert profile.ref_counts == base_profile.ref_counts
-            assert profile.cite_year_counts == base_profile.cite_year_counts
-            assert hind.per_paper == base_hind.per_paper
-            # float sums must be bit-identical, not merely close
-            assert sim.author_type == base_sim.author_type
-            assert sim.author_type_age == base_sim.author_type_age
-
     def test_chunked_equals_stream(self, tmp_path):
         # run_record_tallies regroups a record stream into edges; fed from
-        # classify_all or from a TSV round trip it must match the edge feed
-        # in one chunk, floats bit for bit, and chunked edge runs must match
-        # it on every integer tally
+        # classify_all or from a TSV round trip it must match the edge feed,
+        # floats bit for bit
         rng = random.Random(83)
         for trial in range(20):
             corpus = random_corpus(rng, max_papers=40, max_authors=10)
@@ -70,7 +40,7 @@ class TestThreadIndependence:
             include = {a for a in corpus.author_index if rng.random() < 0.7}
 
             base = all_five(corpus, vectors, include)
-            run_edge_tallies(corpus, edges, collab, base, chunk_size=len(edges) + 1)
+            run_edge_tallies(corpus, edges, collab, base)
 
             streamed = all_five(corpus, vectors, include)
             run_record_tallies(classify_all(corpus, edges, collab), streamed)
@@ -84,12 +54,6 @@ class TestThreadIndependence:
                 assert integer_state(other) == integer_state(base)
                 assert similarity_state(other[4]) == similarity_state(base[4])
 
-            for chunk_size in (1, 3, 7):
-                chunked = all_five(corpus, vectors, include)
-                run_edge_tallies(corpus, edges, collab, chunked,
-                                 threads=2, chunk_size=chunk_size)
-                assert integer_state(chunked) == integer_state(base)
-
     def test_profiles_and_decompositions_match_stream_api(self):
         rng = random.Random(79)
         corpus = random_corpus(rng)
@@ -102,8 +66,7 @@ class TestThreadIndependence:
 
         profile_tally = ProfileTally()
         hindex_tally = HindexTally()
-        run_edge_tallies(corpus, edges, collab, [profile_tally, hindex_tally],
-                         threads=3, chunk_size=5)
+        run_edge_tallies(corpus, edges, collab, [profile_tally, hindex_tally])
         via_pipeline = finalize_profiles(corpus, profile_tally)
         via_stream = build_profiles(corpus, classify_all(corpus, edges, collab))
         assert via_pipeline == via_stream
@@ -111,9 +74,3 @@ class TestThreadIndependence:
         dec_pipeline = finalize_decompositions(corpus, hindex_tally)
         dec_stream = decompose_all(corpus, classify_all(corpus, edges, collab))
         assert dec_pipeline == dec_stream
-
-    def test_invalid_arguments(self, fix1, fix1_edges, fix1_collab):
-        with pytest.raises(ValueError):
-            run_edge_tallies(fix1, fix1_edges, fix1_collab, [], threads=0)
-        with pytest.raises(ValueError):
-            run_edge_tallies(fix1, fix1_edges, fix1_collab, [], chunk_size=0)
