@@ -21,7 +21,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Union
 
-from .corpus import Corpus, CorpusError
+from .corpus import Corpus, CorpusError, iter_text_lines
 from .graph import CitationEdge, CollaborationIndex
 
 
@@ -199,49 +199,48 @@ def read_classifications(
     def fail(message: str) -> CorpusError:
         return CorpusError(f"classifications line {lineno}: {message}")
 
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.rstrip("\n").split("\t")
-            if parts == [""]:
-                continue
-            if len(parts) != 5:
-                raise fail("expected 5 tab-separated fields")
-            author_id, citing_id, cited_id, perspective, ctype = parts
-            if (citing_id, cited_id) != pair:
-                if pos < len(expected):
-                    raise fail(f"edge {pair[0]} -> {pair[1]} ends before the row "
-                               f"of author {expected[pos]!r}")
-                if pair is not None and (citing_id, cited_id) < pair:
-                    raise fail(f"edge {citing_id} -> {cited_id} is out of order "
-                               f"after {pair[0]} -> {pair[1]}")
-                citing = papers.get(citing_id)
-                cited = papers.get(cited_id)
-                if citing is None or cited is None:
-                    raise fail(f"unknown paper id "
-                               f"'{citing_id if citing is None else cited_id}'")
-                if cited_id not in citing.reference_ids:
-                    raise fail(f"paper {citing_id} does not reference {cited_id}")
-                edge = CitationEdge(citing_id, cited_id, citing.year, cited.year)
-                pair = (citing_id, cited_id)
-                expected = citing.author_ids + cited.author_ids
-                n_ref = len(citing.author_ids)
-                pos = 0
-                n_edges += 1
-            persp = perspectives.get(perspective)
-            ct = ctypes.get(ctype)
-            if persp is None or ct is None:
-                raise fail(
-                    f"unknown {'perspective' if persp is None else 'citation type'} "
-                    f"'{perspective if persp is None else ctype}'"
-                )
-            if pos == len(expected):
-                raise fail(f"extra row for edge {citing_id} -> {cited_id}")
-            side = reference if pos < n_ref else citation
-            if persp is not side or author_id != expected[pos]:
-                raise fail(f"expected the {side.value} row of author {expected[pos]!r}, "
-                           f"found the {perspective} row of {author_id!r}")
-            pos += 1
-            yield AuthorEdgeClass(author_id, edge, persp, ct)
+    for lineno, line in iter_text_lines(path, "classifications"):
+        parts = line.split("\t")
+        if parts == [""]:
+            continue
+        if len(parts) != 5:
+            raise fail("expected 5 tab-separated fields")
+        author_id, citing_id, cited_id, perspective, ctype = parts
+        if (citing_id, cited_id) != pair:
+            if pos < len(expected):
+                raise fail(f"edge {pair[0]} -> {pair[1]} ends before the row "
+                           f"of author {expected[pos]!r}")
+            if pair is not None and (citing_id, cited_id) < pair:
+                raise fail(f"edge {citing_id} -> {cited_id} is out of order "
+                           f"after {pair[0]} -> {pair[1]}")
+            citing = papers.get(citing_id)
+            cited = papers.get(cited_id)
+            if citing is None or cited is None:
+                raise fail(f"unknown paper id "
+                           f"'{citing_id if citing is None else cited_id}'")
+            if cited_id not in citing.reference_ids:
+                raise fail(f"paper {citing_id} does not reference {cited_id}")
+            edge = CitationEdge(citing_id, cited_id, citing.year, cited.year)
+            pair = (citing_id, cited_id)
+            expected = citing.author_ids + cited.author_ids
+            n_ref = len(citing.author_ids)
+            pos = 0
+            n_edges += 1
+        persp = perspectives.get(perspective)
+        ct = ctypes.get(ctype)
+        if persp is None or ct is None:
+            raise fail(
+                f"unknown {'perspective' if persp is None else 'citation type'} "
+                f"'{perspective if persp is None else ctype}'"
+            )
+        if pos == len(expected):
+            raise fail(f"extra row for edge {citing_id} -> {cited_id}")
+        side = reference if pos < n_ref else citation
+        if persp is not side or author_id != expected[pos]:
+            raise fail(f"expected the {side.value} row of author {expected[pos]!r}, "
+                       f"found the {perspective} row of {author_id!r}")
+        pos += 1
+        yield AuthorEdgeClass(author_id, edge, persp, ct)
     lineno += 1
     if pos < len(expected):
         raise fail(f"end of file inside edge {pair[0]} -> {pair[1]}")

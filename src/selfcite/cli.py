@@ -1,5 +1,6 @@
-"""Command-line pipeline: validate -> classify -> metrics/hindex/simil ->
-report, plus synthetic-corpus generation.
+"""Command-line pipeline: validate, classify (an export of the per-author
+edge types), metrics/hindex/simil or report (all their tables from one
+edge pass), plus synthetic-corpus generation.
 
 Every analysis subcommand is deterministic: rerunning with identical
 inputs and options reproduces every CSV artifact byte for byte (the run
@@ -22,9 +23,9 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .classify import classify_all, read_classifications, write_classifications
+from .classify import classify_all, write_classifications
 from .corpus import Corpus, CorpusError, eligible_authors, load_corpus
-from .graph import build_collaboration_index, build_edges, export_edges
+from .graph import build_collaboration_index, build_edges, export_edges, iter_edges
 from .hindex import (
     HindexTally,
     attribution_curve,
@@ -41,7 +42,7 @@ from .metrics import (
     heatmap_by_production_and_age,
     percentile_strata,
 )
-from .pipeline import run_edge_tallies, run_record_tallies
+from .pipeline import run_edge_tallies
 from .synth import SynthConfig, generate_with_stats, write_corpus
 from .textsim import (
     SimilarityTally,
@@ -261,27 +262,6 @@ def _metrics_outputs(run: _Run, corpus, profile_tally, age_tally, citeage_tally,
         run.coverage["zero_reference_years"] = list(weights.zero_reference_years)
 
 
-def cmd_metrics(args) -> int:
-    run = _Run("metrics", Path(args.out), _common_options(args))
-    corpus = _load(args, run)
-    edges = build_edges(corpus)
-    collab = build_collaboration_index(corpus)
-    run.counts["edges"] = len(edges)
-    eligible = eligible_authors(corpus, args.min_pubs)
-    run.counts["eligible_authors"] = len(eligible)
-    weights = compute_inflation_weights(corpus) if args.weighting else None
-
-    profile_tally = ProfileTally()
-    age_tally = AgeCurveTally.for_corpus(corpus, include=eligible)
-    citeage_tally = CitationAgeTally()
-    run_edge_tallies(corpus, edges, collab, [profile_tally, age_tally, citeage_tally])
-    _metrics_outputs(run, corpus, profile_tally, age_tally, citeage_tally,
-                     weights, eligible, args.n_percentiles)
-    run.finish()
-    print(f"metrics: wrote {len(run.artifacts)} artifacts to {run.out_dir}")
-    return 0
-
-
 def _hindex_outputs(run: _Run, corpus, hindex_tally, eligible, individual) -> None:
     decomps = finalize_decompositions(corpus, hindex_tally, include_authors=eligible)
     domains = {aid: e.modal_discipline for aid, e in corpus.author_index.items()}
@@ -295,25 +275,18 @@ def _hindex_outputs(run: _Run, corpus, hindex_tally, eligible, individual) -> No
     run.counts["decomposed_authors"] = len(decomps)
 
 
-def cmd_hindex(args) -> int:
-    run = _Run("hindex", Path(args.out), _common_options(args))
-    corpus = _load(args, run)
-    edges = build_edges(corpus)
-    collab = build_collaboration_index(corpus)
-    run.counts["edges"] = len(edges)
-    eligible = eligible_authors(corpus, args.min_pubs)
-    run.counts["eligible_authors"] = len(eligible)
-
-    hindex_tally = HindexTally()
-    run_edge_tallies(corpus, edges, collab, [hindex_tally])
-    _hindex_outputs(run, corpus, hindex_tally, eligible, args.individual)
-    run.finish()
-    print(f"hindex: wrote {len(run.artifacts)} artifacts to {run.out_dir}")
-    return 0
-
-
 def _simil_outputs(run: _Run, corpus, sim_tally, profile_tally, eligible,
                    n_percentiles) -> None:
+    if sim_tally is None:  # report on a corpus without abstracts
+        for name, columns in (
+            ("fig3a_distributions.csv", FIG3A_COLUMNS),
+            ("fig3b_means.csv", FIG3B_COLUMNS),
+            ("fig3c_by_age.csv", FIG3C_COLUMNS),
+            ("fig3d_by_selfref.csv", FIG3D_COLUMNS),
+            ("figS9_by_gender.csv", FIGS9_COLUMNS),
+        ):
+            run.csv(name, columns, [])
+        return
     profiles = finalize_profiles(corpus, profile_tally, None)
     eligible_profiles = {aid: p for aid, p in profiles.items() if aid in eligible}
 
@@ -332,74 +305,52 @@ def _simil_outputs(run: _Run, corpus, sim_tally, profile_tally, eligible,
     run.coverage["stopwords_sha256"] = stopwords_sha256()
 
 
-def cmd_simil(args) -> int:
-    run = _Run("simil", Path(args.out), _common_options(args))
+def cmd_analysis(args) -> int:
+    """metrics, hindex, simil and report: one classified edge pass feeds only
+    the tallies behind ``args.tables``, then each table group is written."""
+    tables = args.tables
+    run = _Run(args.subcommand, Path(args.out), _common_options(args))
     corpus = _load(args, run)
-    edges = build_edges(corpus)
     collab = build_collaboration_index(corpus)
-    run.counts["edges"] = len(edges)
-    eligible = eligible_authors(corpus, args.min_pubs)
-    run.counts["eligible_authors"] = len(eligible)
-
-    vectors = build_vectors(corpus)
-    sim_tally = SimilarityTally(vectors, include=eligible)
-    profile_tally = ProfileTally()
-    run_edge_tallies(corpus, edges, collab, [sim_tally, profile_tally])
-    _simil_outputs(run, corpus, sim_tally, profile_tally, eligible,
-                   args.n_percentiles)
-    run.finish()
-    print(f"simil: wrote {len(run.artifacts)} artifacts to {run.out_dir}")
-    return 0
-
-
-def cmd_report(args) -> int:
-    run = _Run("report", Path(args.out), _common_options(args))
-    classifications_path = run.out_dir / CLASSIFICATIONS_FILE
-    if not classifications_path.exists():
-        raise CorpusError(
-            f"missing artifact {CLASSIFICATIONS_FILE} in {run.out_dir}; "
-            "run the classify subcommand first"
-        )
-    corpus = _load(args, run)
-    run.add_input(classifications_path)
-    eligible = eligible_authors(corpus, args.min_pubs)
-    run.counts["eligible_authors"] = len(eligible)
     run.counts["edges"] = corpus.resolvable_references
-    weights = compute_inflation_weights(corpus) if args.weighting else None
+    eligible = eligible_authors(corpus, args.min_pubs)
+    run.counts["eligible_authors"] = len(eligible)
 
-    profile_tally = ProfileTally()
-    age_tally = AgeCurveTally.for_corpus(corpus, include=eligible)
-    citeage_tally = CitationAgeTally()
-    hindex_tally = HindexTally()
-    tallies = [profile_tally, age_tally, citeage_tally, hindex_tally]
+    tallies = []
+    profile_tally = sim_tally = None
+    if "metrics" in tables or "simil" in tables:
+        profile_tally = ProfileTally()
+        tallies.append(profile_tally)
+    if "metrics" in tables:
+        weights = compute_inflation_weights(corpus) if args.weighting else None
+        age_tally = AgeCurveTally.for_corpus(corpus, include=eligible)
+        citeage_tally = CitationAgeTally()
+        tallies += [age_tally, citeage_tally]
+    if "hindex" in tables:
+        hindex_tally = HindexTally()
+        tallies.append(hindex_tally)
+    if "simil" in tables:
+        # report writes every table group, so a corpus without abstracts must
+        # not cost it the other nine tables; simil has nothing else to write,
+        # and build_vectors makes that case a data error.
+        if args.subcommand == "report" and corpus.papers_with_abstract == 0:
+            run.notes.append("no abstracts in corpus: similarity tables are header-only")
+        else:
+            sim_tally = SimilarityTally(build_vectors(corpus), include=eligible)
+            tallies.append(sim_tally)
+    # One pass, so the edges are built as it walks them and never held.
+    run_edge_tallies(corpus, iter_edges(corpus), collab, tallies)
 
-    sim_tally = None
-    if corpus.papers_with_abstract > 0:
-        vectors = build_vectors(corpus)
-        sim_tally = SimilarityTally(vectors, include=eligible)
-        tallies.append(sim_tally)
-    else:
-        run.notes.append("no abstracts in corpus: similarity tables are header-only")
-
-    run_record_tallies(read_classifications(classifications_path, corpus), tallies)
-
-    _metrics_outputs(run, corpus, profile_tally, age_tally, citeage_tally,
-                     weights, eligible, args.n_percentiles)
-    _hindex_outputs(run, corpus, hindex_tally, eligible, args.individual)
-    if sim_tally is not None:
+    if "metrics" in tables:
+        _metrics_outputs(run, corpus, profile_tally, age_tally, citeage_tally,
+                         weights, eligible, args.n_percentiles)
+    if "hindex" in tables:
+        _hindex_outputs(run, corpus, hindex_tally, eligible, args.individual)
+    if "simil" in tables:
         _simil_outputs(run, corpus, sim_tally, profile_tally, eligible,
                        args.n_percentiles)
-    else:
-        for name, columns in (
-            ("fig3a_distributions.csv", FIG3A_COLUMNS),
-            ("fig3b_means.csv", FIG3B_COLUMNS),
-            ("fig3c_by_age.csv", FIG3C_COLUMNS),
-            ("fig3d_by_selfref.csv", FIG3D_COLUMNS),
-            ("figS9_by_gender.csv", FIGS9_COLUMNS),
-        ):
-            run.csv(name, columns, [])
     run.finish()
-    print(f"report: wrote {len(run.artifacts)} artifacts to {run.out_dir}")
+    print(f"{args.subcommand}: wrote {len(run.artifacts)} artifacts to {run.out_dir}")
     return 0
 
 
@@ -451,25 +402,25 @@ def build_parser() -> _Parser:
     p.add_argument("--n-percentiles", type=int, default=100, dest="n_percentiles")
     p.add_argument("--no-weighting", action="store_false", dest="weighting",
                    help="skip citation-inflation weighting")
-    p.set_defaults(func=cmd_metrics)
+    p.set_defaults(func=cmd_analysis, tables=("metrics",))
 
     p = subs.add_parser("hindex", help="h-index decomposition tables")
     _add_io_options(p)
     p.add_argument("--no-individual", action="store_false", dest="individual",
                    help="skip the single-type exclusion table")
-    p.set_defaults(func=cmd_hindex)
+    p.set_defaults(func=cmd_analysis, tables=("hindex",))
 
     p = subs.add_parser("simil", help="abstract-similarity tables")
     _add_io_options(p)
     p.add_argument("--n-percentiles", type=int, default=100, dest="n_percentiles")
-    p.set_defaults(func=cmd_simil)
+    p.set_defaults(func=cmd_analysis, tables=("simil",))
 
-    p = subs.add_parser("report", help="all tables from a prior classify export")
+    p = subs.add_parser("report", help="every table of metrics, hindex and simil in one pass")
     _add_io_options(p)
     p.add_argument("--n-percentiles", type=int, default=100, dest="n_percentiles")
     p.add_argument("--no-weighting", action="store_false", dest="weighting")
     p.add_argument("--no-individual", action="store_false", dest="individual")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_analysis, tables=("metrics", "hindex", "simil"))
 
     p = subs.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--config", required=True, help="generator config (JSON)")

@@ -176,7 +176,9 @@ def _parse_author(obj, source: str, lineno: int) -> AuthorRecord:
     return AuthorRecord(author_id=aid, gender=gender, display_name=name)
 
 
-def _iter_json_lines(path: Path, source: str):
+def iter_text_lines(path: Path, source: str):
+    """(line number, text) for every line of a UTF-8 file; a line that is
+    not valid UTF-8 raises :class:`CorpusError` ``<source> line N: ...``."""
     # Lines are split as bytes on \n, \r and \r\n (the universal newlines
     # of text mode; no UTF-8 character contains those bytes) and each one is
     # decoded on its own, so a bad byte names its line.
@@ -186,19 +188,25 @@ def _iter_json_lines(path: Path, source: str):
             for raw in block.splitlines():
                 lineno += 1
                 try:
-                    stripped = raw.decode("utf-8").strip()
+                    line = raw.decode("utf-8")
                 except UnicodeDecodeError as exc:
                     raise _fail(source, lineno,
                                 f"invalid UTF-8 at byte {exc.start + 1} of the line") from exc
-                if not stripped:
-                    continue
-                try:
-                    obj = json.loads(stripped)
-                except json.JSONDecodeError as exc:
-                    raise _fail(source, lineno, f"invalid JSON: {exc.msg}") from exc
-                except RecursionError as exc:
-                    raise _fail(source, lineno, "JSON nested too deeply") from exc
-                yield lineno, obj
+                yield lineno, line
+
+
+def _iter_json_lines(path: Path, source: str):
+    for lineno, line in iter_text_lines(path, source):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            obj = json.loads(stripped)
+        except json.JSONDecodeError as exc:
+            raise _fail(source, lineno, f"invalid JSON: {exc.msg}") from exc
+        except RecursionError as exc:
+            raise _fail(source, lineno, "JSON nested too deeply") from exc
+        yield lineno, obj
 
 
 def load_corpus(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from pathlib import Path
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
 from .corpus import Corpus
 
@@ -24,19 +24,22 @@ class CitationEdge(NamedTuple):
     cited_year: int
 
 
-def build_edges(corpus: Corpus) -> list[CitationEdge]:
+def iter_edges(corpus: Corpus) -> Iterator[CitationEdge]:
     """One edge per resolvable (citing, cited) pair, sorted by
     (citing_id, cited_id). Unresolved references yield no edge."""
     papers = corpus.papers
-    edges: list[CitationEdge] = []
     for pid in sorted(papers):
         p = papers[pid]
         year = p.year
         for rid in sorted(p.reference_ids):
             target = papers.get(rid)
             if target is not None:
-                edges.append(CitationEdge(pid, rid, year, target.year))
-    return edges
+                yield CitationEdge(pid, rid, year, target.year)
+
+
+def build_edges(corpus: Corpus) -> list[CitationEdge]:
+    """:func:`iter_edges` as a list, for callers that walk the edges twice."""
+    return list(iter_edges(corpus))
 
 
 class CollaborationIndex:

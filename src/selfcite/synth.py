@@ -168,8 +168,13 @@ class SynthConfig:
             raise SynthConfigError(f"config file not found: {path}")
         try:
             obj = json.loads(path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise SynthConfigError(
+                f"config file is not valid UTF-8 at byte {exc.start + 1}") from exc
         except json.JSONDecodeError as exc:
             raise SynthConfigError(f"config file is not valid JSON: {exc.msg}") from exc
+        except RecursionError as exc:
+            raise SynthConfigError("config file is nested too deeply to parse") from exc
         return cls.from_obj(obj)
 
 

@@ -12,7 +12,7 @@ from selfcite.classify import (
     read_classifications,
     write_classifications,
 )
-from selfcite.corpus import PaperRecord, corpus_from_records
+from selfcite.corpus import CorpusError, PaperRecord, corpus_from_records
 from selfcite.graph import build_collaboration_index, build_edges
 from oracles import brute_force_classify_all, random_corpus
 
@@ -159,3 +159,22 @@ class TestExportRoundTrip:
         write_classifications(iter(fix1_records), path)
         first = path.read_text().splitlines()[0]
         assert first == "A\tP2\tP1\treference\tdirect"
+
+    @pytest.mark.parametrize("tamper", [
+        lambda rows: rows[:-3],                                  # truncated
+        lambda rows: rows[:-2],                                  # last edge dropped
+        lambda rows: [b"ZZZ" + rows[0][rows[0].index(b"\t"):]] + rows[1:],  # foreign author
+        lambda rows: rows[3:] + rows[:3],                        # first edge moved last
+        lambda rows: rows + rows[:3],                            # first edge duplicated
+        lambda rows: [b"A\tP1\tP5\treference\tdirect",         # P5 -> P1 turned around
+                      b"A\tP1\tP5\tcitation\tdirect"] + rows[:13] + rows[15:],
+        lambda rows: rows[:4] + [b"\xff" + rows[4]] + rows[5:],  # not UTF-8
+    ], ids=["truncated", "last_edge_dropped", "foreign_author", "reordered_edge", "duplicated_edge",
+            "unreferenced_edge", "invalid_utf8"])
+    def test_export_checked_against_corpus(self, fix1, fix1_records, tmp_path, tamper):
+        path = tmp_path / "cls.tsv"
+        write_classifications(iter(fix1_records), path)
+        rows = path.read_bytes().splitlines()
+        path.write_bytes(b"".join(r + b"\n" for r in tamper(rows)))
+        with pytest.raises(CorpusError, match=r"^classifications line \d+: "):
+            list(read_classifications(path, fix1))
