@@ -25,7 +25,6 @@ from .graph import (
     CollaborationIndex,
     build_collaboration_index,
     build_edges,
-    were_collaborators_before,
 )
 from .classify import (
     AuthorEdgeClass,

@@ -21,7 +21,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Union
 
-from .corpus import Corpus, CorpusError, iter_text_lines
+from .corpus import Corpus, CorpusError, atomic_write, iter_text_lines
 from .graph import CitationEdge, CollaborationIndex
 
 
@@ -76,34 +76,27 @@ def _side_types(side_authors, side_set, other_set, other_authors, collab, citing
     return out
 
 
+def _classify_one(edge, author, corpus, collab, own_id, other_id, role) -> CitationType:
+    own = corpus.papers[own_id]
+    other = corpus.papers[other_id]
+    if author not in own.author_ids:
+        raise ValueError(f"author {author!r} is not an author of {role} paper {own_id}")
+    return _side_types((author,), frozenset(own.author_ids), frozenset(other.author_ids),
+                       other.author_ids, collab, edge.citing_year)[0]
+
+
 def classify_reference(
     edge: CitationEdge, author: str, corpus: Corpus, collab: CollaborationIndex
 ) -> CitationType:
     """Type of one reference from a citing author's perspective."""
-    citing = corpus.papers[edge.citing_id]
-    cited = corpus.papers[edge.cited_id]
-    if author not in citing.author_ids:
-        raise ValueError(f"author {author!r} is not an author of citing paper {edge.citing_id}")
-    types = _side_types(
-        (author,), frozenset(citing.author_ids), frozenset(cited.author_ids),
-        cited.author_ids, collab, edge.citing_year,
-    )
-    return types[0]
+    return _classify_one(edge, author, corpus, collab, edge.citing_id, edge.cited_id, "citing")
 
 
 def classify_citation(
     edge: CitationEdge, author: str, corpus: Corpus, collab: CollaborationIndex
 ) -> CitationType:
     """Type of one received citation from a cited author's perspective."""
-    citing = corpus.papers[edge.citing_id]
-    cited = corpus.papers[edge.cited_id]
-    if author not in cited.author_ids:
-        raise ValueError(f"author {author!r} is not an author of cited paper {edge.cited_id}")
-    types = _side_types(
-        (author,), frozenset(cited.author_ids), frozenset(citing.author_ids),
-        citing.author_ids, collab, edge.citing_year,
-    )
-    return types[0]
+    return _classify_one(edge, author, corpus, collab, edge.cited_id, edge.citing_id, "cited")
 
 
 def classify_paper_level(edge: CitationEdge, corpus: Corpus) -> bool:
@@ -162,7 +155,7 @@ def write_classifications(
     """Tab-separated export: author_id, citing_id, cited_id, perspective,
     ctype. Returns the number of rows written."""
     n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for rec in records:
             fh.write(
                 f"{rec.author_id}\t{rec.edge.citing_id}\t{rec.edge.cited_id}"

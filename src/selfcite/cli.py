@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .classify import classify_all, write_classifications
-from .corpus import Corpus, CorpusError, eligible_authors, load_corpus
+from .corpus import Corpus, CorpusError, atomic_write, eligible_authors, load_corpus
 from .graph import build_collaboration_index, build_edges, export_edges, iter_edges
 from .hindex import (
     HindexTally,
@@ -107,7 +107,7 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path, columns: Sequence[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(row.get(col)) for col in columns) + "\n")
@@ -161,9 +161,8 @@ class _Run:
             "elapsed_seconds": round(time.monotonic() - self.started, 3),
             "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         }
-        path = self.out_dir / MANIFEST_FILE
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
+        with atomic_write(self.out_dir / MANIFEST_FILE) as fh:
+            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _load(args, run: _Run) -> Corpus:
@@ -234,10 +233,8 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _metrics_outputs(run: _Run, corpus, profile_tally, age_tally, citeage_tally,
+def _metrics_outputs(run: _Run, corpus, profiles, age_tally, citeage_tally,
                      weights, eligible, n_percentiles) -> None:
-    profiles = finalize_profiles(corpus, profile_tally, weights)
-
     curve = age_tally.finalize(weights=weights)
     run.csv("fig1_age_curves.csv", FIG1_COLUMNS, curve.rows)
     production = age_tally.finalize(by_production=True, weights=weights)
@@ -275,19 +272,7 @@ def _hindex_outputs(run: _Run, corpus, hindex_tally, eligible, individual) -> No
     run.counts["decomposed_authors"] = len(decomps)
 
 
-def _simil_outputs(run: _Run, corpus, sim_tally, profile_tally, eligible,
-                   n_percentiles) -> None:
-    if sim_tally is None:  # report on a corpus without abstracts
-        for name, columns in (
-            ("fig3a_distributions.csv", FIG3A_COLUMNS),
-            ("fig3b_means.csv", FIG3B_COLUMNS),
-            ("fig3c_by_age.csv", FIG3C_COLUMNS),
-            ("fig3d_by_selfref.csv", FIG3D_COLUMNS),
-            ("figS9_by_gender.csv", FIGS9_COLUMNS),
-        ):
-            run.csv(name, columns, [])
-        return
-    profiles = finalize_profiles(corpus, profile_tally, None)
+def _simil_outputs(run: _Run, sim_tally, profiles, eligible, n_percentiles) -> None:
     eligible_profiles = {aid: p for aid, p in profiles.items() if aid in eligible}
 
     run.csv("fig3a_distributions.csv", FIG3A_COLUMNS,
@@ -317,7 +302,7 @@ def cmd_analysis(args) -> int:
     run.counts["eligible_authors"] = len(eligible)
 
     tallies = []
-    profile_tally = sim_tally = None
+    profile_tally = None
     if "metrics" in tables or "simil" in tables:
         profile_tally = ProfileTally()
         tallies.append(profile_tally)
@@ -331,24 +316,28 @@ def cmd_analysis(args) -> int:
         tallies.append(hindex_tally)
     if "simil" in tables:
         # report writes every table group, so a corpus without abstracts must
-        # not cost it the other nine tables; simil has nothing else to write,
-        # and build_vectors makes that case a data error.
+        # not cost it the other nine tables: with no vectors no edge is scored
+        # and the similarity tables are header-only. simil has nothing else
+        # to write, and build_vectors makes that case a data error.
+        vectors = {}
         if args.subcommand == "report" and corpus.papers_with_abstract == 0:
             run.notes.append("no abstracts in corpus: similarity tables are header-only")
         else:
-            sim_tally = SimilarityTally(build_vectors(corpus), include=eligible)
-            tallies.append(sim_tally)
+            vectors = build_vectors(corpus)
+        sim_tally = SimilarityTally(vectors, include=eligible)
+        tallies.append(sim_tally)
     # One pass, so the edges are built as it walks them and never held.
     run_edge_tallies(corpus, iter_edges(corpus), collab, tallies)
+    # Unweighted: figS7, figS8 and the similarity tables read raw counts only.
+    profiles = finalize_profiles(corpus, profile_tally) if profile_tally is not None else None
 
     if "metrics" in tables:
-        _metrics_outputs(run, corpus, profile_tally, age_tally, citeage_tally,
+        _metrics_outputs(run, corpus, profiles, age_tally, citeage_tally,
                          weights, eligible, args.n_percentiles)
     if "hindex" in tables:
         _hindex_outputs(run, corpus, hindex_tally, eligible, args.individual)
     if "simil" in tables:
-        _simil_outputs(run, corpus, sim_tally, profile_tally, eligible,
-                       args.n_percentiles)
+        _simil_outputs(run, sim_tally, profiles, eligible, args.n_percentiles)
     run.finish()
     print(f"{args.subcommand}: wrote {len(run.artifacts)} artifacts to {run.out_dir}")
     return 0
@@ -397,30 +386,25 @@ def build_parser() -> _Parser:
     _add_io_options(p, min_pubs=False)
     p.set_defaults(func=cmd_classify)
 
-    p = subs.add_parser("metrics", help="age curves, strata, heatmap, inflation weights")
-    _add_io_options(p)
-    p.add_argument("--n-percentiles", type=int, default=100, dest="n_percentiles")
-    p.add_argument("--no-weighting", action="store_false", dest="weighting",
-                   help="skip citation-inflation weighting")
-    p.set_defaults(func=cmd_analysis, tables=("metrics",))
-
-    p = subs.add_parser("hindex", help="h-index decomposition tables")
-    _add_io_options(p)
-    p.add_argument("--no-individual", action="store_false", dest="individual",
-                   help="skip the single-type exclusion table")
-    p.set_defaults(func=cmd_analysis, tables=("hindex",))
-
-    p = subs.add_parser("simil", help="abstract-similarity tables")
-    _add_io_options(p)
-    p.add_argument("--n-percentiles", type=int, default=100, dest="n_percentiles")
-    p.set_defaults(func=cmd_analysis, tables=("simil",))
-
-    p = subs.add_parser("report", help="every table of metrics, hindex and simil in one pass")
-    _add_io_options(p)
-    p.add_argument("--n-percentiles", type=int, default=100, dest="n_percentiles")
-    p.add_argument("--no-weighting", action="store_false", dest="weighting")
-    p.add_argument("--no-individual", action="store_false", dest="individual")
-    p.set_defaults(func=cmd_analysis, tables=("metrics", "hindex", "simil"))
+    for name, help_text, tables in (
+        ("metrics", "age curves, strata, heatmap, inflation weights", ("metrics",)),
+        ("hindex", "h-index decomposition tables", ("hindex",)),
+        ("simil", "abstract-similarity tables", ("simil",)),
+        ("report", "every table of metrics, hindex and simil in one pass",
+         ("metrics", "hindex", "simil")),
+    ):
+        p = subs.add_parser(name, help=help_text)
+        _add_io_options(p)
+        if "metrics" in tables or "simil" in tables:
+            p.add_argument("--n-percentiles", type=int, default=100, dest="n_percentiles",
+                           help="self-reference-rate groups of figS7 and fig3d (default 100)")
+        if "metrics" in tables:
+            p.add_argument("--no-weighting", action="store_false", dest="weighting",
+                           help="skip citation-inflation weighting")
+        if "hindex" in tables:
+            p.add_argument("--no-individual", action="store_false", dest="individual",
+                           help="skip the single-type exclusion table")
+        p.set_defaults(func=cmd_analysis, tables=tables)
 
     p = subs.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--config", required=True, help="generator config (JSON)")

@@ -13,7 +13,9 @@ resolvable references only.
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Union
@@ -109,6 +111,12 @@ def _fail(source: str, lineno: int, message: str) -> CorpusError:
     return CorpusError(f"{source} line {lineno}: {message}")
 
 
+def _has_separator(value: str) -> bool:
+    """Ids are written into tab-separated, line-based exports, so they must
+    hold neither a tab nor a line break."""
+    return "\t" in value or "\r" in value or "\n" in value
+
+
 def _parse_paper(obj, source: str, lineno: int) -> PaperRecord:
     if not isinstance(obj, dict):
         raise _fail(source, lineno, "record is not an object")
@@ -132,6 +140,9 @@ def _parse_paper(obj, source: str, lineno: int) -> PaperRecord:
         raise _fail(source, lineno, f"field 'authors' must be a non-empty list (paper {pid})")
     if not all(isinstance(a, str) and a for a in authors):
         raise _fail(source, lineno, f"field 'authors' entries must be non-empty strings (paper {pid})")
+    if _has_separator("".join(authors)):
+        raise _fail(source, lineno,
+                    f"field 'authors' entries must not contain a tab or line break (paper {pid})")
     if len(set(authors)) != len(authors):
         raise _fail(source, lineno, f"field 'authors' contains duplicates (paper {pid})")
 
@@ -209,6 +220,23 @@ def _iter_json_lines(path: Path, source: str):
         yield lineno, obj
 
 
+def _read_records(path: Path, source: str, parse, key: str) -> dict:
+    """Records of one line-delimited JSON file by id; a missing file, an id
+    holding a tab or line break, or a repeated id is a :class:`CorpusError`."""
+    if not path.exists():
+        raise CorpusError(f"{source} file not found: {path}")
+    records: dict = {}
+    for lineno, obj in _iter_json_lines(path, source):
+        record = parse(obj, source, lineno)
+        rid = getattr(record, key)
+        if _has_separator(rid):
+            raise _fail(source, lineno, f"field 'id' must not contain a tab or line break ({rid!r})")
+        if rid in records:
+            raise _fail(source, lineno, f"duplicate {key} '{rid}'")
+        records[rid] = record
+    return records
+
+
 def load_corpus(
     papers_path: Union[str, Path],
     authors_path: Optional[Union[str, Path]] = None,
@@ -220,28 +248,17 @@ def load_corpus(
     records missing from the authors file are synthesized with gender
     ``unknown``.
     """
-    papers_path = Path(papers_path)
-    if not papers_path.exists():
-        raise CorpusError(f"papers file not found: {papers_path}")
-
-    papers: dict[str, PaperRecord] = {}
-    for lineno, obj in _iter_json_lines(papers_path, "papers"):
-        record = _parse_paper(obj, "papers", lineno)
-        if record.paper_id in papers:
-            raise _fail("papers", lineno, f"duplicate paper_id '{record.paper_id}'")
-        papers[record.paper_id] = record
-
-    authors: dict[str, AuthorRecord] = {}
+    papers = _read_records(Path(papers_path), "papers", _parse_paper, "paper_id")
+    authors = {}
     if authors_path is not None:
-        authors_path = Path(authors_path)
-        if not authors_path.exists():
-            raise CorpusError(f"authors file not found: {authors_path}")
-        for lineno, obj in _iter_json_lines(authors_path, "authors"):
-            record = _parse_author(obj, "authors", lineno)
-            if record.author_id in authors:
-                raise _fail("authors", lineno, f"duplicate author_id '{record.author_id}'")
-            authors[record.author_id] = record
+        authors = _read_records(Path(authors_path), "authors", _parse_author, "author_id")
+    return _assemble(papers, authors)
 
+
+def _assemble(papers: dict[str, PaperRecord], authors: dict[str, AuthorRecord]) -> Corpus:
+    """The corpus over checked records: its author index, an ``unknown``
+    gender record for every indexed author without one, and the reference
+    counts."""
     index = build_author_index(papers)
     for aid in index:
         if aid not in authors:
@@ -304,6 +321,26 @@ def eligible_authors(corpus: Corpus, min_pubs: int = DEFAULT_MIN_PUBS) -> set[st
     return {aid for aid, entry in corpus.author_index.items() if entry.n_pubs > min_pubs}
 
 
+@contextmanager
+def atomic_write(path: Union[str, Path]):
+    """Text file handle (UTF-8, ``\\n`` line ends) whose content replaces
+    ``path`` only when the block completes.
+
+    It writes a temporary file in the same directory and moves it over
+    ``path`` with :func:`os.replace`; if the block raises, the temporary file
+    is removed and ``path`` keeps its old bytes.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def paper_to_obj(p: PaperRecord) -> dict:
     obj = {
         "id": p.paper_id,
@@ -332,11 +369,11 @@ def save_corpus(
     authors_path: Optional[Union[str, Path]] = None,
 ) -> None:
     """Write the corpus back in the load format (one JSON object per line)."""
-    with open(papers_path, "w", encoding="utf-8") as fh:
+    with atomic_write(papers_path) as fh:
         for p in corpus.papers.values():
             fh.write(json.dumps(paper_to_obj(p), sort_keys=True) + "\n")
     if authors_path is not None:
-        with open(authors_path, "w", encoding="utf-8") as fh:
+        with atomic_write(authors_path) as fh:
             for a in corpus.authors.values():
                 fh.write(json.dumps(author_to_obj(a), sort_keys=True) + "\n")
 
@@ -351,19 +388,4 @@ def corpus_from_records(
         if p.paper_id in paper_map:
             raise CorpusError(f"duplicate paper_id '{p.paper_id}'")
         paper_map[p.paper_id] = p
-    author_map = {a.author_id: a for a in authors}
-    index = build_author_index(paper_map)
-    for aid in index:
-        if aid not in author_map:
-            author_map[aid] = AuthorRecord(author_id=aid)
-    total = sum(len(p.reference_ids) for p in paper_map.values())
-    unresolved = sum(
-        1 for p in paper_map.values() for rid in p.reference_ids if rid not in paper_map
-    )
-    return Corpus(
-        papers=paper_map,
-        authors=author_map,
-        author_index=index,
-        total_references=total,
-        unresolved_references=unresolved,
-    )
+    return _assemble(paper_map, {a.author_id: a for a in authors})

@@ -1,7 +1,7 @@
 """Citation edges and the time-stamped co-authorship index.
 
 Both structures are immutable after construction and safe for concurrent
-reads. ``were_collaborators_before`` implements the strict-year reading of
+reads. ``CollaborationIndex.were_collaborators_before`` implements the strict-year reading of
 "former collaborator": a joint paper in the citing year itself does not
 establish prior collaboration.
 """
@@ -12,7 +12,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
-from .corpus import Corpus
+from .corpus import Corpus, atomic_write
 
 _EMPTY: dict = {}
 
@@ -98,14 +98,8 @@ def build_collaboration_index(corpus: Corpus) -> CollaborationIndex:
     return index
 
 
-def were_collaborators_before(
-    index: CollaborationIndex, a: str, b: str, year: int
-) -> bool:
-    return index.were_collaborators_before(a, b, year)
-
-
 def export_edges(edges: list[CitationEdge], path: Union[str, Path]) -> None:
     """Tab-separated edge list: citing_id, cited_id, citing_year, cited_year."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for e in edges:
             fh.write(f"{e.citing_id}\t{e.cited_id}\t{e.citing_year}\t{e.cited_year}\n")

@@ -15,6 +15,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .classify import AuthorEdgeClass, CitationType
 from .corpus import Corpus
+from .metrics import LOW_SUPPORT_AUTHORS
 from .pipeline import run_record_tallies
 
 _DIRECT = CitationType.DIRECT
@@ -28,7 +29,6 @@ LEVELS = ("direct", "direct_coauthor", "direct_coauthor_collab")
 DEFAULT_H_BUCKETS = (5, 15, 30, 50)
 
 HIST_BIN_WIDTH = 5
-LOW_SUPPORT_AUTHORS = 5
 
 
 def h_index(citation_counts: Iterable[int]) -> int:
@@ -82,13 +82,9 @@ class HDecomposition:
         return self._pct(self.h_minus_collaborator_only)
 
     def pct_attributable(self, level: str) -> float:
-        if level == "direct":
-            return self.pct_direct
-        if level == "direct_coauthor":
-            return self.pct_direct_coauthor
-        if level == "direct_coauthor_collab":
-            return self.pct_direct_coauthor_collab
-        raise ValueError(f"unknown exclusion level: {level!r}")
+        if level not in LEVELS:
+            raise ValueError(f"unknown exclusion level: {level!r}")
+        return self._pct(getattr(self, f"h_minus_{level}"))
 
 
 class HindexTally:
@@ -185,31 +181,35 @@ def decompose_all(
     return finalize_decompositions(corpus, tally, include_authors)
 
 
-def attribution_curve(
-    decompositions: Mapping[str, HDecomposition],
-    domains: Optional[Mapping[str, str]] = None,
-) -> list[dict]:
-    """Mean pct attributable per cumulative level, bucketed by exact
-    observed h-index (and by domain when an author->domain map is given).
-    Buckets under five authors are flagged."""
+def _bucket_means(decompositions, domains, means) -> list[dict]:
+    """One row per (domain, observed h-index) bucket in sorted order, with
+    the bucket mean of each ``means`` column; buckets of fewer than
+    LOW_SUPPORT_AUTHORS authors are flagged."""
     buckets: dict = {}
     for aid, dec in decompositions.items():
         domain = domains.get(aid, "unknown") if domains is not None else "all"
         buckets.setdefault((domain, dec.h_obs), []).append(dec)
     rows = []
-    for (domain, h_obs) in sorted(buckets):
-        members = buckets[(domain, h_obs)]
+    for (domain, h_obs), members in sorted(buckets.items()):
         n = len(members)
-        rows.append({
-            "domain": domain,
-            "h_obs": h_obs,
-            "n_authors": n,
-            "mean_pct_direct": sum(d.pct_direct for d in members) / n,
-            "mean_pct_direct_coauthor": sum(d.pct_direct_coauthor for d in members) / n,
-            "mean_pct_direct_coauthor_collab": sum(d.pct_direct_coauthor_collab for d in members) / n,
-            "low_support": int(n < LOW_SUPPORT_AUTHORS),
-        })
+        row = {"domain": domain, "h_obs": h_obs, "n_authors": n}
+        for column, value in means.items():
+            row[column] = sum(value(d) for d in members) / n
+        row["low_support"] = int(n < LOW_SUPPORT_AUTHORS)
+        rows.append(row)
     return rows
+
+
+def attribution_curve(
+    decompositions: Mapping[str, HDecomposition],
+    domains: Optional[Mapping[str, str]] = None,
+) -> list[dict]:
+    """Mean pct attributable per cumulative level, bucketed by exact
+    observed h-index (and by domain when an author->domain map is given)."""
+    return _bucket_means(decompositions, domains, {
+        f"mean_pct_{level}": lambda d, level=level: d.pct_attributable(level)
+        for level in LEVELS
+    })
 
 
 def individual_exclusion_table(
@@ -218,27 +218,14 @@ def individual_exclusion_table(
 ) -> list[dict]:
     """Absolute and relative impact of each citation type excluded on its
     own (direct / coauthor / collaborator), bucketed like the curve."""
-    buckets: dict = {}
-    for aid, dec in decompositions.items():
-        domain = domains.get(aid, "unknown") if domains is not None else "all"
-        buckets.setdefault((domain, dec.h_obs), []).append(dec)
-    rows = []
-    for (domain, h_obs) in sorted(buckets):
-        members = buckets[(domain, h_obs)]
-        n = len(members)
-        rows.append({
-            "domain": domain,
-            "h_obs": h_obs,
-            "n_authors": n,
-            "mean_drop_direct": sum(d.h_obs - d.h_minus_direct for d in members) / n,
-            "mean_pct_direct": sum(d.pct_direct for d in members) / n,
-            "mean_drop_coauthor": sum(d.h_obs - d.h_minus_coauthor_only for d in members) / n,
-            "mean_pct_coauthor": sum(d.pct_coauthor_only for d in members) / n,
-            "mean_drop_collaborator": sum(d.h_obs - d.h_minus_collaborator_only for d in members) / n,
-            "mean_pct_collaborator": sum(d.pct_collaborator_only for d in members) / n,
-            "low_support": int(n < LOW_SUPPORT_AUTHORS),
-        })
-    return rows
+    return _bucket_means(decompositions, domains, {
+        "mean_drop_direct": lambda d: d.h_obs - d.h_minus_direct,
+        "mean_pct_direct": lambda d: d.pct_direct,
+        "mean_drop_coauthor": lambda d: d.h_obs - d.h_minus_coauthor_only,
+        "mean_pct_coauthor": lambda d: d.pct_coauthor_only,
+        "mean_drop_collaborator": lambda d: d.h_obs - d.h_minus_collaborator_only,
+        "mean_pct_collaborator": lambda d: d.pct_collaborator_only,
+    })
 
 
 def attribution_distribution(

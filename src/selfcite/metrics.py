@@ -15,7 +15,7 @@ are reported so coverage stays visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .classify import CITATION_TYPES, AuthorEdgeClass, CitationType, Perspective
@@ -38,6 +38,7 @@ DEFAULT_HEATMAP_PUBS_BINS: tuple[tuple[int, Optional[int]], ...] = (
     (1, 5),
 ) + DEFAULT_STRATA_PUBS_BINS
 
+#: Table cells averaged over fewer authors than this are flagged low-support.
 LOW_SUPPORT_AUTHORS = 5
 
 _TYPE_ORDER = {t: i for i, t in enumerate(CITATION_TYPES)}
@@ -55,10 +56,6 @@ def age_bin(age: int) -> str:
     if age <= 20:
         return "16-20"
     return "21+"
-
-
-def age_bin_order(bin_label: str) -> int:
-    return _AGE_BIN_ORDER[bin_label]
 
 
 def pubs_bin_label(lo: int, hi: Optional[int]) -> str:
@@ -116,15 +113,9 @@ def compute_inflation_weights(corpus: Corpus) -> InflationWeights:
     positive = {y: mu for y, mu in mu_ref.items() if mu > 0.0}
     zero_years = tuple(sorted(y for y, mu in mu_ref.items() if mu == 0.0))
 
-    if not positive:
-        return InflationWeights(
-            mu_ref=mu_ref, weight={}, max_mu=0.0, max_year=min(papers_per_year),
-            papers_per_year=papers_per_year, refs_per_year=refs_per_year,
-            zero_reference_years=zero_years,
-        )
-
-    max_mu = max(positive.values())
-    max_year = min(y for y, mu in positive.items() if mu == max_mu)
+    # with no positive year, max_mu is 0.0 and max_year the first year
+    max_mu = max(positive.values(), default=0.0)
+    max_year = min(y for y, mu in mu_ref.items() if mu == max_mu)
     weight = {y: max_mu / mu for y, mu in positive.items()}
     return InflationWeights(
         mu_ref=mu_ref, weight=weight, max_mu=max_mu, max_year=max_year,
@@ -135,14 +126,12 @@ def compute_inflation_weights(corpus: Corpus) -> InflationWeights:
 
 def unit_weights(weights: InflationWeights) -> InflationWeights:
     """Copy of ``weights`` with every weight forced to exactly 1.0."""
-    return InflationWeights(
+    return replace(
+        weights,
         mu_ref=dict(weights.mu_ref),
         weight={y: 1.0 for y in weights.weight},
-        max_mu=weights.max_mu,
-        max_year=weights.max_year,
         papers_per_year=dict(weights.papers_per_year),
         refs_per_year=dict(weights.refs_per_year),
-        zero_reference_years=weights.zero_reference_years,
     )
 
 
@@ -174,21 +163,20 @@ class AuthorProfile:
     def self_reference_rate(self) -> Optional[float]:
         """Direct references over all resolvable references; None (flagged)
         when the author's papers make no resolvable references."""
-        total = self.ref_total
-        if total == 0:
-            return None
-        return self.ref_counts[_DIRECT] / total
+        return _direct_share(self.ref_counts)
 
     @property
     def self_citation_rate(self) -> Optional[float]:
-        total = self.cite_total
-        if total == 0:
-            return None
-        return self.cite_counts[_DIRECT] / total
+        return _direct_share(self.cite_counts)
 
     @property
     def career_length(self) -> int:
         return self.last_pub_year - self.first_pub_year
+
+
+def _direct_share(counts: dict[CitationType, int]) -> Optional[float]:
+    total = sum(counts.values())
+    return counts[_DIRECT] / total if total else None
 
 
 class ProfileTally:
@@ -373,7 +361,7 @@ class AgeCurveTally:
                 return (domain, label)
             return domain
 
-        pooled_raw: dict = {}
+        pooled_raw: dict = {}  # (facet, side, raw age, ctype) -> n
         author_cells: dict = {}  # (facet, side, bin) -> {author: {ctype: n}}
         for (author, side, age, ctype), n in self.per_author.items():
             facet = facet_of(author)
@@ -384,11 +372,6 @@ class AgeCurveTally:
             cell = author_cells.setdefault((facet, side, age_bin(age)), {})
             counts = cell.setdefault(author, {})
             counts[ctype] = counts.get(ctype, 0) + n
-
-        pooled_bins: dict = {}  # (facet, side, bin) -> {ctype: n}
-        for (facet, side, age, ctype), n in pooled_raw.items():
-            cell = pooled_bins.setdefault((facet, side, age_bin(age)), {})
-            cell[ctype] = cell.get(ctype, 0) + n
 
         # weighted citation-side pooled counts; the citing year of every
         # event is first_pub_year + age, so weights can be applied here.
@@ -419,13 +402,13 @@ class AgeCurveTally:
         pooled_weighted: dict = {}
         rows: list[dict] = []
         for cell_key in sorted(
-            pooled_bins,
+            author_cells,
             key=lambda k: (facet_key(k[0]), _SIDE_ORDER[k[1]], _AGE_BIN_ORDER[k[2]]),
         ):
             facet, side, bin_label = cell_key
-            type_counts = pooled_bins[cell_key]
-            total = sum(type_counts.values())
             authors = author_cells[cell_key]
+            type_counts = {t: sum(c.get(t, 0) for c in authors.values()) for t in CITATION_TYPES}
+            total = sum(type_counts.values())
             n_authors = len(authors)
             wcounts = None
             wtotal = 0.0
@@ -433,7 +416,7 @@ class AgeCurveTally:
                 wcounts = weighted_bins.get((facet, bin_label), {})
                 wtotal = sum(wcounts.values())
             for ctype in CITATION_TYPES:
-                pct_pooled = 100.0 * type_counts.get(ctype, 0) / total
+                pct_pooled = 100.0 * type_counts[ctype] / total
                 share_sum = 0.0
                 # sorted so the float sum is canonical for any build order
                 for author in sorted(authors):
@@ -458,7 +441,7 @@ class AgeCurveTally:
                     "pct_pooled": pct_pooled,
                     "pct_author_mean": pct_author,
                     "pct_pooled_weighted": pct_weighted,
-                    "n_events": type_counts.get(ctype, 0),
+                    "n_events": type_counts[ctype],
                     "n_authors": n_authors,
                 })
         return AgeCurve(
@@ -558,6 +541,16 @@ def citation_age_distribution(
 # Percentile strata
 # ---------------------------------------------------------------------------
 
+def rank_and_cut(members: list, n_groups: int) -> list[list]:
+    """Sort ``(rate, author_id, ...)`` tuples by rate, ties broken by author
+    id, and cut them into ``n_groups`` near-equal consecutive groups (some
+    empty when there are fewer members than groups)."""
+    members.sort(key=lambda item: (item[0], item[1]))
+    total = len(members)
+    return [members[g * total // n_groups:(g + 1) * total // n_groups]
+            for g in range(n_groups)]
+
+
 @dataclass(slots=True)
 class PercentileStrata:
     rows: list[dict]
@@ -600,14 +593,9 @@ def percentile_strata(
     groups: dict = {}
     for stratum_key in sorted(strata, key=lambda k: (k[0], bin_order[k[1]])):
         members = strata[stratum_key]
-        members.sort(key=lambda item: (item[0], item[1]))
-        total = len(members)
-        low_support = total < n_percentiles
+        low_support = len(members) < n_percentiles
         stratum_groups: list[list[str]] = []
-        for g in range(n_percentiles):
-            lo = g * total // n_percentiles
-            hi = (g + 1) * total // n_percentiles
-            chunk = members[lo:hi]
+        for g, chunk in enumerate(rank_and_cut(members, n_percentiles)):
             stratum_groups.append([aid for _r, aid, _p in chunk])
             if not chunk:
                 continue

@@ -49,6 +49,7 @@ from .corpus import (
     Corpus,
     CorpusError,
     PaperRecord,
+    atomic_write,
     corpus_from_records,
     save_corpus,
 )
@@ -522,7 +523,6 @@ def write_corpus(
             "dropped_duplicate_draws": stats.dropped_duplicate_draws,
             "skipped_draws": stats.skipped_draws,
         }
-    (out_dir / "synth_meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with atomic_write(out_dir / "synth_meta.json") as fh:
+        fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return meta

@@ -23,13 +23,14 @@ import hashlib
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from typing import NamedTuple, Optional
 
 from .classify import CitationType
 from .corpus import Corpus, CorpusError
 from .graph import CitationEdge
+from .metrics import LOW_SUPPORT_AUTHORS, rank_and_cut
 from .porter import stem
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -152,14 +153,18 @@ def _dot(u: dict[str, float], v: dict[str, float]) -> float:
     return total
 
 
+def _cosine(u: dict[str, float], v: dict[str, float], nu: float, nv: float) -> float:
+    value = _dot(u, v) / (nu * nv)
+    return value if value < 1.0 else 1.0
+
+
 def cosine(u: TfIdfVector, v: TfIdfVector) -> float:
     """Cosine similarity in [0, 1]; 0 when either vector is all-zero."""
     nu = _norm(u.weights)
     nv = _norm(v.weights)
     if nu == 0.0 or nv == 0.0:
         return 0.0
-    value = _dot(u.weights, v.weights) / (nu * nv)
-    return value if value < 1.0 else 1.0
+    return _cosine(u.weights, v.weights, nu, nv)
 
 
 @dataclass(slots=True)
@@ -172,12 +177,7 @@ class SimilarityCoverage:
     records: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "scored_edges": self.scored_edges,
-            "missing_abstract_edges": self.missing_abstract_edges,
-            "zero_vector_edges": self.zero_vector_edges,
-            "records": self.records,
-        }
+        return asdict(self)
 
 
 def citation_age_bin(age: int) -> str:
@@ -218,8 +218,7 @@ class SimilarityTally:
             self.coverage.zero_vector_edges += 1
             return None
         self.coverage.scored_edges += 1
-        value = _dot(u.weights, v.weights) / (nu * nv)
-        return value if value < 1.0 else 1.0
+        return _cosine(u.weights, v.weights, nu, nv)
 
     def add_edge(self, edge, citing_authors, ref_types, cited_authors, cite_types):
         cos = self._edge_cosine(edge)
@@ -267,22 +266,14 @@ class SimilarityTally:
                         cell[1] += 1
 
 
-def similarity_means(tally, profiles, key: str = "discipline") -> list[dict]:
-    """Mean similarity per citation type grouped by an author attribute.
-
-    ``key`` is "discipline" or "gender". The author-mean column is the mean
-    of per-author means (canonical); the pooled column averages records.
-    """
+def _author_first_rows(cells, column: str, label=str) -> list[dict]:
+    """Author-first mean rows from ``((group, ctype), (sum, n))`` author
+    cells given in sorted author order: the author-mean column is the mean
+    of per-author means (canonical), the pooled column averages records.
+    Rows are sorted by (group, type); ``label`` renders the group."""
     groups: dict = {}  # (group, ctype) -> [author_mean_sum, n_authors, pooled_sum, pooled_n]
-    # sorted iteration keeps float sums canonical for any tally build order
-    for (author, ctype), (s, n) in sorted(
-        tally.author_type.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
-    ):
-        profile = profiles.get(author)
-        if profile is None:
-            continue
-        group = getattr(profile, key)
-        cell = groups.setdefault((group, ctype), [0.0, 0, 0.0, 0])
+    for group_key, (s, n) in cells:
+        cell = groups.setdefault(group_key, [0.0, 0, 0.0, 0])
         cell[0] += s / n
         cell[1] += 1
         cell[2] += s
@@ -292,7 +283,7 @@ def similarity_means(tally, profiles, key: str = "discipline") -> list[dict]:
         groups.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
     ):
         rows.append({
-            key: group,
+            column: label(group),
             "citation_type": ctype.value,
             "similarity_author_mean": asum / acount,
             "similarity_pooled": psum / pcount,
@@ -300,6 +291,18 @@ def similarity_means(tally, profiles, key: str = "discipline") -> list[dict]:
             "n_records": pcount,
         })
     return rows
+
+
+def similarity_means(tally, profiles, key: str = "discipline") -> list[dict]:
+    """Author-first mean similarity per citation type grouped by an author
+    attribute, ``key`` "discipline" or "gender"."""
+    # sorted iteration keeps float sums canonical for any tally build order
+    cells = sorted(tally.author_type.items(), key=lambda kv: (kv[0][0], kv[0][1].value))
+    return _author_first_rows(
+        (((getattr(profiles[a], key), ctype), sn)
+         for (a, ctype), sn in cells if a in profiles),
+        key,
+    )
 
 
 def similarity_histograms(tally, profiles, bin_width: float = 0.02) -> list[dict]:
@@ -330,28 +333,12 @@ def similarity_histograms(tally, profiles, bin_width: float = 0.02) -> list[dict
 
 def similarity_by_citation_age(tally) -> list[dict]:
     """Author-first mean similarity per (citation age bin, type)."""
-    cells: dict = {}  # (age_key, ctype) -> [author_mean_sum, n_authors, pooled_sum, pooled_n]
-    for (author, ctype, age_key), (s, n) in sorted(
-        tally.author_type_age.items(), key=lambda kv: (kv[0][0], kv[0][1].value, kv[0][2])
-    ):
-        cell = cells.setdefault((age_key, ctype), [0.0, 0, 0.0, 0])
-        cell[0] += s / n
-        cell[1] += 1
-        cell[2] += s
-        cell[3] += n
-    rows = []
-    for (age_key, ctype), (asum, acount, psum, pcount) in sorted(
-        cells.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
-    ):
-        rows.append({
-            "citation_age_bin": citation_age_bin(age_key),
-            "citation_type": ctype.value,
-            "similarity_author_mean": asum / acount,
-            "similarity_pooled": psum / pcount,
-            "n_authors": acount,
-            "n_records": pcount,
-        })
-    return rows
+    cells = sorted(tally.author_type_age.items(),
+                   key=lambda kv: (kv[0][0], kv[0][1].value, kv[0][2]))
+    return _author_first_rows(
+        (((age_key, ctype), sn) for (_a, ctype, age_key), sn in cells),
+        "citation_age_bin", citation_age_bin,
+    )
 
 
 def similarity_by_selfref_percentile(tally, profiles, n_groups: int = 10) -> list[dict]:
@@ -372,13 +359,8 @@ def similarity_by_selfref_percentile(tally, profiles, n_groups: int = 10) -> lis
         if rate is None:
             continue
         scored.append((rate, author, s / n))
-    scored.sort(key=lambda item: (item[0], item[1]))
-    total = len(scored)
     rows = []
-    for g in range(n_groups):
-        lo = g * total // n_groups
-        hi = (g + 1) * total // n_groups
-        members = scored[lo:hi]
+    for g, members in enumerate(rank_and_cut(scored, n_groups)):
         if not members:
             continue
         rows.append({
@@ -386,6 +368,6 @@ def similarity_by_selfref_percentile(tally, profiles, n_groups: int = 10) -> lis
             "n_authors": len(members),
             "mean_self_reference_rate": sum(m[0] for m in members) / len(members),
             "mean_direct_reference_similarity": sum(m[2] for m in members) / len(members),
-            "low_support": int(len(members) < 5),
+            "low_support": int(len(members) < LOW_SUPPORT_AUTHORS),
         })
     return rows

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from selfcite.cli import main
+from selfcite.cli import main, write_csv
 from conftest import TESTDATA
 
 PAPERS = str(TESTDATA / "fix1_papers.jsonl")
@@ -101,7 +101,9 @@ class TestValidate:
         b'{"id": "P1", "year": 2000, "discipline": "health", "authors": ["A"], '
         b'"references": [], "title": "caf\xe9"}\n',
         b"[" * 100_000 + b"]" * 100_000 + b"\n",
-    ], ids=["missing_fields", "invalid_utf8", "deeply_nested"])
+        b'{"id": "P1", "year": 2000, "discipline": "health", "authors": ["A\\tX"], '
+        b'"references": []}\n',
+    ], ids=["missing_fields", "invalid_utf8", "deeply_nested", "tab_in_author_id"])
     def test_malformed_input_exit_2(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.jsonl"
         bad.write_bytes(content)
@@ -125,6 +127,22 @@ class TestValidate:
     def test_missing_file_exit_2(self, tmp_path):
         assert run("validate", "--papers", tmp_path / "nope.jsonl",
                    "--out", tmp_path / "o") == 2
+
+
+class TestWriteCsv:
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_csv(path, ["a", "b"], [{"a": 1, "b": 2}])
+        before = path.read_bytes()
+
+        def rows():
+            yield {"a": 3, "b": 4}
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError, match="row source failed"):
+            write_csv(path, ["a", "b"], rows())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
 
 class TestUsageErrors:
@@ -177,6 +195,11 @@ class TestMetrics:
         header, *rows = (tmp_path / "fig1_age_curves.csv").read_text().splitlines()
         col = header.split(",").index("pct_pooled_weighted")
         assert all(r.split(",")[col] == "" for r in rows)
+        # strata and heatmap read unweighted profile fields only
+        weighted = tmp_path / "weighted"
+        assert run("metrics", "--papers", PAPERS, "--out", weighted) == 0
+        for name in ("figS7_strata.csv", "figS8_heatmap.csv"):
+            assert (weighted / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 class TestHindex:

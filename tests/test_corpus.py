@@ -118,6 +118,21 @@ class TestLoadCorpus:
         corpus = load_corpus(papers)
         assert corpus.authors["A"].gender == "unknown"
 
+    @pytest.mark.parametrize("paper_id,author,listed_author", [
+        ("P\t1", "A", "A"),
+        ("P1", "A\nB", "A"),
+        ("P1", "A", "A\rB"),
+    ], ids=["paper_id", "paper_author", "authors_file_id"])
+    def test_id_with_separator_names_line(self, tmp_path, paper_id, author, listed_author):
+        papers = tmp_path / "papers.jsonl"
+        write_lines(papers, [paper_line("P0", 2000, ["A"], []),
+                             paper_line(paper_id, 2001, [author], [])])
+        authors = tmp_path / "authors.jsonl"
+        write_lines(authors, [json.dumps({"id": "Z"}), json.dumps({"id": listed_author})])
+        source = "authors" if listed_author != "A" else "papers"
+        with pytest.raises(CorpusError, match=f"^{source} line 2: .*tab or line break"):
+            load_corpus(papers, authors)
+
     def test_bad_gender_in_authors_file(self, tmp_path):
         papers = tmp_path / "papers.jsonl"
         write_lines(papers, [paper_line("P1", 2000, ["A"], [])])

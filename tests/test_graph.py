@@ -8,7 +8,6 @@ from selfcite.graph import (
     build_collaboration_index,
     build_edges,
     export_edges,
-    were_collaborators_before,
 )
 from oracles import joint_paper_before, random_corpus
 
@@ -81,13 +80,13 @@ class TestCollaborationIndex:
         assert index.earliest_joint_year("A", "B") == 2003
 
     def test_before_queries(self, fix1_collab):
-        assert were_collaborators_before(fix1_collab, "A", "B", 2002) is True
-        assert were_collaborators_before(fix1_collab, "A", "B", 2001) is False
-        assert were_collaborators_before(fix1_collab, "A", "C", 2010) is False
+        assert fix1_collab.were_collaborators_before("A", "B", 2002) is True
+        assert fix1_collab.were_collaborators_before("A", "B", 2001) is False
+        assert fix1_collab.were_collaborators_before("A", "C", 2010) is False
 
     def test_same_author_is_contract_error(self, fix1_collab):
         with pytest.raises(ValueError):
-            were_collaborators_before(fix1_collab, "A", "A", 2005)
+            fix1_collab.were_collaborators_before("A", "A", 2005)
 
     def test_symmetry_random(self):
         rng = random.Random(17)
