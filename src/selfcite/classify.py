@@ -37,12 +37,9 @@ class Perspective(str, Enum):
     CITATION = "citation"    # author belongs to the cited paper
 
 
+#: The four types in precedence order: the order of the ``labels`` of
+#: :func:`_side_types`, and the interned kernel's types 0-3 index it.
 CITATION_TYPES = tuple(CitationType)
-
-_DIRECT = CitationType.DIRECT
-_COAUTHOR = CitationType.COAUTHOR
-_COLLABORATOR = CitationType.COLLABORATOR
-_EXTERNAL = CitationType.EXTERNAL
 
 
 class AuthorEdgeClass(NamedTuple):
@@ -52,27 +49,29 @@ class AuthorEdgeClass(NamedTuple):
     ctype: CitationType
 
 
-def _side_types(side_authors, side_set, other_set, other_authors, collab, citing_year):
-    """Types for every author on one side of an edge, in author order."""
-    inter = side_set & other_set
+def _side_types(side_authors, side_set, other_set, other_authors, neighbors, citing_year,
+                labels=CITATION_TYPES):
+    """Types for every author on one side of an edge, in author order.
+
+    ``neighbors(a)`` maps an author to ``{collaborator: earliest joint
+    year}`` and ``labels`` are the values returned for direct, coauthor,
+    collaborator and external, so one rule serves string ids with
+    :class:`CitationType` labels and interned int ids with labels 0-3."""
+    direct, coauthor, collaborator, external = labels
+    if not side_set.isdisjoint(other_set):
+        # an author off the intersection has a co-author on the other paper
+        return [direct if a in other_set else coauthor for a in side_authors]
     out = []
-    neighbors = collab.neighbors
     for a in side_authors:
-        if a in other_set:
-            out.append(_DIRECT)
-        elif inter:
-            # a is not in the intersection, so any overlap is another author
-            out.append(_COAUTHOR)
-        else:
-            ctype = _EXTERNAL
-            adj = neighbors(a)
-            if adj:
-                for b in other_authors:
-                    joint = adj.get(b)
-                    if joint is not None and joint < citing_year:
-                        ctype = _COLLABORATOR
-                        break
-            out.append(ctype)
+        ctype = external
+        adj = neighbors(a)
+        if adj:
+            for b in other_authors:
+                joint = adj.get(b)
+                if joint is not None and joint < citing_year:
+                    ctype = collaborator
+                    break
+        out.append(ctype)
     return out
 
 
@@ -82,7 +81,7 @@ def _classify_one(edge, author, corpus, collab, own_id, other_id, role) -> Citat
     if author not in own.author_ids:
         raise ValueError(f"author {author!r} is not an author of {role} paper {own_id}")
     return _side_types((author,), frozenset(own.author_ids), frozenset(other.author_ids),
-                       other.author_ids, collab, edge.citing_year)[0]
+                       other.author_ids, collab.neighbors, edge.citing_year)[0]
 
 
 def classify_reference(
@@ -121,14 +120,17 @@ def iter_edge_types(
     papers = corpus.papers
     if author_sets is None:
         author_sets = build_author_sets(corpus)
+    neighbors = collab.neighbors
     for edge in edges:
         citing_authors = papers[edge.citing_id].author_ids
         cited_authors = papers[edge.cited_id].author_ids
         citing_set = author_sets[edge.citing_id]
         cited_set = author_sets[edge.cited_id]
         year = edge.citing_year
-        ref_types = _side_types(citing_authors, citing_set, cited_set, cited_authors, collab, year)
-        cite_types = _side_types(cited_authors, cited_set, citing_set, citing_authors, collab, year)
+        ref_types = _side_types(citing_authors, citing_set, cited_set, cited_authors,
+                                neighbors, year)
+        cite_types = _side_types(cited_authors, cited_set, citing_set, citing_authors,
+                                 neighbors, year)
         yield edge, citing_authors, ref_types, cited_authors, cite_types
 
 

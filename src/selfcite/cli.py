@@ -25,24 +25,19 @@ from typing import Optional, Sequence
 from . import __version__
 from .classify import classify_all, write_classifications
 from .corpus import Corpus, CorpusError, atomic_write, eligible_authors, load_corpus
-from .graph import build_collaboration_index, build_edges, export_edges, iter_edges
+from .graph import build_collaboration_index, build_edges, export_edges
 from .hindex import (
-    HindexTally,
     attribution_curve,
     attribution_distribution,
     finalize_decompositions,
     individual_exclusion_table,
 )
 from .metrics import (
-    AgeCurveTally,
-    CitationAgeTally,
-    ProfileTally,
     compute_inflation_weights,
     finalize_profiles,
     heatmap_by_production_and_age,
     percentile_strata,
 )
-from .pipeline import run_edge_tallies
 from .synth import SynthConfig, generate_with_stats, write_corpus
 from .textsim import (
     SimilarityTally,
@@ -291,29 +286,29 @@ def _simil_outputs(run: _Run, sim_tally, profiles, eligible, n_percentiles) -> N
 
 
 def cmd_analysis(args) -> int:
-    """metrics, hindex, simil and report: one classified edge pass feeds only
-    the tallies behind ``args.tables``, then each table group is written."""
+    """metrics, hindex, simil and report: one pass of the interned kernel
+    builds only the tallies behind ``args.tables``, then each table group is
+    written."""
+    # imported here so that validate and classify, which never run the
+    # kernel, do not pay to compile it where no bytecode cache is written
+    from .kernel import tally_corpus
+
     tables = args.tables
     run = _Run(args.subcommand, Path(args.out), _common_options(args))
     corpus = _load(args, run)
-    collab = build_collaboration_index(corpus)
     run.counts["edges"] = corpus.resolvable_references
     eligible = eligible_authors(corpus, args.min_pubs)
     run.counts["eligible_authors"] = len(eligible)
 
-    tallies = []
-    profile_tally = None
+    views = []
     if "metrics" in tables or "simil" in tables:
-        profile_tally = ProfileTally()
-        tallies.append(profile_tally)
+        views.append("profile")
     if "metrics" in tables:
         weights = compute_inflation_weights(corpus) if args.weighting else None
-        age_tally = AgeCurveTally.for_corpus(corpus, include=eligible)
-        citeage_tally = CitationAgeTally()
-        tallies += [age_tally, citeage_tally]
+        views += ["age_curve", "citation_age"]
     if "hindex" in tables:
-        hindex_tally = HindexTally()
-        tallies.append(hindex_tally)
+        views.append("hindex")
+    sim_tally = None
     if "simil" in tables:
         # report writes every table group, so a corpus without abstracts must
         # not cost it the other nine tables: with no vectors no edge is scored
@@ -325,17 +320,17 @@ def cmd_analysis(args) -> int:
         else:
             vectors = build_vectors(corpus)
         sim_tally = SimilarityTally(vectors, include=eligible)
-        tallies.append(sim_tally)
-    # One pass, so the edges are built as it walks them and never held.
-    run_edge_tallies(corpus, iter_edges(corpus), collab, tallies)
+    tallies = tally_corpus(corpus, views, include=eligible, similarity=sim_tally)
+    run.counts["author_edge_events"] = tallies.author_edge_events
     # Unweighted: figS7, figS8 and the similarity tables read raw counts only.
-    profiles = finalize_profiles(corpus, profile_tally) if profile_tally is not None else None
+    profiles = (finalize_profiles(corpus, tallies.profile)
+                if tallies.profile is not None else None)
 
     if "metrics" in tables:
-        _metrics_outputs(run, corpus, profiles, age_tally, citeage_tally,
+        _metrics_outputs(run, corpus, profiles, tallies.age_curve, tallies.citation_age,
                          weights, eligible, args.n_percentiles)
     if "hindex" in tables:
-        _hindex_outputs(run, corpus, hindex_tally, eligible, args.individual)
+        _hindex_outputs(run, corpus, tallies.hindex, eligible, args.individual)
     if "simil" in tables:
         _simil_outputs(run, sim_tally, profiles, eligible, args.n_percentiles)
     run.finish()

@@ -128,8 +128,6 @@ def _parse_paper(obj, source: str, lineno: int) -> PaperRecord:
     year = obj.get("year")
     if not isinstance(year, int) or isinstance(year, bool):
         raise _fail(source, lineno, f"field 'year' must be an integer (paper {pid})")
-    if not YEAR_MIN <= year <= YEAR_MAX:
-        raise _fail(source, lineno, f"field 'year' out of range [{YEAR_MIN}, {YEAR_MAX}] (paper {pid})")
 
     discipline = obj.get("discipline")
     if discipline not in DISCIPLINES:
@@ -140,9 +138,6 @@ def _parse_paper(obj, source: str, lineno: int) -> PaperRecord:
         raise _fail(source, lineno, f"field 'authors' must be a non-empty list (paper {pid})")
     if not all(isinstance(a, str) and a for a in authors):
         raise _fail(source, lineno, f"field 'authors' entries must be non-empty strings (paper {pid})")
-    if _has_separator("".join(authors)):
-        raise _fail(source, lineno,
-                    f"field 'authors' entries must not contain a tab or line break (paper {pid})")
     if len(set(authors)) != len(authors):
         raise _fail(source, lineno, f"field 'authors' contains duplicates (paper {pid})")
 
@@ -220,20 +215,36 @@ def _iter_json_lines(path: Path, source: str):
         yield lineno, obj
 
 
+def _add_record(records: dict, record, key: str,
+                source: Optional[str] = None, lineno: int = 0) -> None:
+    """Store ``record`` in ``records`` under its ``key`` id. An id, or an
+    author listed on a paper, that holds a tab or line break, a paper year
+    out of range, or an id already stored, is a :class:`CorpusError`,
+    naming ``<source> line <lineno>`` when a source is given."""
+    rid = getattr(record, key)
+    paper = isinstance(record, PaperRecord)
+    message = None
+    if _has_separator(rid):
+        message = f"field 'id' must not contain a tab or line break ({rid!r})"
+    elif paper and _has_separator("".join(record.author_ids)):
+        message = f"field 'authors' entries must not contain a tab or line break (paper {rid})"
+    elif paper and not YEAR_MIN <= record.year <= YEAR_MAX:
+        message = f"field 'year' out of range [{YEAR_MIN}, {YEAR_MAX}] (paper {rid})"
+    elif rid in records:
+        message = f"duplicate {key} '{rid}'"
+    if message is not None:
+        raise _fail(source, lineno, message) if source else CorpusError(message)
+    records[rid] = record
+
+
 def _read_records(path: Path, source: str, parse, key: str) -> dict:
-    """Records of one line-delimited JSON file by id; a missing file, an id
-    holding a tab or line break, or a repeated id is a :class:`CorpusError`."""
+    """Records of one line-delimited JSON file by id, checked by
+    :func:`_add_record`; a missing file is a :class:`CorpusError`."""
     if not path.exists():
         raise CorpusError(f"{source} file not found: {path}")
     records: dict = {}
     for lineno, obj in _iter_json_lines(path, source):
-        record = parse(obj, source, lineno)
-        rid = getattr(record, key)
-        if _has_separator(rid):
-            raise _fail(source, lineno, f"field 'id' must not contain a tab or line break ({rid!r})")
-        if rid in records:
-            raise _fail(source, lineno, f"duplicate {key} '{rid}'")
-        records[rid] = record
+        _add_record(records, parse(obj, source, lineno), key, source, lineno)
     return records
 
 
@@ -382,10 +393,15 @@ def corpus_from_records(
     papers: Iterable[PaperRecord],
     authors: Iterable[AuthorRecord] = (),
 ) -> Corpus:
-    """Assemble a validated Corpus from in-memory records (test/synth path)."""
+    """Assemble a validated Corpus from in-memory records (test/synth path).
+
+    Ids and years are checked as :func:`load_corpus` checks them: an id
+    holding a tab or line break, a year out of range, or a repeated paper
+    or author id, is a :class:`CorpusError`."""
     paper_map: dict[str, PaperRecord] = {}
     for p in papers:
-        if p.paper_id in paper_map:
-            raise CorpusError(f"duplicate paper_id '{p.paper_id}'")
-        paper_map[p.paper_id] = p
-    return _assemble(paper_map, {a.author_id: a for a in authors})
+        _add_record(paper_map, p, "paper_id")
+    author_map: dict[str, AuthorRecord] = {}
+    for a in authors:
+        _add_record(author_map, a, "author_id")
+    return _assemble(paper_map, author_map)

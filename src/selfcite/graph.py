@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .corpus import Corpus, atomic_write
 
@@ -43,15 +43,17 @@ def build_edges(corpus: Corpus) -> list[CitationEdge]:
 
 
 class CollaborationIndex:
-    """Unordered author pairs mapped to the earliest joint publication year."""
+    """Unordered author pairs mapped to the earliest joint publication year.
+
+    Authors are string ids, or the interned int ids of an analysis run."""
 
     __slots__ = ("_adjacency", "n_pairs")
 
     def __init__(self) -> None:
-        self._adjacency: dict[str, dict[str, int]] = {}
+        self._adjacency: dict[Hashable, dict[Hashable, int]] = {}
         self.n_pairs = 0
 
-    def _add(self, a: str, b: str, year: int) -> None:
+    def _add(self, a: Hashable, b: Hashable, year: int) -> None:
         adj_a = self._adjacency.setdefault(a, {})
         prev = adj_a.get(b)
         if prev is None:
@@ -86,16 +88,19 @@ class CollaborationIndex:
         return self.n_pairs
 
 
-def build_collaboration_index(corpus: Corpus) -> CollaborationIndex:
-    """All co-authorship pairs in the corpus with their earliest joint year."""
+def index_collaborations(teams: Iterable[tuple[Sequence, int]]) -> CollaborationIndex:
+    """All co-authorship pairs of ``(authors, year)`` teams with their
+    earliest joint year."""
     index = CollaborationIndex()
-    for p in corpus.papers.values():
-        if len(p.author_ids) < 2:
-            continue
-        year = p.year
-        for a, b in combinations(p.author_ids, 2):
+    for authors, year in teams:
+        for a, b in combinations(authors, 2):
             index._add(a, b, year)
     return index
+
+
+def build_collaboration_index(corpus: Corpus) -> CollaborationIndex:
+    """All co-authorship pairs in the corpus with their earliest joint year."""
+    return index_collaborations((p.author_ids, p.year) for p in corpus.papers.values())
 
 
 def export_edges(edges: list[CitationEdge], path: Union[str, Path]) -> None:

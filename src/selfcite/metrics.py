@@ -86,9 +86,6 @@ class InflationWeights:
     refs_per_year: dict[int, int]
     zero_reference_years: tuple[int, ...]
 
-    def w(self, year: int) -> float:
-        return self.weight[year]
-
 
 def compute_inflation_weights(corpus: Corpus) -> InflationWeights:
     """Citation-inflation weights from resolvable reference volumes.

@@ -1,4 +1,11 @@
-"""The one tally feed: every tally takes classified edges via ``add_edge``.
+"""The reference tally feed: every tally takes classified edges via
+``add_edge``.
+
+The command line does not run this feed: its analysis subcommands run the
+interned kernel of :mod:`selfcite.kernel`, whose integer count tables are
+projected into these same tallies. The per-tally ``add_edge`` feed is the
+reference that the tests compare the kernel with, and the entry point of
+library callers.
 
 ``run_edge_tallies`` classifies the edge list in one sequential pass and
 feeds every edge to each tally in edge order, so floating sums always see

@@ -264,6 +264,16 @@ class TestReport:
         for name in tables:
             assert (shared / name).read_bytes() == (direct / name).read_bytes(), name
 
+    def test_author_edge_events_in_manifest(self, tmp_path):
+        # fix1 classifies into 9 reference-side and 8 citation-side rows;
+        # hindex types the citation side only and must still count both
+        for command in ("metrics", "hindex", "simil", "report"):
+            out = tmp_path / command
+            assert run(command, "--papers", PAPERS, "--authors", AUTHORS,
+                       "--out", out) == 0
+            assert manifest(out)["counts"]["author_edge_events"] == {
+                "reference": 9, "citation": 8}, command
+
     def test_report_without_abstracts_writes_headers(self, tmp_path):
         papers = tmp_path / "papers.jsonl"
         papers.write_text(json.dumps({

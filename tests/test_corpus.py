@@ -4,7 +4,9 @@ import random
 import pytest
 
 from selfcite.corpus import (
+    AuthorRecord,
     CorpusError,
+    PaperRecord,
     build_author_index,
     corpus_from_records,
     eligible_authors,
@@ -140,6 +142,39 @@ class TestLoadCorpus:
         write_lines(authors, [json.dumps({"id": "A", "gender": "other"})])
         with pytest.raises(CorpusError, match="'gender'"):
             load_corpus(papers, authors)
+
+
+class TestCorpusFromRecords:
+    """In-memory records pass the id and year checks of :func:`load_corpus`."""
+
+    @pytest.mark.parametrize("paper_id,author,listed_author", [
+        ("P\t1", "A", "A"),
+        ("P1", "A\nB", "A"),
+        ("P1", "A", "A\rB"),
+    ], ids=["paper_id", "paper_author", "author_record_id"])
+    def test_id_with_separator(self, paper_id, author, listed_author):
+        papers = [PaperRecord("P0", 2000, "health", ("A",), ()),
+                  PaperRecord(paper_id, 2001, "health", (author,), ())]
+        with pytest.raises(CorpusError, match="tab or line break"):
+            corpus_from_records(papers, [AuthorRecord("Z"), AuthorRecord(listed_author)])
+
+    @pytest.mark.parametrize("year", [1799, 2101])
+    def test_year_out_of_range(self, year):
+        papers = [PaperRecord("P1", year, "health", ("A",), ())]
+        with pytest.raises(CorpusError, match="^field 'year' out of range"):
+            corpus_from_records(papers)
+
+    def test_duplicate_author_id(self):
+        papers = [PaperRecord("P1", 2000, "health", ("A",), ())]
+        authors = [AuthorRecord("A"), AuthorRecord("A", gender="woman")]
+        with pytest.raises(CorpusError, match="^duplicate author_id 'A'$"):
+            corpus_from_records(papers, authors)
+
+    def test_duplicate_paper_id(self):
+        papers = [PaperRecord("P1", 2000, "health", ("A",), ()),
+                  PaperRecord("P1", 2001, "health", ("B",), ())]
+        with pytest.raises(CorpusError, match="^duplicate paper_id 'P1'$"):
+            corpus_from_records(papers)
 
 
 class TestAuthorIndex:
