@@ -39,9 +39,6 @@ from .metrics import (
     AuthorProfile,
     InflationWeights,
     academic_age,
-    age_curves,
-    build_profiles,
-    citation_age_distribution,
     compute_inflation_weights,
     heatmap_by_production_and_age,
     percentile_strata,
@@ -50,8 +47,6 @@ from .hindex import (
     HDecomposition,
     attribution_curve,
     attribution_distribution,
-    decompose,
-    decompose_all,
     h_index,
 )
 from .textsim import (

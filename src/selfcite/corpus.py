@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -111,10 +112,17 @@ def _fail(source: str, lineno: int, message: str) -> CorpusError:
     return CorpusError(f"{source} line {lineno}: {message}")
 
 
-def _has_separator(value: str) -> bool:
-    """Ids are written into tab-separated, line-based exports, so they must
-    hold neither a tab nor a line break."""
-    return "\t" in value or "\r" in value or "\n" in value
+_ID_RULE = "field 'id' must be a non-empty string"
+_WRITABLE_RULE = "must not contain a tab or line break or a lone surrogate"
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _unwritable(value: str) -> bool:
+    """Ids are written into tab-separated, line-based UTF-8 exports, so they
+    must hold no tab, no line break and no lone surrogate (which JSON can
+    spell as ``\\ud800`` but UTF-8 cannot encode)."""
+    return ("\t" in value or "\r" in value or "\n" in value
+            or not value.isascii() and _SURROGATE.search(value) is not None)
 
 
 def _parse_paper(obj, source: str, lineno: int) -> PaperRecord:
@@ -122,30 +130,22 @@ def _parse_paper(obj, source: str, lineno: int) -> PaperRecord:
         raise _fail(source, lineno, "record is not an object")
 
     pid = obj.get("id")
-    if not isinstance(pid, str) or not pid:
-        raise _fail(source, lineno, "field 'id' must be a non-empty string")
+    if not isinstance(pid, str):
+        raise _fail(source, lineno, _ID_RULE)
 
     year = obj.get("year")
     if not isinstance(year, int) or isinstance(year, bool):
         raise _fail(source, lineno, f"field 'year' must be an integer (paper {pid})")
 
-    discipline = obj.get("discipline")
-    if discipline not in DISCIPLINES:
-        raise _fail(source, lineno, f"field 'discipline' must be one of {DISCIPLINES} (paper {pid})")
-
     authors = obj.get("authors")
-    if not isinstance(authors, list) or not authors:
+    if not isinstance(authors, list):
         raise _fail(source, lineno, f"field 'authors' must be a non-empty list (paper {pid})")
-    if not all(isinstance(a, str) and a for a in authors):
+    if not all(isinstance(a, str) for a in authors):
         raise _fail(source, lineno, f"field 'authors' entries must be non-empty strings (paper {pid})")
-    if len(set(authors)) != len(authors):
-        raise _fail(source, lineno, f"field 'authors' contains duplicates (paper {pid})")
 
     references = obj.get("references")
     if not isinstance(references, list) or not all(isinstance(r, str) and r for r in references):
         raise _fail(source, lineno, f"field 'references' must be a list of id strings (paper {pid})")
-    if len(set(references)) != len(references):
-        raise _fail(source, lineno, f"field 'references' contains duplicates (paper {pid})")
 
     abstract = obj.get("abstract")
     if abstract is not None and not isinstance(abstract, str):
@@ -157,7 +157,7 @@ def _parse_paper(obj, source: str, lineno: int) -> PaperRecord:
     return PaperRecord(
         paper_id=pid,
         year=year,
-        discipline=discipline,
+        discipline=obj.get("discipline"),
         author_ids=tuple(authors),
         reference_ids=tuple(references),
         abstract=abstract,
@@ -169,13 +169,11 @@ def _parse_author(obj, source: str, lineno: int) -> AuthorRecord:
     if not isinstance(obj, dict):
         raise _fail(source, lineno, "record is not an object")
     aid = obj.get("id")
-    if not isinstance(aid, str) or not aid:
-        raise _fail(source, lineno, "field 'id' must be a non-empty string")
-    gender = obj.get("gender", "unknown")
+    if not isinstance(aid, str):
+        raise _fail(source, lineno, _ID_RULE)
+    gender = obj.get("gender")
     if gender is None:
         gender = "unknown"
-    if gender not in GENDERS:
-        raise _fail(source, lineno, f"field 'gender' must be one of {GENDERS} (author {aid})")
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise _fail(source, lineno, f"field 'name' must be a string when present (author {aid})")
@@ -215,22 +213,47 @@ def _iter_json_lines(path: Path, source: str):
         yield lineno, obj
 
 
+def _paper_fault(p: PaperRecord) -> Optional[str]:
+    """The first value check that a paper fails, or None: year range,
+    discipline, a non-empty list of non-empty, writable and distinct
+    authors, distinct references."""
+    pid = p.paper_id
+    authors = p.author_ids
+    if not YEAR_MIN <= p.year <= YEAR_MAX:
+        return f"field 'year' out of range [{YEAR_MIN}, {YEAR_MAX}] (paper {pid})"
+    if p.discipline not in DISCIPLINES:
+        return f"field 'discipline' must be one of {DISCIPLINES} (paper {pid})"
+    if not authors:
+        return f"field 'authors' must be a non-empty list (paper {pid})"
+    if not all(authors):
+        return f"field 'authors' entries must be non-empty strings (paper {pid})"
+    if _unwritable("".join(authors)):
+        return f"field 'authors' entries {_WRITABLE_RULE} (paper {pid})"
+    if len(set(authors)) != len(authors):
+        return f"field 'authors' contains duplicates (paper {pid})"
+    if len(set(p.reference_ids)) != len(p.reference_ids):
+        return f"field 'references' contains duplicates (paper {pid})"
+    return None
+
+
 def _add_record(records: dict, record, key: str,
                 source: Optional[str] = None, lineno: int = 0) -> None:
-    """Store ``record`` in ``records`` under its ``key`` id. An id, or an
-    author listed on a paper, that holds a tab or line break, a paper year
-    out of range, or an id already stored, is a :class:`CorpusError`,
-    naming ``<source> line <lineno>`` when a source is given."""
+    """Store ``record`` in ``records`` under its ``key`` id after the value
+    checks that both loaders share: a new, non-empty, writable id, then
+    :func:`_paper_fault` or a known gender. A failed check is a
+    :class:`CorpusError`, naming ``<source> line <lineno>`` when given."""
     rid = getattr(record, key)
-    paper = isinstance(record, PaperRecord)
-    message = None
-    if _has_separator(rid):
-        message = f"field 'id' must not contain a tab or line break ({rid!r})"
-    elif paper and _has_separator("".join(record.author_ids)):
-        message = f"field 'authors' entries must not contain a tab or line break (paper {rid})"
-    elif paper and not YEAR_MIN <= record.year <= YEAR_MAX:
-        message = f"field 'year' out of range [{YEAR_MIN}, {YEAR_MAX}] (paper {rid})"
-    elif rid in records:
+    if not rid:
+        message = _ID_RULE
+    elif _unwritable(rid):
+        message = f"field 'id' {_WRITABLE_RULE} ({rid!r})"
+    elif isinstance(record, PaperRecord):
+        message = _paper_fault(record)
+    elif record.gender not in GENDERS:
+        message = f"field 'gender' must be one of {GENDERS} (author {rid})"
+    else:
+        message = None
+    if message is None and rid in records:
         message = f"duplicate {key} '{rid}'"
     if message is not None:
         raise _fail(source, lineno, message) if source else CorpusError(message)
@@ -395,9 +418,8 @@ def corpus_from_records(
 ) -> Corpus:
     """Assemble a validated Corpus from in-memory records (test/synth path).
 
-    Ids and years are checked as :func:`load_corpus` checks them: an id
-    holding a tab or line break, a year out of range, or a repeated paper
-    or author id, is a :class:`CorpusError`."""
+    Every record passes the value checks of :func:`load_corpus`; a record
+    that fails one is a :class:`CorpusError`."""
     paper_map: dict[str, PaperRecord] = {}
     for p in papers:
         _add_record(paper_map, p, "paper_id")

@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .classify import AuthorEdgeClass, CitationType
+from .classify import CitationType
 from .corpus import Corpus
 from .metrics import LOW_SUPPORT_AUTHORS
-from .pipeline import run_record_tallies
 
 _DIRECT = CitationType.DIRECT
 _COAUTHOR = CitationType.COAUTHOR
@@ -29,6 +28,8 @@ LEVELS = ("direct", "direct_coauthor", "direct_coauthor_collab")
 DEFAULT_H_BUCKETS = (5, 15, 30, 50)
 
 HIST_BIN_WIDTH = 5
+
+_UNCITED = (0, 0, 0, 0)
 
 
 def h_index(citation_counts: Iterable[int]) -> int:
@@ -113,72 +114,31 @@ class HindexTally:
             elif t is _COLLABORATOR:
                 cell[3] += 1
 
-    def decompose_author(self, author: str, publication_ids: Sequence[str]) -> HDecomposition:
-        per_paper = self.per_paper
-        totals = []
-        minus_d = []
-        minus_dc = []
-        minus_dcc = []
-        minus_c_only = []
-        minus_l_only = []
-        for pid in publication_ids:
-            cell = per_paper.get((author, pid))
-            if cell is None:
-                total = d = c = l = 0
-            else:
-                total, d, c, l = cell
-            totals.append(total)
-            minus_d.append(total - d)
-            minus_dc.append(total - d - c)
-            minus_dcc.append(total - d - c - l)
-            minus_c_only.append(total - c)
-            minus_l_only.append(total - l)
-        return HDecomposition(
-            author_id=author,
-            h_obs=h_index(totals),
-            h_minus_direct=h_index(minus_d),
-            h_minus_direct_coauthor=h_index(minus_dc),
-            h_minus_direct_coauthor_collab=h_index(minus_dcc),
-            h_minus_coauthor_only=h_index(minus_c_only),
-            h_minus_collaborator_only=h_index(minus_l_only),
-        )
-
 
 def finalize_decompositions(
     corpus: Corpus,
     tally: HindexTally,
     include_authors: Optional[set] = None,
 ) -> dict[str, HDecomposition]:
+    """The h-index decomposition of every indexed author (of those in
+    ``include_authors``, when given) over their own papers."""
+    per_paper = tally.per_paper
     out: dict[str, HDecomposition] = {}
     for aid, entry in corpus.author_index.items():
         if include_authors is not None and aid not in include_authors:
             continue
-        out[aid] = tally.decompose_author(aid, entry.publication_ids)
+        # [total, direct, coauthor, collaborator] per own paper
+        cells = [per_paper.get((aid, pid), _UNCITED) for pid in entry.publication_ids]
+        out[aid] = HDecomposition(
+            author_id=aid,
+            h_obs=h_index([t for t, d, c, l in cells]),
+            h_minus_direct=h_index([t - d for t, d, c, l in cells]),
+            h_minus_direct_coauthor=h_index([t - d - c for t, d, c, l in cells]),
+            h_minus_direct_coauthor_collab=h_index([t - d - c - l for t, d, c, l in cells]),
+            h_minus_coauthor_only=h_index([t - c for t, d, c, l in cells]),
+            h_minus_collaborator_only=h_index([t - l for t, d, c, l in cells]),
+        )
     return out
-
-
-def decompose(
-    author: str,
-    classifications: Iterable[AuthorEdgeClass],
-    corpus: Corpus,
-) -> HDecomposition:
-    """Decompose one author's h-index from a classification stream."""
-    entry = corpus.author_index.get(author)
-    if entry is None:
-        raise ValueError(f"unknown author: {author!r}")
-    tally = HindexTally()
-    run_record_tallies((rec for rec in classifications if rec.author_id == author), [tally])
-    return tally.decompose_author(author, entry.publication_ids)
-
-
-def decompose_all(
-    corpus: Corpus,
-    classifications: Iterable[AuthorEdgeClass],
-    include_authors: Optional[set] = None,
-) -> dict[str, HDecomposition]:
-    tally = HindexTally()
-    run_record_tallies(classifications, [tally])
-    return finalize_decompositions(corpus, tally, include_authors)
 
 
 def _bucket_means(decompositions, domains, means) -> list[dict]:

@@ -1,5 +1,6 @@
 """The fused integer edge kernel behind ``metrics``, ``hindex``, ``simil``
-and ``report``.
+and ``report``, and the one way into every table for library callers:
+:func:`tally_corpus` followed by the finalize step of each view.
 
 An analysis run interns the corpus once: author and paper ids become dense
 ints in sorted string order, so int order is string order and every edge is

@@ -16,11 +16,10 @@ are reported so coverage stays visible.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
-from .classify import CITATION_TYPES, AuthorEdgeClass, CitationType, Perspective
+from .classify import CITATION_TYPES, CitationType, Perspective
 from .corpus import Corpus, CorpusError
-from .pipeline import run_record_tallies
 
 _DIRECT = CitationType.DIRECT
 _EXTERNAL = CitationType.EXTERNAL
@@ -242,17 +241,6 @@ def finalize_profiles(
     return profiles
 
 
-def build_profiles(
-    corpus: Corpus,
-    classifications: Iterable[AuthorEdgeClass],
-    weights: Optional[InflationWeights] = None,
-) -> dict[str, AuthorProfile]:
-    """Tally a classification stream into per-author profiles."""
-    tally = ProfileTally()
-    run_record_tallies(classifications, [tally])
-    return finalize_profiles(corpus, tally, weights)
-
-
 def academic_age(author, year: int) -> int:
     """Years since the author's first publication (0 in the first year).
 
@@ -299,7 +287,9 @@ class AgeCurve:
 
 
 class AgeCurveTally:
-    """Per-author event counts by side, raw academic age and type."""
+    """Per-author event counts by side, raw academic age and type. Events
+    of authors outside ``include`` (when given) are skipped and counted, as
+    are events predating an author's first publication."""
 
     __slots__ = ("meta", "include", "per_author", "skipped_ineligible", "skipped_preage")
 
@@ -339,20 +329,18 @@ class AgeCurveTally:
 
     def finalize(
         self,
-        domains: Optional[Sequence[str]] = None,
         by_production: bool = False,
-        production_bins: Sequence[tuple[int, Optional[int]]] = DEFAULT_HEATMAP_PUBS_BINS,
         weights: Optional[InflationWeights] = None,
     ) -> AgeCurve:
+        """Type percentages by academic age at the citing year, per side and
+        domain, and per publication-count bin of
+        :data:`DEFAULT_HEATMAP_PUBS_BINS` when ``by_production``."""
         meta = self.meta
-        wanted = set(domains) if domains is not None else None
 
         def facet_of(author: str):
             _first, domain, n_pubs = meta[author]
-            if wanted is not None and domain not in wanted:
-                return None
             if by_production:
-                label = pubs_bin(n_pubs, production_bins)
+                label = pubs_bin(n_pubs, DEFAULT_HEATMAP_PUBS_BINS)
                 if label is None:
                     return None
                 return (domain, label)
@@ -387,7 +375,8 @@ class AgeCurveTally:
                 cell = weighted_bins.setdefault((facet, age_bin(age)), {})
                 cell[ctype] = cell.get(ctype, 0.0) + self.per_author[key] * weights.weight[year]
 
-        bin_order = {pubs_bin_label(lo, hi): i for i, (lo, hi) in enumerate(production_bins)}
+        bin_order = {pubs_bin_label(lo, hi): i
+                     for i, (lo, hi) in enumerate(DEFAULT_HEATMAP_PUBS_BINS)}
 
         def facet_key(facet):
             if by_production:
@@ -452,30 +441,15 @@ class AgeCurveTally:
         )
 
 
-def age_curves(
-    corpus: Corpus,
-    classifications: Iterable[AuthorEdgeClass],
-    domains: Optional[Sequence[str]] = None,
-    include_authors: Optional[set] = None,
-    by_production: bool = False,
-    production_bins: Sequence[tuple[int, Optional[int]]] = DEFAULT_HEATMAP_PUBS_BINS,
-    weights: Optional[InflationWeights] = None,
-) -> AgeCurve:
-    """Type percentages by academic age at the citing year, per side.
-
-    Events of authors outside ``include_authors`` (when given) are skipped
-    and counted, as are events predating an author's first publication."""
-    tally = AgeCurveTally.for_corpus(corpus, include_authors)
-    run_record_tallies(classifications, [tally])
-    return tally.finalize(domains=domains, by_production=by_production,
-                          production_bins=production_bins, weights=weights)
-
-
 # ---------------------------------------------------------------------------
 # Citation-age distribution
 # ---------------------------------------------------------------------------
 
 class CitationAgeTally:
+    """Events per (side, type, publication age); negative ages are excluded
+    and counted. Finalized with a per-paper mean and a peak-normalized
+    variant."""
+
     __slots__ = ("counts", "negative_excluded")
 
     def __init__(self) -> None:
@@ -515,23 +489,6 @@ class CitationAgeTally:
                 "normalized": n / peaks[(side, ctype)],
             })
         return rows
-
-
-def citation_age_distribution(
-    classifications: Iterable[AuthorEdgeClass],
-    corpus_or_n_papers: Union[Corpus, int],
-) -> tuple[list[dict], int]:
-    """Events per (side, type, publication age) with a per-paper mean and a
-    peak-normalized variant. Negative ages are excluded and counted;
-    returns (rows, n_excluded)."""
-    tally = CitationAgeTally()
-    run_record_tallies(classifications, [tally])
-    n_papers = (
-        len(corpus_or_n_papers.papers)
-        if isinstance(corpus_or_n_papers, Corpus)
-        else corpus_or_n_papers
-    )
-    return tally.finalize(n_papers), tally.negative_excluded
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,17 @@
 """The reference tally feed: every tally takes classified edges via
 ``add_edge``.
 
-The command line does not run this feed: its analysis subcommands run the
-interned kernel of :mod:`selfcite.kernel`, whose integer count tables are
-projected into these same tallies. The per-tally ``add_edge`` feed is the
-reference that the tests compare the kernel with, and the entry point of
-library callers.
+Neither the command line nor the table tests run this feed: they build
+every table with :func:`selfcite.kernel.tally_corpus`, whose integer count
+tables are projected into these same tallies. The per-tally ``add_edge``
+feed is the reference that the tests compare the kernel with.
 
 ``run_edge_tallies`` classifies the edge list in one sequential pass and
 feeds every edge to each tally in edge order, so floating sums always see
 the same association and runs are bit-identical. ``run_record_tallies``
 regroups a classification record stream into edges, the inverse of
-``classify_all``.
+``classify_all``: it feeds the tallies from a ``classify`` export read back
+with :func:`selfcite.classify.read_classifications`.
 """
 
 from __future__ import annotations

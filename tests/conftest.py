@@ -5,10 +5,11 @@ import pytest
 from selfcite import (
     build_collaboration_index,
     build_edges,
-    build_profiles,
     classify_all,
     load_corpus,
 )
+from selfcite.kernel import tally_corpus
+from selfcite.metrics import finalize_profiles
 
 TESTDATA = Path(__file__).resolve().parent.parent / "testdata"
 
@@ -34,5 +35,5 @@ def fix1_records(fix1, fix1_edges, fix1_collab):
 
 
 @pytest.fixture(scope="session")
-def fix1_profiles(fix1, fix1_records):
-    return build_profiles(fix1, fix1_records)
+def fix1_profiles(fix1):
+    return finalize_profiles(fix1, tally_corpus(fix1, ["profile"]).profile)

@@ -11,15 +11,10 @@ from selfcite.classify import CitationType, Perspective, classify_all
 from selfcite.cli import main
 from selfcite.corpus import PaperRecord, corpus_from_records
 from selfcite.graph import build_collaboration_index, build_edges
-from selfcite.hindex import decompose, decompose_all
-from selfcite.metrics import (
-    AgeCurveTally,
-    build_profiles,
-    compute_inflation_weights,
-    unit_weights,
-)
+from selfcite.hindex import finalize_decompositions
+from selfcite.kernel import tally_corpus
+from selfcite.metrics import compute_inflation_weights, finalize_profiles, unit_weights
 from selfcite.synth import SynthConfig, generate, generate_with_stats, write_corpus
-from selfcite.pipeline import run_record_tallies
 from selfcite.textsim import SimilarityTally, TfIdfVector, build_vectors, cosine, similarity_means
 from conftest import TESTDATA
 from oracles import brute_force_classify_all, brute_force_decompose, random_corpus
@@ -88,10 +83,7 @@ def test_criterion_1_classification_oracle_equivalence():
 def test_criterion_2_hindex_oracle_equivalence():
     authors_checked = 0
     for corpus in _oracle_corpora():
-        edges = build_edges(corpus)
-        collab = build_collaboration_index(corpus)
-        records = list(classify_all(corpus, edges, collab))
-        decomps = decompose_all(corpus, iter(records))
+        decomps = finalize_decompositions(corpus, tally_corpus(corpus, ["hindex"]).hindex)
         for aid, dec in decomps.items():
             expected = brute_force_decompose(corpus, aid)
             assert dec.h_obs == expected["h_obs"]
@@ -106,11 +98,11 @@ def test_criterion_2_hindex_oracle_equivalence():
           f"{authors_checked} author decompositions match brute force")
 
 
-def test_criterion_3_fix1_golden_values(fix1, fix1_records, fix1_profiles):
+def test_criterion_3_fix1_golden_values(fix1, fix1_profiles):
     a = fix1_profiles["A"]
     assert a.self_reference_rate == 2 / 3
     assert a.self_citation_rate == 2 / 5
-    dec = decompose("A", iter(fix1_records), fix1)
+    dec = finalize_decompositions(fix1, tally_corpus(fix1, ["hindex"]).hindex)["A"]
     assert dec.h_obs == 2
     assert dec.h_minus_direct == 1
     assert dec.pct_direct == 50.0
@@ -121,10 +113,7 @@ def test_criterion_3_fix1_golden_values(fix1, fix1_records, fix1_profiles):
 def test_criterion_4_planted_rate_recovery():
     corpus, stats = generate_with_stats(PLANTED_CONFIG)
     assert corpus.resolvable_references >= 5000
-    profiles = build_profiles(
-        corpus,
-        classify_all(corpus, build_edges(corpus), build_collaboration_index(corpus)),
-    )
+    profiles = finalize_profiles(corpus, tally_corpus(corpus, ["profile"]).profile)
     direct = sum(p.ref_counts[D] for p in profiles.values())
     total = sum(p.ref_total for p in profiles.values())
     share = direct / total
@@ -132,17 +121,14 @@ def test_criterion_4_planted_rate_recovery():
 
     zero_config = dataclasses.replace(PLANTED_CONFIG, p_direct=0.0, p_external=1.0, seed=44)
     corpus0 = generate(zero_config)
-    profiles0 = build_profiles(
-        corpus0,
-        classify_all(corpus0, build_edges(corpus0), build_collaboration_index(corpus0)),
-    )
+    profiles0 = finalize_profiles(corpus0, tally_corpus(corpus0, ["profile"]).profile)
     direct0 = sum(p.ref_counts[D] for p in profiles0.values())
     assert direct0 == 0
     print(f"ACCEPTANCE 4: PASS - planted 0.3 recovered as {share:.4f} "
           f"({total} references); planted 0.0 recovered as exactly 0")
 
 
-def test_criterion_5_inflation_weights(fix1, fix1_records):
+def test_criterion_5_inflation_weights(fix1):
     checked_years = 0
     for corpus in (fix1, generate(PLANTED_CONFIG)):
         weights = compute_inflation_weights(corpus)
@@ -153,8 +139,9 @@ def test_criterion_5_inflation_weights(fix1, fix1_records):
             checked_years += 1
 
     forced = unit_weights(compute_inflation_weights(fix1))
-    weighted = build_profiles(fix1, iter(fix1_records), forced)
-    raw = build_profiles(fix1, iter(fix1_records))
+    tally = tally_corpus(fix1, ["profile"]).profile
+    weighted = finalize_profiles(fix1, tally, forced)
+    raw = finalize_profiles(fix1, tally)
     for aid in raw:
         for t in CitationType:
             assert weighted[aid].weighted_cite_counts[t] == float(raw[aid].cite_counts[t])
@@ -193,11 +180,7 @@ def test_criterion_6_similarity_properties():
 
 def test_criterion_7_age_curve_shapes():
     corpus = generate(SHAPE_CONFIG)
-    edges = build_edges(corpus)
-    collab = build_collaboration_index(corpus)
-    tally = AgeCurveTally.for_corpus(corpus)
-    run_record_tallies(classify_all(corpus, edges, collab), [tally])
-    curve = tally.finalize()
+    curve = tally_corpus(corpus, ["age_curve"]).age_curve.finalize()
 
     ref_shares = [curve.pooled_share(REF, D, {age}) for age in range(6)]
     assert all(s is not None for s in ref_shares)
@@ -225,12 +208,9 @@ def test_criterion_8_similarity_ordering():
         PaperRecord("Z2", 2003, "health", ("Z",), ("X1",),
                     abstract="market auction equilibrium pricing agent trade"),
     ])
-    edges = build_edges(corpus)
-    collab = build_collaboration_index(corpus)
-    records = list(classify_all(corpus, edges, collab))
-    profiles = build_profiles(corpus, iter(records))
     tally = SimilarityTally(build_vectors(corpus))
-    run_record_tallies(iter(records), [tally])
+    profiles = finalize_profiles(
+        corpus, tally_corpus(corpus, ["profile"], similarity=tally).profile)
     rows = similarity_means(tally, profiles, key="discipline")
     means = {row["citation_type"]: row["similarity_author_mean"] for row in rows}
     assert means["direct"] > means["collaborator"] > means["external"]

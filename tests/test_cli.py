@@ -103,7 +103,10 @@ class TestValidate:
         b"[" * 100_000 + b"]" * 100_000 + b"\n",
         b'{"id": "P1", "year": 2000, "discipline": "health", "authors": ["A\\tX"], '
         b'"references": []}\n',
-    ], ids=["missing_fields", "invalid_utf8", "deeply_nested", "tab_in_author_id"])
+        b'{"id": "P\\ud800", "year": 2000, "discipline": "health", "authors": ["A"], '
+        b'"references": []}\n',
+    ], ids=["missing_fields", "invalid_utf8", "deeply_nested", "tab_in_author_id",
+            "lone_surrogate_id"])
     def test_malformed_input_exit_2(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.jsonl"
         bad.write_bytes(content)

@@ -1,9 +1,15 @@
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from selfcite.classify import classify_all, read_classifications, write_classifications
 from selfcite.corpus import (
+    DISCIPLINES,
+    GENDERS,
     AuthorRecord,
     CorpusError,
     PaperRecord,
@@ -13,6 +19,7 @@ from selfcite.corpus import (
     load_corpus,
     save_corpus,
 )
+from selfcite.graph import build_collaboration_index, build_edges
 from oracles import random_corpus
 
 
@@ -175,6 +182,101 @@ class TestCorpusFromRecords:
                   PaperRecord("P1", 2001, "health", ("B",), ())]
         with pytest.raises(CorpusError, match="^duplicate paper_id 'P1'$"):
             corpus_from_records(papers)
+
+    def test_unknown_discipline(self):
+        papers = [PaperRecord("P1", 2000, "physics", ("A",), ())]
+        with pytest.raises(CorpusError, match="^field 'discipline' must be one of"):
+            corpus_from_records(papers)
+
+    def test_unknown_gender(self):
+        papers = [PaperRecord("P1", 2000, "health", ("A",), ())]
+        with pytest.raises(CorpusError, match="^field 'gender' must be one of"):
+            corpus_from_records(papers, [AuthorRecord("A", gender="x")])
+
+    def test_repeated_reference(self):
+        papers = [PaperRecord("P1", 2000, "health", ("A",), ()),
+                  PaperRecord("P2", 2001, "health", ("B",), ("P1", "P1"))]
+        with pytest.raises(CorpusError, match="^field 'references' contains duplicates"):
+            corpus_from_records(papers)
+
+    def test_repeated_author(self):
+        papers = [PaperRecord("P1", 2000, "health", ("A", "A"), ()),
+                  PaperRecord("P2", 2001, "health", ("A",), ())]
+        with pytest.raises(CorpusError, match="^field 'authors' contains duplicates"):
+            corpus_from_records(papers)
+
+    def test_empty_author_list(self):
+        papers = [PaperRecord("P1", 2000, "health", (), ())]
+        with pytest.raises(CorpusError, match="^field 'authors' must be a non-empty list"):
+            corpus_from_records(papers)
+
+    @pytest.mark.parametrize("paper_id,author,listed_author", [
+        ("", "A", "A"),
+        ("P1", "", "A"),
+        ("P1", "A", ""),
+    ], ids=["paper_id", "paper_author", "author_record_id"])
+    def test_empty_id(self, paper_id, author, listed_author):
+        papers = [PaperRecord(paper_id, 2000, "health", (author,), ())]
+        with pytest.raises(CorpusError, match="non-empty"):
+            corpus_from_records(papers, [AuthorRecord(listed_author)])
+
+    @pytest.mark.parametrize("paper_id,author,listed_author", [
+        ("P\ud800", "A", "A"),
+        ("P1", "A\udfff", "A"),
+        ("P1", "A", "\ud800"),
+    ], ids=["paper_id", "paper_author", "author_record_id"])
+    def test_id_with_lone_surrogate(self, paper_id, author, listed_author):
+        papers = [PaperRecord(paper_id, 2000, "health", (author,), ())]
+        with pytest.raises(CorpusError, match="lone surrogate"):
+            corpus_from_records(papers, [AuthorRecord(listed_author)])
+
+
+def _mostly(valid, invalid):
+    """Draws from ``valid`` 24 times in 25, else from ``invalid``."""
+    return st.integers(0, 24).flatmap(lambda k: invalid if k == 0 else valid)
+
+
+_PAPER_IDS = st.sampled_from(["P0", "P1", "P2", "P3", "P4"])
+_AUTHOR_IDS = st.sampled_from(["A", "B", "C", "\u00e9 D"])
+# empty ids and the characters an export cannot carry
+_BAD_IDS = st.text(alphabet="A\t\n\r\ud800", max_size=2)
+_PAPER = st.builds(
+    PaperRecord,
+    paper_id=_mostly(_PAPER_IDS, _BAD_IDS),
+    year=_mostly(st.integers(1995, 2005), st.integers(1700, 2200)),
+    discipline=_mostly(st.sampled_from(DISCIPLINES), st.sampled_from(["", "physics"])),
+    author_ids=_mostly(st.lists(_AUTHOR_IDS, min_size=1, max_size=3, unique=True),
+                       st.lists(_mostly(_AUTHOR_IDS, _BAD_IDS), max_size=3)).map(tuple),
+    reference_ids=_mostly(st.lists(_PAPER_IDS | st.just("X"), max_size=4, unique=True),
+                          st.lists(_PAPER_IDS, max_size=4)).map(tuple),
+)
+_PAPERS = _mostly(st.lists(_PAPER, max_size=6, unique_by=lambda p: p.paper_id),
+                  st.lists(_PAPER, max_size=6))
+_AUTHOR = st.builds(
+    AuthorRecord,
+    author_id=_mostly(_AUTHOR_IDS, _BAD_IDS),
+    gender=_mostly(st.sampled_from(GENDERS), st.sampled_from(["", "x"])),
+)
+_AUTHORS = _mostly(st.lists(_AUTHOR, max_size=3, unique_by=lambda a: a.author_id),
+                   st.lists(_AUTHOR, max_size=3))
+
+
+class TestCorpusFromRecordsFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(_PAPERS, _AUTHORS)
+    def test_accepted_corpus_exports_and_reads_back(self, papers, authors):
+        # nothing but CorpusError may escape; an accepted corpus writes a
+        # classify export that its checked reader takes back unchanged
+        try:
+            corpus = corpus_from_records(papers, authors)
+        except CorpusError:
+            return
+        edges = build_edges(corpus)
+        records = list(classify_all(corpus, edges, build_collaboration_index(corpus)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "classifications.tsv"
+            write_classifications(iter(records), path)
+            assert list(read_classifications(path, corpus)) == records
 
 
 class TestAuthorIndex:

@@ -3,26 +3,22 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from selfcite.classify import classify_all
 from selfcite.corpus import PaperRecord, corpus_from_records
-from selfcite.graph import build_collaboration_index, build_edges
 from selfcite.hindex import (
     attribution_curve,
     attribution_distribution,
-    decompose,
-    decompose_all,
+    finalize_decompositions,
     h_index,
     individual_exclusion_table,
 )
+from selfcite.kernel import tally_corpus
 from oracles import brute_force_decompose, brute_force_h, random_corpus
 
 counts_lists = st.lists(st.integers(min_value=0, max_value=50), max_size=30)
 
 
-def classified(corpus):
-    edges = build_edges(corpus)
-    collab = build_collaboration_index(corpus)
-    return list(classify_all(corpus, edges, collab))
+def decompositions(corpus):
+    return finalize_decompositions(corpus, tally_corpus(corpus, ["hindex"]).hindex)
 
 
 class TestHIndex:
@@ -57,41 +53,37 @@ class TestHIndex:
 
 
 class TestDecompose:
-    def test_fix1_author_a(self, fix1, fix1_records):
-        dec = decompose("A", iter(fix1_records), fix1)
+    def test_fix1_author_a(self, fix1):
+        dec = decompositions(fix1)["A"]
         # A's papers: P1 cited 3x, P2 cited 2x, P5 uncited
         assert dec.h_obs == 2
         assert dec.h_minus_direct == 1
         assert dec.pct_direct == 50.0
 
-    def test_fix1_author_a_deeper_levels(self, fix1, fix1_records):
-        dec = decompose("A", iter(fix1_records), fix1)
+    def test_fix1_author_a_deeper_levels(self, fix1):
+        dec = decompositions(fix1)["A"]
         # removing coauthor (P3->P2) leaves P1:1, P2:1 -> h=1
         assert dec.h_minus_direct_coauthor == 1
         # removing collaborator (P3->P1) leaves P1:0, P2:1 -> h=1
         assert dec.h_minus_direct_coauthor_collab == 1
 
-    def test_author_without_self_citations(self, fix1, fix1_records):
-        dec = decompose("D", iter(fix1_records), fix1)
+    def test_author_without_self_citations(self, fix1):
+        dec = decompositions(fix1)["D"]
         assert dec.h_obs == dec.h_minus_direct == dec.h_minus_direct_coauthor \
             == dec.h_minus_direct_coauthor_collab == 1
         assert dec.pct_direct_coauthor_collab == 0.0
 
-    def test_h_zero_author(self, fix1, fix1_records):
-        dec = decompose("C", iter(fix1_records), fix1)
+    def test_h_zero_author(self, fix1):
+        dec = decompositions(fix1)["C"]
         assert dec.h_obs == 0
         assert dec.pct_direct == 0.0
         assert dec.pct_direct_coauthor_collab == 0.0
-
-    def test_unknown_author(self, fix1, fix1_records):
-        with pytest.raises(ValueError, match="unknown author"):
-            decompose("NOBODY", iter(fix1_records), fix1)
 
     def test_oracle_equivalence(self):
         rng = random.Random(53)
         for _ in range(15):
             corpus = random_corpus(rng)
-            decomps = decompose_all(corpus, classified(corpus))
+            decomps = decompositions(corpus)
             for aid, dec in decomps.items():
                 expected = brute_force_decompose(corpus, aid)
                 assert dec.h_obs == expected["h_obs"]
@@ -106,7 +98,7 @@ class TestDecompose:
         rng = random.Random(59)
         for _ in range(15):
             corpus = random_corpus(rng)
-            for dec in decompose_all(corpus, classified(corpus)).values():
+            for dec in decompositions(corpus).values():
                 assert dec.h_obs >= dec.h_minus_direct >= dec.h_minus_direct_coauthor \
                     >= dec.h_minus_direct_coauthor_collab >= 0
 
@@ -118,7 +110,7 @@ class TestAttributionCurve:
             PaperRecord("P2", 2001, "health", ("A",), ("P1",)),
             PaperRecord("P3", 2001, "health", ("B",), ("P1",)),
         ])
-        return decompose_all(corpus, classified(corpus))
+        return decompositions(corpus)
 
     def test_single_bucket_per_h(self):
         decomps = self._clone_decomps()
@@ -129,7 +121,7 @@ class TestAttributionCurve:
         rng = random.Random(61)
         for _ in range(10):
             corpus = random_corpus(rng)
-            rows = attribution_curve(decompose_all(corpus, classified(corpus)))
+            rows = attribution_curve(decompositions(corpus))
             for row in rows:
                 for col in ("mean_pct_direct", "mean_pct_direct_coauthor",
                             "mean_pct_direct_coauthor_collab"):
@@ -167,7 +159,7 @@ class TestAttributionCurve:
             seed=57,
         )
         corpus = generate(config)
-        decomps = decompose_all(corpus, classified(corpus))
+        decomps = decompositions(corpus)
         assert any(d.h_obs > 0 for d in decomps.values())
         for dec in decomps.values():
             assert dec.h_minus_direct_coauthor == dec.h_minus_direct_coauthor_collab
@@ -186,7 +178,7 @@ class TestAttributionDistribution:
         rng = random.Random(67)
         for _ in range(10):
             corpus = random_corpus(rng)
-            decomps = decompose_all(corpus, classified(corpus))
+            decomps = decompositions(corpus)
             buckets = (1, 2, 3, 5)
             rows = attribution_distribution(decomps, h_buckets=buckets)
             per_level: dict = {}
@@ -197,8 +189,8 @@ class TestAttributionDistribution:
                 expected = sum(1 for d in decomps.values() if d.h_obs == h_obs)
                 assert total == expected
 
-    def test_no_authors_at_bucket_is_empty_not_error(self, fix1, fix1_records):
-        decomps = decompose_all(fix1, iter(fix1_records))
+    def test_no_authors_at_bucket_is_empty_not_error(self, fix1):
+        decomps = decompositions(fix1)
         rows = attribution_distribution(decomps, h_buckets=[50])
         assert rows == []
 
@@ -207,7 +199,7 @@ class TestAttributionDistribution:
             PaperRecord("P1", 2000, "health", ("A",), ()),
             PaperRecord("P2", 2001, "health", ("A",), ("P1",)),
         ])
-        decomps = decompose_all(corpus, classified(corpus))
+        decomps = decompositions(corpus)
         # A: h_obs=1 entirely from a direct self-citation -> pct 100
         rows = attribution_distribution(decomps, h_buckets=[1])
         direct_rows = [r for r in rows if r["level"] == "direct"]

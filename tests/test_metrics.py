@@ -6,14 +6,13 @@ import pytest
 from selfcite.classify import CitationType, Perspective, classify_all
 from selfcite.corpus import CorpusError, PaperRecord, corpus_from_records
 from selfcite.graph import build_collaboration_index, build_edges
+from selfcite.kernel import tally_corpus
 from selfcite.metrics import (
     AuthorProfile,
     academic_age,
     age_bin,
-    age_curves,
-    build_profiles,
-    citation_age_distribution,
     compute_inflation_weights,
+    finalize_profiles,
     heatmap_by_production_and_age,
     percentile_strata,
     unit_weights,
@@ -32,6 +31,18 @@ def classified(corpus):
     edges = build_edges(corpus)
     collab = build_collaboration_index(corpus)
     return list(classify_all(corpus, edges, collab))
+
+
+def kernel_profiles(corpus, weights=None):
+    return finalize_profiles(corpus, tally_corpus(corpus, ["profile"]).profile, weights)
+
+
+def age_curve_tally(corpus, include=None):
+    return tally_corpus(corpus, ["age_curve"], include=include).age_curve
+
+
+def citation_age_tally(corpus):
+    return tally_corpus(corpus, ["citation_age"]).citation_age
 
 
 def two_year_corpus():
@@ -126,22 +137,22 @@ class TestProfiles:
         rng = random.Random(31)
         for _ in range(10):
             corpus = random_corpus(rng)
-            profiles = build_profiles(corpus, classified(corpus))
+            profiles = kernel_profiles(corpus)
             for aid, profile in profiles.items():
                 ref_rate, cite_rate = brute_force_rates(corpus, aid)
                 assert profile.self_reference_rate == ref_rate
                 assert profile.self_citation_rate == cite_rate
 
-    def test_weighted_counts(self, fix1, fix1_records):
+    def test_weighted_counts(self, fix1):
         weights = compute_inflation_weights(fix1)
-        profiles = build_profiles(fix1, iter(fix1_records), weights)
+        profiles = kernel_profiles(fix1, weights)
         a = profiles["A"]
         # direct citations received in 2001 (w=2) and 2003 (w=4/3)
         assert a.weighted_cite_counts[D] == pytest.approx(2.0 + 4 / 3, rel=1e-15)
 
-    def test_unit_weights_equal_raw_exactly(self, fix1, fix1_records):
+    def test_unit_weights_equal_raw_exactly(self, fix1):
         weights = unit_weights(compute_inflation_weights(fix1))
-        profiles = build_profiles(fix1, iter(fix1_records), weights)
+        profiles = kernel_profiles(fix1, weights)
         for p in profiles.values():
             for t in (D, CA, CL, EX):
                 assert p.weighted_cite_counts[t] == float(p.cite_counts[t])
@@ -150,7 +161,7 @@ class TestProfiles:
         rng = random.Random(37)
         for _ in range(10):
             corpus = random_corpus(rng)
-            for p in build_profiles(corpus, classified(corpus)).values():
+            for p in kernel_profiles(corpus).values():
                 for rate in (p.self_reference_rate, p.self_citation_rate):
                     if rate is not None:
                         assert 0.0 <= rate <= 1.0
@@ -161,7 +172,7 @@ class TestProfiles:
         for _ in range(10):
             corpus = random_corpus(rng)
             records = classified(corpus)
-            profiles = build_profiles(corpus, iter(records))
+            profiles = kernel_profiles(corpus)
             for side, bucket in ((REF, "ref_counts"), (CIT, "cite_counts")):
                 for t in (D, CA, CL, EX):
                     from_profiles = sum(getattr(p, bucket)[t] for p in profiles.values())
@@ -204,8 +215,8 @@ class TestAcademicAge:
 
 
 class TestAgeCurves:
-    def test_fix1_author_a_alone(self, fix1, fix1_records):
-        curve = age_curves(fix1, iter(fix1_records), include_authors={"A"})
+    def test_fix1_author_a_alone(self, fix1):
+        curve = age_curve_tally(fix1, include={"A"}).finalize()
         key = ("natural_sciences_engineering", REF, "1", D)
         assert curve.pooled[key] == 100.0
         assert curve.author_mean[key] == 100.0
@@ -215,7 +226,7 @@ class TestAgeCurves:
             PaperRecord("P1", 2000, "health", ("A",), ()),
             PaperRecord("P2", 2001, "health", ("B",), ("P1",)),
         ])
-        curve = age_curves(corpus, classified(corpus))
+        curve = age_curve_tally(corpus).finalize()
         for (facet, side, bin_label, ctype), pct in curve.pooled.items():
             if ctype is D:
                 assert pct == 0.0
@@ -224,7 +235,7 @@ class TestAgeCurves:
         rng = random.Random(43)
         for _ in range(10):
             corpus = random_corpus(rng)
-            curve = age_curves(corpus, classified(corpus))
+            curve = age_curve_tally(corpus).finalize()
             cells = {}
             for (facet, side, bin_label, ctype), pct in curve.pooled.items():
                 cells.setdefault((facet, side, bin_label), 0.0)
@@ -239,23 +250,23 @@ class TestAgeCurves:
             PaperRecord("P1", 2005, "health", ("A",), ()),
             PaperRecord("P2", 2000, "health", ("B",), ("P1",)),
         ])
-        curve = age_curves(corpus, classified(corpus))
+        curve = age_curve_tally(corpus).finalize()
         assert curve.skipped_preage == 1
 
     def test_ineligible_events_counted(self, fix1, fix1_records):
-        curve = age_curves(fix1, iter(fix1_records), include_authors=set())
+        curve = age_curve_tally(fix1, include=set()).finalize()
         assert curve.skipped_ineligible == len(fix1_records)
         assert curve.rows == []
 
-    def test_production_facet(self, fix1, fix1_records):
-        curve = age_curves(fix1, iter(fix1_records), by_production=True)
+    def test_production_facet(self, fix1):
+        curve = age_curve_tally(fix1).finalize(by_production=True)
         assert all(row["pubs_bin"] == "1-5" for row in curve.rows)
 
-    def test_weighted_variant_hand_computed(self, fix1, fix1_records):
+    def test_weighted_variant_hand_computed(self, fix1):
         # citation-side cell at age 2 pools A's 2002 events (w=1) with B's
         # 2003 event (w=4/3): raw shares 1/3 each, weighted external 40%
         weights = compute_inflation_weights(fix1)
-        curve = age_curves(fix1, iter(fix1_records), weights=weights)
+        curve = age_curve_tally(fix1).finalize(weights=weights)
         domain = "natural_sciences_engineering"
         assert curve.pooled[(domain, CIT, "2", EX)] == pytest.approx(100 / 3)
         assert curve.pooled_weighted[(domain, CIT, "2", EX)] == pytest.approx(40.0)
@@ -266,16 +277,17 @@ class TestAgeCurves:
             if row["side"] == "reference":
                 assert row["pct_pooled_weighted"] is None
 
-    def test_weighted_variant_equals_raw_under_unit_weights(self, fix1, fix1_records):
+    def test_weighted_variant_equals_raw_under_unit_weights(self, fix1):
         weights = unit_weights(compute_inflation_weights(fix1))
-        curve = age_curves(fix1, iter(fix1_records), weights=weights)
+        curve = age_curve_tally(fix1).finalize(weights=weights)
         for key, pct in curve.pooled_weighted.items():
             assert pct == curve.pooled[key]
 
 
 class TestCitationAgeDistribution:
-    def test_fix1_ages(self, fix1_records):
-        rows, excluded = citation_age_distribution(iter(fix1_records), 5)
+    def test_fix1_ages(self, fix1):
+        tally = citation_age_tally(fix1)
+        rows, excluded = tally.finalize(5), tally.negative_excluded
         assert excluded == 0
         by_key = {(r["side"], r["citation_type"], r["publication_age"]): r for r in rows}
         # P5 -> P4 is same-year external (reference side for A, citation side for D)
@@ -288,7 +300,7 @@ class TestCitationAgeDistribution:
         rng = random.Random(47)
         for _ in range(10):
             corpus = random_corpus(rng)
-            rows, _ = citation_age_distribution(classified(corpus), len(corpus.papers))
+            rows = citation_age_tally(corpus).finalize(len(corpus.papers))
             peaks = {}
             for row in rows:
                 key = (row["side"], row["citation_type"])
@@ -301,12 +313,13 @@ class TestCitationAgeDistribution:
             PaperRecord("P1", 2005, "health", ("A",), ()),
             PaperRecord("P2", 2000, "health", ("B",), ("P1",)),
         ])
-        rows, excluded = citation_age_distribution(classified(corpus), 2)
+        tally = citation_age_tally(corpus)
+        rows, excluded = tally.finalize(2), tally.negative_excluded
         assert rows == []
         assert excluded == 2
 
-    def test_mean_per_paper(self, fix1_records):
-        rows, _ = citation_age_distribution(iter(fix1_records), 5)
+    def test_mean_per_paper(self, fix1):
+        rows = citation_age_tally(fix1).finalize(5)
         for row in rows:
             assert row["mean_per_paper"] == row["events"] / 5
 
@@ -403,7 +416,7 @@ class TestPercentileStrata:
             seed=556,
         )
         corpus = generate(config)
-        profiles = build_profiles(corpus, classified(corpus))
+        profiles = kernel_profiles(corpus)
         strata = percentile_strata(profiles, n_percentiles=4, pubs_bins=((1, None),))
         means = [row["mean_external_citations"] for row in strata.rows]
         assert len(means) == 4

@@ -2,9 +2,9 @@ import random
 
 from selfcite.classify import classify_all, read_classifications, write_classifications
 from selfcite.graph import build_collaboration_index, build_edges, iter_edges
-from selfcite.hindex import HindexTally, finalize_decompositions
+from selfcite.hindex import HindexTally
 from selfcite.kernel import tally_corpus
-from selfcite.metrics import AgeCurveTally, CitationAgeTally, ProfileTally, finalize_profiles
+from selfcite.metrics import AgeCurveTally, CitationAgeTally, ProfileTally
 from selfcite.pipeline import run_edge_tallies, run_record_tallies
 from selfcite.textsim import SimilarityTally, build_vectors
 from oracles import random_corpus
@@ -54,27 +54,6 @@ class TestThreadIndependence:
             for other in (streamed, from_tsv):
                 assert integer_state(other) == integer_state(base)
                 assert similarity_state(other[4]) == similarity_state(base[4])
-
-    def test_profiles_and_decompositions_match_stream_api(self):
-        rng = random.Random(79)
-        corpus = random_corpus(rng)
-        edges = build_edges(corpus)
-        collab = build_collaboration_index(corpus)
-
-        from selfcite.classify import classify_all
-        from selfcite.hindex import decompose_all
-        from selfcite.metrics import build_profiles
-
-        profile_tally = ProfileTally()
-        hindex_tally = HindexTally()
-        run_edge_tallies(corpus, edges, collab, [profile_tally, hindex_tally])
-        via_pipeline = finalize_profiles(corpus, profile_tally)
-        via_stream = build_profiles(corpus, classify_all(corpus, edges, collab))
-        assert via_pipeline == via_stream
-
-        dec_pipeline = finalize_decompositions(corpus, hindex_tally)
-        dec_stream = decompose_all(corpus, classify_all(corpus, edges, collab))
-        assert dec_pipeline == dec_stream
 
 
 class TestKernel:

@@ -4,10 +4,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from selfcite.classify import CitationType, classify_all
+from selfcite.classify import CitationType
 from selfcite.corpus import CorpusError, PaperRecord, corpus_from_records
-from selfcite.graph import build_collaboration_index, build_edges
-from selfcite.pipeline import run_edge_tallies, run_record_tallies
+from selfcite.kernel import tally_corpus
+from selfcite.metrics import finalize_profiles
+from selfcite.pipeline import run_record_tallies
 from selfcite.textsim import (
     SimilarityCoverage,
     SimilarityTally,
@@ -24,17 +25,10 @@ from selfcite.textsim import (
 D = CitationType.DIRECT
 
 
-def classified(corpus):
-    edges = build_edges(corpus)
-    collab = build_collaboration_index(corpus)
-    return list(classify_all(corpus, edges, collab))
-
-
 def similarity_tally(corpus, vectors=None, include=None):
     tally = SimilarityTally(build_vectors(corpus) if vectors is None else vectors,
                             include=include)
-    run_edge_tallies(corpus, build_edges(corpus), build_collaboration_index(corpus),
-                     [tally])
+    tally_corpus(corpus, ["profile"], similarity=tally)
     return tally
 
 
@@ -232,8 +226,7 @@ class TestAggregation:
         vectors = build_vectors(corpus)
         tally = similarity_tally(corpus, vectors)
         assert ("A", D) in tally.author_type
-        from selfcite.metrics import build_profiles
-        profiles = build_profiles(corpus, classified(corpus))
+        profiles = finalize_profiles(corpus, tally_corpus(corpus, ["profile"]).profile)
         rows = similarity_means(tally, profiles, key="discipline")
         direct_row = next(r for r in rows if r["citation_type"] == "direct")
         assert direct_row["similarity_author_mean"] == pytest.approx(
@@ -254,7 +247,6 @@ class TestAggregation:
         # background pool instead of their own topic, so their direct
         # reference similarity drops across self-reference groups
         from selfcite.synth import SynthConfig, generate
-        from selfcite.metrics import build_profiles
         from selfcite.textsim import similarity_by_selfref_percentile
 
         config = SynthConfig(
@@ -268,11 +260,10 @@ class TestAggregation:
             seed=555,
         )
         corpus = generate(config)
-        records = classified(corpus)
-        profiles = build_profiles(corpus, iter(records))
         vectors = build_vectors(corpus)
         tally = SimilarityTally(vectors)
-        run_record_tallies(iter(records), [tally])
+        profiles = finalize_profiles(
+            corpus, tally_corpus(corpus, ["profile"], similarity=tally).profile)
         rows = similarity_by_selfref_percentile(tally, profiles, n_groups=4)
         sims = [row["mean_direct_reference_similarity"] for row in rows]
         assert len(sims) == 4
