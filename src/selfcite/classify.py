@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Union
 
 from .corpus import Corpus, CorpusError, atomic_write, iter_text_lines
-from .graph import CitationEdge, CollaborationIndex
+from .graph import CitationEdge, CollaborationIndex, build_collaboration_index
 
 
 class CitationType(str, Enum):
@@ -73,36 +73,6 @@ def _side_types(side_authors, side_set, other_set, other_authors, neighbors, cit
                     break
         out.append(ctype)
     return out
-
-
-def _classify_one(edge, author, corpus, collab, own_id, other_id, role) -> CitationType:
-    own = corpus.papers[own_id]
-    other = corpus.papers[other_id]
-    if author not in own.author_ids:
-        raise ValueError(f"author {author!r} is not an author of {role} paper {own_id}")
-    return _side_types((author,), frozenset(own.author_ids), frozenset(other.author_ids),
-                       other.author_ids, collab.neighbors, edge.citing_year)[0]
-
-
-def classify_reference(
-    edge: CitationEdge, author: str, corpus: Corpus, collab: CollaborationIndex
-) -> CitationType:
-    """Type of one reference from a citing author's perspective."""
-    return _classify_one(edge, author, corpus, collab, edge.citing_id, edge.cited_id, "citing")
-
-
-def classify_citation(
-    edge: CitationEdge, author: str, corpus: Corpus, collab: CollaborationIndex
-) -> CitationType:
-    """Type of one received citation from a cited author's perspective."""
-    return _classify_one(edge, author, corpus, collab, edge.cited_id, edge.citing_id, "cited")
-
-
-def classify_paper_level(edge: CitationEdge, corpus: Corpus) -> bool:
-    """Paper-level self-citation: citing and cited author sets overlap."""
-    citing = corpus.papers[edge.citing_id]
-    cited = corpus.papers[edge.cited_id]
-    return not frozenset(citing.author_ids).isdisjoint(cited.author_ids)
 
 
 def build_author_sets(corpus: Corpus) -> dict[str, frozenset[str]]:
@@ -171,21 +141,25 @@ def read_classifications(
     path: Union[str, Path], corpus: Corpus
 ) -> Iterator[AuthorEdgeClass]:
     """Parse a classification export back into records, checked against the
-    corpus; edge years are re-derived from the corpus.
+    corpus; edge years and types are re-derived from the corpus.
 
     The export must be exactly what ``classify_all`` writes: one block per
     resolvable reference in increasing (citing_id, cited_id) order, each
     block one reference row per citing author, then one citation row per
-    cited author, in author order. Anything else raises
-    :class:`CorpusError` naming the line. Types are taken as given.
+    cited author, in author order, each row with the type the corpus gives
+    its author (both sides are typed once per block, against one
+    collaboration index built per call). Anything else raises
+    :class:`CorpusError` naming the line.
     """
     papers = corpus.papers
+    neighbors = build_collaboration_index(corpus).neighbors
     perspectives = {p.value: p for p in Perspective}
     ctypes = {t.value: t for t in CitationType}
     reference, citation = Perspective.REFERENCE, Perspective.CITATION
     pair = None
     edge = None
     expected: tuple[str, ...] = ()  # citing authors, then cited authors
+    types: list[CitationType] = []  # their types, in the same order
     n_ref = 0
     pos = 0
     n_edges = 0
@@ -218,6 +192,11 @@ def read_classifications(
             edge = CitationEdge(citing_id, cited_id, citing.year, cited.year)
             pair = (citing_id, cited_id)
             expected = citing.author_ids + cited.author_ids
+            citing_set, cited_set = frozenset(citing.author_ids), frozenset(cited.author_ids)
+            types = (_side_types(citing.author_ids, citing_set, cited_set, cited.author_ids,
+                                 neighbors, citing.year)
+                     + _side_types(cited.author_ids, cited_set, citing_set, citing.author_ids,
+                                   neighbors, citing.year))
             n_ref = len(citing.author_ids)
             pos = 0
             n_edges += 1
@@ -234,6 +213,9 @@ def read_classifications(
         if persp is not side or author_id != expected[pos]:
             raise fail(f"expected the {side.value} row of author {expected[pos]!r}, "
                        f"found the {perspective} row of {author_id!r}")
+        if ct is not types[pos]:
+            raise fail(f"the {perspective} row of author {author_id!r} has type "
+                       f"'{ctype}'; the corpus gives '{types[pos].value}'")
         pos += 1
         yield AuthorEdgeClass(author_id, edge, persp, ct)
     lineno += 1

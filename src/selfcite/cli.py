@@ -8,6 +8,11 @@ manifest carries wall-clock and memory measurements and is excluded from
 that guarantee).
 
 Exit codes: 0 success, 1 usage error, 2 data error.
+
+Only the standard library and :mod:`selfcite.corpus`, which every subcommand
+uses, are imported at module level. Each subcommand imports the analysis
+modules it runs inside its own functions, so a run loads no module it does
+not execute.
 """
 
 from __future__ import annotations
@@ -23,31 +28,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .classify import classify_all, write_classifications
 from .corpus import Corpus, CorpusError, atomic_write, eligible_authors, load_corpus
-from .graph import build_collaboration_index, build_edges, export_edges
-from .hindex import (
-    attribution_curve,
-    attribution_distribution,
-    finalize_decompositions,
-    individual_exclusion_table,
-)
-from .metrics import (
-    compute_inflation_weights,
-    finalize_profiles,
-    heatmap_by_production_and_age,
-    percentile_strata,
-)
-from .synth import SynthConfig, generate_with_stats, write_corpus
-from .textsim import (
-    SimilarityTally,
-    build_vectors,
-    similarity_by_citation_age,
-    similarity_by_selfref_percentile,
-    similarity_histograms,
-    similarity_means,
-    stopwords_sha256,
-)
 
 CLASSIFICATIONS_FILE = "classifications.tsv"
 EDGES_FILE = "edges.tsv"
@@ -209,6 +190,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .classify import classify_all, write_classifications
+    from .graph import build_collaboration_index, build_edges, export_edges
+
     run = _Run("classify", Path(args.out), _common_options(args))
     corpus = _load(args, run)
     edges = build_edges(corpus)
@@ -230,6 +214,8 @@ def cmd_classify(args) -> int:
 
 def _metrics_outputs(run: _Run, corpus, profiles, age_tally, citeage_tally,
                      weights, eligible, n_percentiles) -> None:
+    from .metrics import heatmap_by_production_and_age, percentile_strata
+
     curve = age_tally.finalize(weights=weights)
     run.csv("fig1_age_curves.csv", FIG1_COLUMNS, curve.rows)
     production = age_tally.finalize(by_production=True, weights=weights)
@@ -255,6 +241,13 @@ def _metrics_outputs(run: _Run, corpus, profiles, age_tally, citeage_tally,
 
 
 def _hindex_outputs(run: _Run, corpus, hindex_tally, eligible, individual) -> None:
+    from .hindex import (
+        attribution_curve,
+        attribution_distribution,
+        finalize_decompositions,
+        individual_exclusion_table,
+    )
+
     decomps = finalize_decompositions(corpus, hindex_tally, include_authors=eligible)
     domains = {aid: e.modal_discipline for aid, e in corpus.author_index.items()}
     run.csv("fig2_attribution_curve.csv", FIG2_COLUMNS,
@@ -268,6 +261,14 @@ def _hindex_outputs(run: _Run, corpus, hindex_tally, eligible, individual) -> No
 
 
 def _simil_outputs(run: _Run, sim_tally, profiles, eligible, n_percentiles) -> None:
+    from .textsim import (
+        similarity_by_citation_age,
+        similarity_by_selfref_percentile,
+        similarity_histograms,
+        similarity_means,
+        stopwords_sha256,
+    )
+
     eligible_profiles = {aid: p for aid, p in profiles.items() if aid in eligible}
 
     run.csv("fig3a_distributions.csv", FIG3A_COLUMNS,
@@ -289,9 +290,8 @@ def cmd_analysis(args) -> int:
     """metrics, hindex, simil and report: one pass of the interned kernel
     builds only the tallies behind ``args.tables``, then each table group is
     written."""
-    # imported here so that validate and classify, which never run the
-    # kernel, do not pay to compile it where no bytecode cache is written
     from .kernel import tally_corpus
+    from .metrics import compute_inflation_weights, finalize_profiles
 
     tables = args.tables
     run = _Run(args.subcommand, Path(args.out), _common_options(args))
@@ -310,6 +310,8 @@ def cmd_analysis(args) -> int:
         views.append("hindex")
     sim_tally = None
     if "simil" in tables:
+        from .textsim import SimilarityTally, build_vectors
+
         # report writes every table group, so a corpus without abstracts must
         # not cost it the other nine tables: with no vectors no edge is scored
         # and the similarity tables are header-only. simil has nothing else
@@ -339,6 +341,8 @@ def cmd_analysis(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .synth import SynthConfig, generate_with_stats, write_corpus
+
     run = _Run("synth", Path(args.out), _common_options(args))
     config = SynthConfig.from_file(args.config)
     if args.seed is not None:

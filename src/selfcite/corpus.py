@@ -3,7 +3,7 @@
 Input files carry one JSON object per line (papers file, optional authors
 file) so large corpora can be ingested as a stream instead of a single
 parsed document. A loaded :class:`Corpus` is treated as immutable: every
-analysis module only reads it, which makes concurrent use safe.
+analysis module only reads it.
 
 References may point at ids that are absent from the corpus. Those are
 kept and counted as unresolved; all rate denominators downstream use
@@ -315,17 +315,12 @@ def _assemble(papers: dict[str, PaperRecord], authors: dict[str, AuthorRecord]) 
     )
 
 
-def build_author_index(
-    papers: Union[Corpus, Mapping[str, PaperRecord]],
-) -> dict[str, AuthorIndexEntry]:
+def build_author_index(papers: Mapping[str, PaperRecord]) -> dict[str, AuthorIndexEntry]:
     """Derive first/last publication year, publication list and modal
     discipline for every author appearing in the papers.
 
     Modal-discipline ties break by the order of :data:`DISCIPLINES`.
     """
-    if isinstance(papers, Corpus):
-        papers = papers.papers
-
     pubs: dict[str, list[str]] = {}
     disc_counts: dict[str, Counter] = {}
     for pid, p in papers.items():

@@ -1,16 +1,15 @@
 """Citation edges and the time-stamped co-authorship index.
 
-Both structures are immutable after construction and safe for concurrent
-reads. ``CollaborationIndex.were_collaborators_before`` implements the strict-year reading of
-"former collaborator": a joint paper in the citing year itself does not
-establish prior collaboration.
+``CollaborationIndex.were_collaborators_before`` implements the strict-year
+reading of "former collaborator": a joint paper in the citing year itself
+does not establish prior collaboration.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from pathlib import Path
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .corpus import Corpus, atomic_write
 
@@ -64,9 +63,6 @@ class CollaborationIndex:
             adj_a[b] = year
             self._adjacency[b][a] = year
 
-    def earliest_joint_year(self, a: str, b: str) -> Optional[int]:
-        return self._adjacency.get(a, _EMPTY).get(b)
-
     def were_collaborators_before(self, a: str, b: str, year: int) -> bool:
         """True iff a and b share a joint paper strictly earlier than ``year``."""
         if a == b:
@@ -77,12 +73,6 @@ class CollaborationIndex:
     def neighbors(self, a: str) -> Mapping[str, int]:
         """Collaborators of ``a`` with earliest joint years (read-only view)."""
         return self._adjacency.get(a, _EMPTY)
-
-    def pairs(self):
-        for a, adj in self._adjacency.items():
-            for b, year in adj.items():
-                if a < b:
-                    yield (a, b), year
 
     def __len__(self) -> int:
         return self.n_pairs

@@ -24,7 +24,8 @@ labels, so its float sums keep their association.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress
+from operator import mul
 from typing import NamedTuple, Optional
 
 from .classify import CITATION_TYPES, Perspective, _side_types
@@ -173,7 +174,7 @@ def run_kernel(
 
 class Tallies(NamedTuple):
     """The reference tallies projected from one kernel pass (``None`` where
-    not asked for) and the author-edge events per side."""
+    not asked for) and the author-edge events per side of the corpus."""
 
     profile: Optional[ProfileTally]
     age_curve: Optional[AgeCurveTally]
@@ -207,44 +208,38 @@ def tally_corpus(
         cells="hindex" in views,
         similarity=similarity,
     )
-    untyped_references = 0
-    if events is None and ages is None:
-        # the h-index cells type no reference side: count it per citing paper
-        untyped_references = sum(len(team) * len(refs)
-                                 for team, refs in zip(view.authors, view.references))
+    # one event per citing author and reference, and per cited author and edge
+    team_sizes = list(map(len, view.authors))
+    author_edge_events = {
+        "reference": sum(map(mul, team_sizes, map(len, view.references))),
+        "citation": sum(map(team_sizes.__getitem__, chain.from_iterable(view.references))),
+    }
     del view
-    # each table that types a side holds all of that side's events
-    sides = None
     profile = age_curve = citation_age = hindex = None
     if events is not None:
         if "profile" in views:
             profile = ProfileTally()
         if "age_curve" in views:
             age_curve = AgeCurveTally.for_corpus(corpus, include)
-        sides = _project_events(events, first_year, n_years, author_ids,
-                                profile, age_curve)
+        _project_events(events, first_year, n_years, author_ids, profile, age_curve)
         del events
     if ages is not None:
         citation_age = CitationAgeTally()
-        sides = _project_ages(ages, n_years, citation_age)
+        _project_ages(ages, n_years, citation_age)
         del ages
     if cells is not None:
         hindex = HindexTally()
-        cited = _project_cells(cells, corpus, paper_ids, hindex)
-        sides = sides or [untyped_references, cited]
-    return Tallies(profile, age_curve, citation_age, hindex,
-                   {"reference": sides[0], "citation": sides[1]})
+        _project_cells(cells, corpus, paper_ids, hindex)
+    return Tallies(profile, age_curve, citation_age, hindex, author_edge_events)
 
 
-def _project_events(events, first_year, n_years, author_ids,
-                    profile, age_curve) -> list[int]:
+def _project_events(events, first_year, n_years, author_ids, profile, age_curve) -> None:
     """Profile counts and per-author age-curve cells, with the age curve's
     include and pre-age rules applied per (author, side, year, type) count
-    instead of per event. Returns the events per side."""
+    instead of per event."""
     if age_curve is not None:
         include = age_curve.include
         per_author = age_curve.per_author
-    sides = [0, 0]
     for i in compress(range(len(events)), events):
         n = events[i]
         i, t = divmod(i, 4)
@@ -253,7 +248,6 @@ def _project_events(events, first_year, n_years, author_ids,
         aid = author_ids[author]
         year += first_year
         ctype = CITATION_TYPES[t]
-        sides[side] += n
         if profile is not None:
             if side:
                 profile.cite_year_counts[(aid, ctype, year)] = n
@@ -268,29 +262,24 @@ def _project_events(events, first_year, n_years, author_ids,
                 age_curve.skipped_preage += n
             else:
                 per_author[(aid, _SIDES[side], year - first, ctype)] = n
-    return sides
 
 
-def _project_ages(ages, n_years, tally: CitationAgeTally) -> list[int]:
+def _project_ages(ages, n_years, tally: CitationAgeTally) -> None:
     """Events per (side, type, publication age); negative ages are counted
-    as excluded. Returns the events per side."""
-    sides = [0, 0]
+    as excluded."""
     for i in compress(range(len(ages)), ages):
         n = ages[i]
         i, t = divmod(i, 4)
         age, side = divmod(i, 2)
         age -= n_years - 1
-        sides[side] += n
         if age < 0:
             tally.negative_excluded += n
         else:
             tally.counts[(_SIDES[side], CITATION_TYPES[t], age)] = n
-    return sides
 
 
-def _project_cells(cells, corpus, paper_ids, tally: HindexTally) -> int:
-    """Per cited (author, paper): [total, direct, coauthor, collaborator].
-    Returns the citation-side events."""
+def _project_cells(cells, corpus, paper_ids, tally: HindexTally) -> None:
+    """Per cited (author, paper): [total, direct, coauthor, collaborator]."""
     per_paper = tally.per_paper
     i = 0
     for pid in paper_ids:
@@ -300,4 +289,3 @@ def _project_cells(cells, corpus, paper_ids, tally: HindexTally) -> int:
             if total:
                 per_paper[(aid, pid)] = [total, direct, coauthor, collaborator]
             i += 4
-    return sum(cells)

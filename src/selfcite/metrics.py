@@ -241,32 +241,20 @@ def finalize_profiles(
     return profiles
 
 
-def academic_age(author, year: int) -> int:
-    """Years since the author's first publication (0 in the first year).
-
-    ``author`` is anything with a ``first_pub_year`` attribute."""
-    first = author.first_pub_year
-    if year < first:
-        raise ValueError(f"year {year} precedes first publication year {first}")
-    return year - first
-
-
 # ---------------------------------------------------------------------------
 # Age curves
 # ---------------------------------------------------------------------------
 
 @dataclass(slots=True)
 class AgeCurve:
-    """Type percentages per (facet, side, age bin); pooled percentages are
-    canonical, author means reported alongside. When inflation weights are
-    supplied, citation-side cells additionally carry weighted percentages
-    (reference-side shares are scale-free within one citing year and stay
-    unweighted)."""
+    """Type percentages per (facet, side, age bin) in ``rows``; pooled
+    percentages are canonical, author means reported alongside. When
+    inflation weights are supplied, citation-side cells additionally carry
+    weighted percentages (reference-side shares are scale-free within one
+    citing year and stay unweighted). ``pooled_raw`` holds the event counts
+    per (facet, side, raw age, type)."""
 
     rows: list[dict]
-    pooled: dict
-    author_mean: dict
-    pooled_weighted: dict
     pooled_raw: dict
     skipped_ineligible: int
     skipped_preage: int
@@ -383,9 +371,6 @@ class AgeCurveTally:
                 return (facet[0], bin_order[facet[1]])
             return (facet, 0)
 
-        pooled: dict = {}
-        author_mean: dict = {}
-        pooled_weighted: dict = {}
         rows: list[dict] = []
         for cell_key in sorted(
             author_cells,
@@ -412,9 +397,6 @@ class AgeCurveTally:
                 pct_weighted = None
                 if wcounts is not None and wtotal > 0.0:
                     pct_weighted = 100.0 * wcounts.get(ctype, 0.0) / wtotal
-                    pooled_weighted[(facet, side, bin_label, ctype)] = pct_weighted
-                pooled[(facet, side, bin_label, ctype)] = pct_pooled
-                author_mean[(facet, side, bin_label, ctype)] = pct_author
                 if by_production:
                     facet_cols = {"domain": facet[0], "pubs_bin": facet[1]}
                 else:
@@ -432,9 +414,6 @@ class AgeCurveTally:
                 })
         return AgeCurve(
             rows=rows,
-            pooled=pooled,
-            author_mean=author_mean,
-            pooled_weighted=pooled_weighted,
             pooled_raw=pooled_raw,
             skipped_ineligible=self.skipped_ineligible,
             skipped_preage=self.skipped_preage,

@@ -2,12 +2,9 @@ from pathlib import Path
 
 import pytest
 
-from selfcite import (
-    build_collaboration_index,
-    build_edges,
-    classify_all,
-    load_corpus,
-)
+from selfcite.classify import classify_all
+from selfcite.corpus import load_corpus
+from selfcite.graph import build_collaboration_index, build_edges
 from selfcite.kernel import tally_corpus
 from selfcite.metrics import finalize_profiles
 

@@ -6,9 +6,6 @@ from selfcite.classify import (
     CitationType,
     Perspective,
     classify_all,
-    classify_citation,
-    classify_paper_level,
-    classify_reference,
     read_classifications,
     write_classifications,
 )
@@ -26,6 +23,19 @@ def edge_of(edges, citing, cited):
     return next(e for e in edges if e.citing_id == citing and e.cited_id == cited)
 
 
+def record_type(records, citing, cited, author, perspective):
+    """The type of the one record of ``author`` on edge citing -> cited."""
+    [ctype] = [r.ctype for r in records
+               if (r.edge.citing_id, r.edge.cited_id, r.author_id, r.perspective)
+               == (citing, cited, author, perspective)]
+    return ctype
+
+
+def has_direct(records, edge):
+    """Paper-level self-citation: some author is direct on ``edge``."""
+    return any(r.ctype is D for r in records if r.edge == edge)
+
+
 class TestClassifyReference:
     @pytest.mark.parametrize("citing,cited,author,expected", [
         ("P3", "P2", "B", D),
@@ -36,14 +46,9 @@ class TestClassifyReference:
         ("P2", "P1", "A", D),
         ("P2", "P1", "B", CA),
     ])
-    def test_fix1_rules(self, fix1, fix1_edges, fix1_collab, citing, cited, author, expected):
-        edge = edge_of(fix1_edges, citing, cited)
-        assert classify_reference(edge, author, fix1, fix1_collab) is expected
-
-    def test_precondition(self, fix1, fix1_edges, fix1_collab):
-        edge = edge_of(fix1_edges, "P2", "P1")
-        with pytest.raises(ValueError):
-            classify_reference(edge, "D", fix1, fix1_collab)
+    def test_fix1_rules(self, fix1_records, citing, cited, author, expected):
+        assert record_type(fix1_records, citing, cited, author,
+                           Perspective.REFERENCE) is expected
 
 
 class TestClassifyCitation:
@@ -55,22 +60,17 @@ class TestClassifyCitation:
         ("P3", "P2", "B", D),
         ("P5", "P4", "D", EX),
     ])
-    def test_fix1_rules(self, fix1, fix1_edges, fix1_collab, citing, cited, author, expected):
-        edge = edge_of(fix1_edges, citing, cited)
-        assert classify_citation(edge, author, fix1, fix1_collab) is expected
-
-    def test_precondition(self, fix1, fix1_edges, fix1_collab):
-        edge = edge_of(fix1_edges, "P2", "P1")
-        with pytest.raises(ValueError):
-            classify_citation(edge, "B", fix1, fix1_collab)
+    def test_fix1_rules(self, fix1_records, citing, cited, author, expected):
+        assert record_type(fix1_records, citing, cited, author,
+                           Perspective.CITATION) is expected
 
 
 class TestPaperLevel:
-    def test_overlap(self, fix1, fix1_edges):
-        assert classify_paper_level(edge_of(fix1_edges, "P2", "P1"), fix1) is True
+    def test_overlap(self, fix1_edges, fix1_records):
+        assert has_direct(fix1_records, edge_of(fix1_edges, "P2", "P1")) is True
 
-    def test_disjoint(self, fix1, fix1_edges):
-        assert classify_paper_level(edge_of(fix1_edges, "P4", "P2"), fix1) is False
+    def test_disjoint(self, fix1_edges, fix1_records):
+        assert has_direct(fix1_records, edge_of(fix1_edges, "P4", "P2")) is False
 
     def test_consistent_with_direct_records(self, fix1, fix1_edges, fix1_records):
         for edge in fix1_edges:
@@ -79,7 +79,8 @@ class TestPaperLevel:
                              if r.perspective is Perspective.REFERENCE)
             cite_direct = any(r.ctype is D for r in edge_records
                               if r.perspective is Perspective.CITATION)
-            flag = classify_paper_level(edge, fix1)
+            flag = not set(fix1.papers[edge.citing_id].author_ids).isdisjoint(
+                fix1.papers[edge.cited_id].author_ids)
             assert flag == ref_direct == cite_direct
 
 
@@ -104,7 +105,6 @@ class TestClassifyAll:
         records = list(classify_all(corpus, edges, collab))
         assert len(records) == 2
         assert all(r.ctype is D for r in records)
-        assert classify_paper_level(edges[0], corpus) is True
 
     def test_paper_citing_itself(self):
         # degenerate but loadable: the edge is direct on both sides
@@ -116,7 +116,6 @@ class TestClassifyAll:
         records = list(classify_all(corpus, edges, collab))
         assert len(records) == 4
         assert all(r.ctype is D for r in records)
-        assert classify_paper_level(edges[0], corpus) is True
 
     def test_exhaustive_partition(self, fix1, fix1_edges, fix1_records):
         slots = set()
@@ -169,8 +168,9 @@ class TestExportRoundTrip:
         lambda rows: [b"A\tP1\tP5\treference\tdirect",         # P5 -> P1 turned around
                       b"A\tP1\tP5\tcitation\tdirect"] + rows[:13] + rows[15:],
         lambda rows: rows[:4] + [b"\xff" + rows[4]] + rows[5:],  # not UTF-8
+        lambda rows: [rows[0].replace(b"direct", b"external")] + rows[1:],  # retyped
     ], ids=["truncated", "last_edge_dropped", "foreign_author", "reordered_edge", "duplicated_edge",
-            "unreferenced_edge", "invalid_utf8"])
+            "unreferenced_edge", "invalid_utf8", "wrong_type"])
     def test_export_checked_against_corpus(self, fix1, fix1_records, tmp_path, tamper):
         path = tmp_path / "cls.tsv"
         write_classifications(iter(fix1_records), path)

@@ -24,29 +24,47 @@ def _paper(pid):
             "authors": ["A", "B"], "references": ["P0"], "abstract": "a b"}
 
 
-_WRONG_VALUES = {
-    "id": [None, "", 7, ["P9"]],
-    "year": [None, "2000", 2000.5, True, 1799, 2101],
-    "discipline": [None, "physics", 3],
-    "authors": [None, [], "A", [""], [1], ["A", "A"]],
-    "references": [None, "P0", [1], [""], ["P0", "P0"]],
-    "abstract": [3, ["a"]],
-    "title": [3, {"t": "a"}],
+def _author(aid):
+    return {"id": aid, "gender": "woman", "name": "Author"}
+
+
+_WRONG_ID = [None, "", 7, ["P9"]]
+
+#: Per input file: a valid record for an id, the required fields and wrong
+#: values per field.
+_RECORDS = {
+    "papers": (_paper, ["id", "year", "discipline", "authors", "references"], {
+        "id": _WRONG_ID,
+        "year": [None, "2000", 2000.5, True, 1799, 2101],
+        "discipline": [None, "physics", 3],
+        "authors": [None, [], "A", [""], [1], ["A", "A"]],
+        "references": [None, "P0", [1], [""], ["P0", "P0"]],
+        "abstract": [3, ["a"]],
+        "title": [3, {"t": "a"}],
+    }),
+    "authors": (_author, ["id"], {
+        "id": _WRONG_ID,
+        "gender": ["other", "Woman", 3],
+        "name": [3, ["Author"]],
+    }),
 }
 
 
 @st.composite
-def malformed_papers(draw):
-    """A papers file whose first bad line is known: (bytes, its line number).
+def malformed_file(draw, source):
+    """A papers or authors file whose first bad line is known: (source,
+    bytes, its line number).
 
     Valid and blank lines come first, then one line that is bad JSON, bad
     UTF-8, not an object, missing or mistyping a field, or repeating an id,
     then more lines the loader must never reach."""
+    record, required, wrong_values = _RECORDS[source]
+    prefix = source[0].upper()  # P0, P1, ... or A0, A1, ...
     n_good = draw(st.integers(0, 3))
-    lines = [json.dumps(_paper(f"P{i}")).encode() for i in range(n_good)]
+    lines = [json.dumps(record(f"{prefix}{i}")).encode() for i in range(n_good)]
     for _ in range(draw(st.integers(0, 2))):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from([b"", b"  \t"])))
-    bad = _paper("PX")
+    bad = record(f"{prefix}X")
     kind = draw(st.sampled_from(["json", "utf8", "not_object", "missing", "mistyped",
                                  "duplicate"]))
     if kind == "json":
@@ -60,22 +78,21 @@ def malformed_papers(draw):
         line = draw(st.sampled_from([b"[]", b"1", b'"P1"', b"null", b"[{}]"]))
     else:
         if kind == "missing":
-            del bad[draw(st.sampled_from(["id", "year", "discipline", "authors",
-                                          "references"]))]
+            del bad[draw(st.sampled_from(required))]
         elif kind == "mistyped":
-            field = draw(st.sampled_from(sorted(_WRONG_VALUES)))
-            bad[field] = draw(st.sampled_from(_WRONG_VALUES[field]))
+            field = draw(st.sampled_from(sorted(wrong_values)))
+            bad[field] = draw(st.sampled_from(wrong_values[field]))
         else:
-            bad["id"] = f"P{draw(st.integers(0, max(n_good - 1, 0)))}"
+            bad["id"] = f"{prefix}{draw(st.integers(0, max(n_good - 1, 0)))}"
             if n_good == 0:
                 lines.append(json.dumps(bad).encode())
         line = json.dumps(bad).encode()
     lines.append(line)
     bad_line = len(lines)
-    lines += draw(st.lists(st.sampled_from([b"{", b"\xff", json.dumps(_paper("PY")).encode()]),
-                           max_size=2))
+    junk = [b"{", b"\xff", json.dumps(record(f"{prefix}Y")).encode()]
+    lines += draw(st.lists(st.sampled_from(junk), max_size=2))
     newline = draw(st.sampled_from([b"\n", b"\r\n"]))
-    return newline.join(lines) + newline, bad_line
+    return source, newline.join(lines) + newline, bad_line
 
 
 class TestValidate:
@@ -115,16 +132,19 @@ class TestValidate:
         assert "data error" in err
         assert "papers line 1:" in err
 
-    @settings(max_examples=60, deadline=None,
+    # Each example draws which file is malformed; the other is fix1's.
+    @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(malformed_papers())
+    @given(st.sampled_from(sorted(_RECORDS)).flatmap(malformed_file))
     def test_malformed_papers_fuzz(self, tmp_path, capsys, case):
-        content, bad_line = case
+        source, content, bad_line = case
         bad = tmp_path / "fuzz.jsonl"
         bad.write_bytes(content)
-        assert run("validate", "--papers", bad, "--out", tmp_path / "o") == 2
+        files = {"papers": PAPERS, "authors": AUTHORS, source: bad}
+        assert run("validate", "--papers", files["papers"], "--authors", files["authors"],
+                   "--out", tmp_path / "o") == 2
         err = capsys.readouterr().err
-        assert f"papers line {bad_line}:" in err
+        assert f"{source} line {bad_line}:" in err
         assert "Traceback" not in err
 
     def test_missing_file_exit_2(self, tmp_path):

@@ -13,7 +13,6 @@ from selfcite.corpus import (
     AuthorRecord,
     CorpusError,
     PaperRecord,
-    build_author_index,
     corpus_from_records,
     eligible_authors,
     load_corpus,
@@ -307,10 +306,6 @@ class TestAuthorIndex:
         ])
         # tie between health and social_sciences: health comes first
         assert corpus.author_index["A"].modal_discipline == "health"
-
-    def test_accepts_corpus_argument(self, fix1):
-        index = build_author_index(fix1)
-        assert index.keys() == fix1.author_index.keys()
 
 
 class TestEligibleAuthors:

@@ -62,7 +62,9 @@ class TestBuildEdges:
 
 class TestCollaborationIndex:
     def test_fix1_pairs(self, fix1_collab):
-        assert dict(fix1_collab.pairs()) == {("A", "B"): 2001, ("B", "C"): 2002}
+        neighbors = {a: dict(fix1_collab.neighbors(a)) for a in "ABCD"}
+        assert neighbors == {"A": {"B": 2001}, "B": {"A": 2001, "C": 2002},
+                             "C": {"B": 2002}, "D": {}}
 
     def test_single_authored_corpus(self):
         corpus = corpus_from_records([
@@ -77,7 +79,7 @@ class TestCollaborationIndex:
             PaperRecord("P2", 2003, "health", ("A", "B"), ()),
         ])
         index = build_collaboration_index(corpus)
-        assert index.earliest_joint_year("A", "B") == 2003
+        assert index.neighbors("A")["B"] == 2003
 
     def test_before_queries(self, fix1_collab):
         assert fix1_collab.were_collaborators_before("A", "B", 2002) is True

@@ -9,7 +9,6 @@ from selfcite.graph import build_collaboration_index, build_edges
 from selfcite.kernel import tally_corpus
 from selfcite.metrics import (
     AuthorProfile,
-    academic_age,
     age_bin,
     compute_inflation_weights,
     finalize_profiles,
@@ -43,6 +42,14 @@ def age_curve_tally(corpus, include=None):
 
 def citation_age_tally(corpus):
     return tally_corpus(corpus, ["citation_age"]).citation_age
+
+
+def cells(curve, column="pct_pooled"):
+    """{(domain, side, age bin, type): ``column``} of an age curve by domain,
+    without the cells where ``column`` is empty."""
+    return {(row["domain"], Perspective(row["side"]), row["age_bin"],
+             CitationType(row["citation_type"])): row[column]
+            for row in curve.rows if row[column] is not None}
 
 
 def two_year_corpus():
@@ -194,17 +201,6 @@ class TestProfiles:
 
 
 class TestAcademicAge:
-    def test_fix1_values(self, fix1_profiles):
-        assert academic_age(fix1_profiles["A"], 2003) == 3
-        assert academic_age(fix1_profiles["D"], 2003) == 0
-
-    def test_first_year_is_zero(self, fix1_profiles):
-        assert academic_age(fix1_profiles["B"], 2001) == 0
-
-    def test_contract_error(self, fix1_profiles):
-        with pytest.raises(ValueError):
-            academic_age(fix1_profiles["A"], 1999)
-
     def test_age_bins(self):
         assert age_bin(0) == "0"
         assert age_bin(10) == "10"
@@ -218,8 +214,8 @@ class TestAgeCurves:
     def test_fix1_author_a_alone(self, fix1):
         curve = age_curve_tally(fix1, include={"A"}).finalize()
         key = ("natural_sciences_engineering", REF, "1", D)
-        assert curve.pooled[key] == 100.0
-        assert curve.author_mean[key] == 100.0
+        assert cells(curve)[key] == 100.0
+        assert cells(curve, "pct_author_mean")[key] == 100.0
 
     def test_direct_row_zero_without_self_citation(self):
         corpus = corpus_from_records([
@@ -227,7 +223,7 @@ class TestAgeCurves:
             PaperRecord("P2", 2001, "health", ("B",), ("P1",)),
         ])
         curve = age_curve_tally(corpus).finalize()
-        for (facet, side, bin_label, ctype), pct in curve.pooled.items():
+        for (facet, side, bin_label, ctype), pct in cells(curve).items():
             if ctype is D:
                 assert pct == 0.0
 
@@ -236,11 +232,11 @@ class TestAgeCurves:
         for _ in range(10):
             corpus = random_corpus(rng)
             curve = age_curve_tally(corpus).finalize()
-            cells = {}
-            for (facet, side, bin_label, ctype), pct in curve.pooled.items():
-                cells.setdefault((facet, side, bin_label), 0.0)
-                cells[(facet, side, bin_label)] += pct
-            for total in cells.values():
+            totals = {}
+            for (facet, side, bin_label, ctype), pct in cells(curve).items():
+                totals.setdefault((facet, side, bin_label), 0.0)
+                totals[(facet, side, bin_label)] += pct
+            for total in totals.values():
                 assert total == pytest.approx(100.0, abs=1e-9)
 
     def test_preage_events_skipped(self):
@@ -268,11 +264,12 @@ class TestAgeCurves:
         weights = compute_inflation_weights(fix1)
         curve = age_curve_tally(fix1).finalize(weights=weights)
         domain = "natural_sciences_engineering"
-        assert curve.pooled[(domain, CIT, "2", EX)] == pytest.approx(100 / 3)
-        assert curve.pooled_weighted[(domain, CIT, "2", EX)] == pytest.approx(40.0)
-        assert curve.pooled_weighted[(domain, CIT, "2", CA)] == pytest.approx(30.0)
+        weighted = cells(curve, "pct_pooled_weighted")
+        assert cells(curve)[(domain, CIT, "2", EX)] == pytest.approx(100 / 3)
+        assert weighted[(domain, CIT, "2", EX)] == pytest.approx(40.0)
+        assert weighted[(domain, CIT, "2", CA)] == pytest.approx(30.0)
         # reference-side shares stay unweighted by design
-        assert all(key[1] is not REF for key in curve.pooled_weighted)
+        assert all(key[1] is not REF for key in weighted)
         for row in curve.rows:
             if row["side"] == "reference":
                 assert row["pct_pooled_weighted"] is None
@@ -280,8 +277,9 @@ class TestAgeCurves:
     def test_weighted_variant_equals_raw_under_unit_weights(self, fix1):
         weights = unit_weights(compute_inflation_weights(fix1))
         curve = age_curve_tally(fix1).finalize(weights=weights)
-        for key, pct in curve.pooled_weighted.items():
-            assert pct == curve.pooled[key]
+        pooled = cells(curve)
+        for key, pct in cells(curve, "pct_pooled_weighted").items():
+            assert pct == pooled[key]
 
 
 class TestCitationAgeDistribution:

@@ -1,17 +1,24 @@
 """The runtime is the standard library alone: no module of the package may
-import a third-party package, even one that happens to be installed."""
+import a third-party package, even one that happens to be installed. Each
+subcommand loads only the modules it runs, and the README's library example
+runs as written."""
 
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from conftest import TESTDATA
 
-# Imports every module of the package (cli imports kernel only inside a
-# function) and prints the top-level modules that are not in the standard
-# library.
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+# Imports every module of the package (cli imports the analysis modules only
+# inside its subcommands, so each is imported by name) and prints the
+# top-level modules that are not in the standard library.
 _PROBE = """
 import importlib, json, pkgutil, sys
 import selfcite
@@ -21,13 +28,46 @@ tops = {name.partition(".")[0] for name in sys.modules}
 print(json.dumps(sorted(tops - set(sys.stdlib_module_names))))
 """
 
+# Runs validate in process and prints the package modules it loaded.
+_VALIDATE = """
+import json, sys
+from selfcite.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "selfcite")]))
+"""
 
-def test_every_module_imports_only_the_standard_library():
+
+def _child(code, *argv, cwd=None):
     # -S skips the site module: site-packages is not on the path (importing
     # a third-party package fails) and no .pth hook puts its own modules
     # into sys.modules
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    probe = subprocess.run([sys.executable, "-S", "-c", _PROBE], env=env,
-                           capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-S", "-c", code, *map(str, argv)], env=env,
+                          cwd=cwd, capture_output=True, text=True)
+
+
+def test_every_module_imports_only_the_standard_library():
+    probe = _child(_PROBE)
     assert probe.returncode == 0, probe.stderr
     assert json.loads(probe.stdout) == ["__main__", "selfcite"]
+
+
+def test_validate_loads_only_the_corpus_module(tmp_path):
+    probe = _child(_VALIDATE, "validate",
+                   "--papers", TESTDATA / "fix1_papers.jsonl",
+                   "--authors", TESTDATA / "fix1_authors.jsonl", "--out", tmp_path)
+    assert probe.returncode == 0, probe.stderr
+    code, modules = json.loads(probe.stdout.splitlines()[-1])
+    assert code == 0
+    assert modules == ["selfcite", "selfcite.cli", "selfcite.corpus"]
+
+
+def test_readme_library_example_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Library use"):]
+    example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    shutil.copy(TESTDATA / "fix1_papers.jsonl", tmp_path / "papers.jsonl")
+    shutil.copy(TESTDATA / "fix1_authors.jsonl", tmp_path / "authors.jsonl")
+    run = _child(example, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip()
