@@ -1,8 +1,10 @@
 """Citation edges and the time-stamped co-authorship index.
 
-``CollaborationIndex.were_collaborators_before`` implements the strict-year
-reading of "former collaborator": a joint paper in the citing year itself
-does not establish prior collaboration.
+The index maps each author to the earliest joint year with every
+co-author. The strict-year reading of "former collaborator" that the
+classifier applies to it lives in :func:`selfcite.classify._side_types`: a
+joint paper in the citing year itself does not establish prior
+collaboration.
 """
 
 from __future__ import annotations
@@ -62,13 +64,6 @@ class CollaborationIndex:
         elif year < prev:
             adj_a[b] = year
             self._adjacency[b][a] = year
-
-    def were_collaborators_before(self, a: str, b: str, year: int) -> bool:
-        """True iff a and b share a joint paper strictly earlier than ``year``."""
-        if a == b:
-            raise ValueError("collaboration query requires two distinct authors")
-        joint = self._adjacency.get(a, _EMPTY).get(b)
-        return joint is not None and joint < year
 
     def neighbors(self, a: str) -> Mapping[str, int]:
         """Collaborators of ``a`` with earliest joint years (read-only view)."""

@@ -17,9 +17,16 @@ every table writer keep their inputs. Those tallies' own ``add_edge``, fed
 by :func:`selfcite.pipeline.run_edge_tallies`, is the reference the tests
 compare the kernel with.
 
-A :class:`~selfcite.textsim.SimilarityTally` is fed one edge at a time in
-edge order, with string ids and :class:`~selfcite.classify.CitationType`
-labels, so its float sums keep their association.
+Similarity is accumulated in the same pass: per scored edge the kernel
+takes the cosine of :func:`selfcite.textsim._cosine`, the rule the
+tally's own ``add_edge`` uses, and adds it to flat float and count cells
+per (author, type), (author, type, citation age bin) and direct-reference
+author, reference side first, in edge order, so every float sum keeps the
+association of the ``add_edge`` feed. At the end the cells and the
+coverage counts are projected into the
+:class:`~selfcite.textsim.SimilarityTally` dicts with string ids and
+:class:`~selfcite.classify.CitationType` keys. ``add_edge`` stays as the
+reference feed the tests compare with.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from typing import NamedTuple, Optional
 
 from .classify import CITATION_TYPES, Perspective, _side_types
 from .corpus import Corpus
-from .graph import CitationEdge, index_collaborations
+from .graph import index_collaborations
 from .hindex import HindexTally
 from .metrics import AgeCurveTally, CitationAgeTally, ProfileTally
 
@@ -96,7 +103,6 @@ class KernelTables(NamedTuple):
 
 
 def run_kernel(
-    corpus: Corpus,
     view: InternedCorpus,
     events: bool,
     ages: bool,
@@ -107,6 +113,8 @@ def run_kernel(
 
     The reference side is typed only when ``events``, ``ages`` or
     ``similarity`` needs it; ``cells`` reads the citation side alone.
+    ``similarity``, a :class:`~selfcite.textsim.SimilarityTally` no edge has
+    fed, gets its cells and coverage at the end of the pass.
     """
     authors, author_sets, years = view.authors, view.author_sets, view.years
     first_year = min(years, default=0)
@@ -127,10 +135,18 @@ def run_kernel(
         hc = [0] * n
     type_references = events or ages or similarity is not None
     if similarity is not None:
-        papers = corpus.papers
-        paper_ids = view.paper_ids
-        teams = [papers[pid].author_ids for pid in paper_ids]
-        labels = CITATION_TYPES.__getitem__
+        from .textsim import MAX_SINGLE_CITATION_AGE as max_age, _cosine
+
+        age_bins = max_age + 2  # 0 .. max_age, then max_age + 1 for every older citation
+        vectors, tally_norms, include = similarity.vectors, similarity.norms, similarity.include
+        weights = [None if v is None else v.weights for v in map(vectors.get, view.paper_ids)]
+        norms = [tally_norms.get(pid, 0.0) for pid in view.paper_ids]
+        included = [include is None or aid in include for aid in view.author_ids]
+        n = 4 * len(included)
+        at_sum, at_n = [0.0] * n, [0] * n
+        ata_sum, ata_n = [0.0] * (age_bins * n), [0] * (age_bins * n)
+        sr_sum, sr_n = [0.0] * len(included), [0] * len(included)
+        missing = zero = scored = records = negative = 0
 
     for p, refs in enumerate(view.references):
         if not refs:
@@ -141,6 +157,10 @@ def run_kernel(
         year_offset = 4 * (year - first_year)
         ref_base = [a * author_stride + year_offset for a in citing]
         cite_offset = side_stride + year_offset
+        if similarity is not None:
+            u = weights[p]
+            nu = norms[p]
+            terms = frozenset(u) if nu != 0.0 else None
         for q in refs:
             cited = authors[q]
             cited_set = author_sets[q]
@@ -165,10 +185,48 @@ def run_kernel(
                 i += 4
                 for t in cite:
                     ag[i + t] += 1
-            if similarity is not None:
-                similarity.add_edge(
-                    CitationEdge(paper_ids[p], paper_ids[q], year, years[q]),
-                    teams[p], list(map(labels, ref)), teams[q], list(map(labels, cite)))
+            if similarity is None:
+                continue
+            v = weights[q]
+            if u is None or v is None:
+                missing += 1
+                continue
+            nv = norms[q]
+            if nu == 0.0 or nv == 0.0:
+                zero += 1
+                continue
+            scored += 1
+            cos = _cosine(terms, u, v, nu, nv)
+            age = year - years[q]
+            age_bin = age if age <= max_age else max_age + 1
+            # reference side first, then citation side: each cell's sum
+            # takes its adds in the order of the add_edge feed
+            for a, t in chain(zip(citing, ref), zip(cited, cite)):
+                if not included[a]:
+                    continue
+                records += 1
+                i = 4 * a + t
+                at_sum[i] += cos
+                at_n[i] += 1
+                if age < 0:
+                    negative += 1
+                else:
+                    i = age_bins * i + age_bin
+                    ata_sum[i] += cos
+                    ata_n[i] += 1
+            for a, t in zip(citing, ref):
+                if t == 0 and included[a]:
+                    sr_sum[a] += cos
+                    sr_n[a] += 1
+    if similarity is not None:
+        coverage = similarity.coverage
+        coverage.missing_abstract_edges += missing
+        coverage.zero_vector_edges += zero
+        coverage.scored_edges += scored
+        coverage.records += records
+        similarity.negative_age_records += negative
+        _project_similarity(similarity, view.author_ids, age_bins,
+                            at_sum, at_n, ata_sum, ata_n, sr_sum, sr_n)
     return KernelTables(ev, ag, hc, first_year, n_years)
 
 
@@ -190,8 +248,9 @@ def tally_corpus(
     similarity=None,
 ) -> Tallies:
     """Intern the corpus, run the kernel for ``views`` (a subset of
-    :data:`VIEWS`) and feed ``similarity`` (when given), then project each
-    view. ``include`` is the author set of the age-curve view.
+    :data:`VIEWS`) and fill ``similarity`` (when given, a tally no edge has
+    fed yet), then project each view. ``include`` is the author set of the
+    age-curve view.
 
     The interned corpus and the collaboration index are dropped before the
     projection, and each count table once it is projected.
@@ -199,10 +258,13 @@ def tally_corpus(
     unknown = set(views) - set(VIEWS)
     if unknown or not views:
         raise ValueError(f"views must be a non-empty subset of {VIEWS}")
+    if similarity is not None and any(similarity.coverage.as_dict().values()):
+        # the kernel sets each cell once; it cannot add to a fed tally's sums
+        raise ValueError("similarity must be a SimilarityTally that no edge has fed")
     view = intern_corpus(corpus)
     author_ids, paper_ids = view.author_ids, view.paper_ids
     events, ages, cells, first_year, n_years = run_kernel(
-        corpus, view,
+        view,
         events="profile" in views or "age_curve" in views,
         ages="citation_age" in views,
         cells="hindex" in views,
@@ -289,3 +351,20 @@ def _project_cells(cells, corpus, paper_ids, tally: HindexTally) -> None:
             if total:
                 per_paper[(aid, pid)] = [total, direct, coauthor, collaborator]
             i += 4
+
+
+def _project_similarity(tally, author_ids, age_bins,
+                        at_sum, at_n, ata_sum, ata_n, sr_sum, sr_n) -> None:
+    """Each used similarity cell as ``[sum, n]`` under its string id and
+    :class:`~selfcite.classify.CitationType` key: cells by 4 * author + type,
+    by (4 * author + type) * age_bins + age bin, and by author for direct
+    references."""
+    for i in compress(range(len(at_n)), at_n):
+        a, t = divmod(i, 4)
+        tally.author_type[(author_ids[a], CITATION_TYPES[t])] = [at_sum[i], at_n[i]]
+    for i in compress(range(len(ata_n)), ata_n):
+        cell, age_bin = divmod(i, age_bins)
+        a, t = divmod(cell, 4)
+        tally.author_type_age[(author_ids[a], CITATION_TYPES[t], age_bin)] = [ata_sum[i], ata_n[i]]
+    for a in compress(range(len(sr_n)), sr_n):
+        tally.author_selfref[author_ids[a]] = [sr_sum[a], sr_n[a]]

@@ -62,12 +62,16 @@ def _ends_cvc(word: str) -> bool:
     )
 
 
-def _rule_step(word: str, rules) -> str:
+def _rule_step(word: str, rules, suffixes: tuple[str, ...]) -> str:
     """Apply the longest-suffix rule whose suffix matches.
 
     ``rules`` is a sequence of (suffix, replacement, min_measure) triples,
-    ordered so that any suffix appears before its own proper suffixes.
+    ordered so that any suffix appears before its own proper suffixes, and
+    ``suffixes`` is the tuple of their suffixes: one ``endswith`` call
+    rejects most words.
     """
+    if not word.endswith(suffixes):
+        return word
     for suffix, repl, min_m in rules:
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
@@ -99,6 +103,7 @@ _STEP2 = (
     ("ator", "ate", 0),
     ("eli", "e", 0),
 )
+_STEP2_SUFFIXES = tuple(rule[0] for rule in _STEP2)
 
 _STEP3 = (
     ("icate", "ic", 0),
@@ -109,6 +114,7 @@ _STEP3 = (
     ("ful", "", 0),
     ("ness", "", 0),
 )
+_STEP3_SUFFIXES = tuple(rule[0] for rule in _STEP3)
 
 _STEP4 = (
     ("ement", "", 1),
@@ -131,6 +137,7 @@ _STEP4 = (
     ("ic", "", 1),
     ("ou", "", 1),
 )
+_STEP4_SUFFIXES = tuple(rule[0] for rule in _STEP4)
 
 
 def _step1a(word: str) -> str:
@@ -181,6 +188,8 @@ def _step1c(word: str) -> str:
 
 
 def _step4(word: str) -> str:
+    if not word.endswith(_STEP4_SUFFIXES):
+        return word
     for suffix, repl, min_m in _STEP4:
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
@@ -202,7 +211,7 @@ def _step5a(word: str) -> str:
 
 
 def _step5b(word: str) -> str:
-    if _measure(word) > 1 and word.endswith("ll"):
+    if word.endswith("ll") and _measure(word) > 1:
         return word[:-1]
     return word
 
@@ -214,8 +223,8 @@ def stem(word: str) -> str:
     word = _step1a(word)
     word = _step1b(word)
     word = _step1c(word)
-    word = _rule_step(word, _STEP2)
-    word = _rule_step(word, _STEP3)
+    word = _rule_step(word, _STEP2, _STEP2_SUFFIXES)
+    word = _rule_step(word, _STEP3, _STEP3_SUFFIXES)
     word = _step4(word)
     word = _step5a(word)
     word = _step5b(word)

@@ -6,6 +6,11 @@ within-abstract count) and score pairs with cosine similarity. Vector
 building is two-phase: a corpus-wide document-frequency pass, then an
 independent per-document weighting pass.
 
+One cosine rule serves every caller (:func:`_cosine`): the dot product
+adds the products of the common terms one at a time in sorted term order,
+so cosine(u, v) == cosine(v, u) bit for bit and no caller depends on how
+the common terms were found.
+
 Pairs where either abstract is missing, or where either tf-idf vector is
 all-zero, are excluded from every average and counted instead of being
 scored 0, so short or generic abstracts do not drag type comparisons down.
@@ -24,7 +29,9 @@ import math
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass
+from functools import reduce
 from importlib import resources
+from operator import add, mul
 from typing import NamedTuple, Optional
 
 from .classify import CitationType
@@ -63,15 +70,8 @@ def stopwords_sha256() -> str:
     return _STOPWORDS_SHA256
 
 
-_stem_cache: dict[str, str] = {}
-
-
-def _stem_cached(token: str) -> str:
-    cached = _stem_cache.get(token)
-    if cached is None:
-        cached = stem(token)
-        _stem_cache[token] = cached
-    return cached
+#: token -> its stem, or None for a stopword
+_stem_cache: dict[str, Optional[str]] = {}
 
 
 @dataclass(slots=True)
@@ -85,13 +85,19 @@ class TokenizedAbstract:
 
 
 def preprocess(text: str, paper_id: str = "") -> TokenizedAbstract:
-    """Lowercase, tokenize on non-alphanumeric runs, drop stopwords, stem."""
-    stopwords = load_stopwords()
-    counts: Counter = Counter()
-    for token in _TOKEN_RE.findall(text.lower()):
-        if token in stopwords:
-            continue
-        counts[_stem_cached(token)] += 1
+    """Lowercase, tokenize on non-alphanumeric runs, drop stopwords, stem.
+
+    The stems keep the order of their first occurrence, which fixes the
+    order of every later float sum over a vector's weights."""
+    tokens = _TOKEN_RE.findall(text.lower())
+    cache = _stem_cache
+    new = set(tokens).difference(cache)
+    if new:
+        stopwords = load_stopwords()
+        for token in new:
+            cache[token] = None if token in stopwords else stem(token)
+    counts = Counter(map(cache.__getitem__, tokens))
+    counts.pop(None, None)
     return TokenizedAbstract(paper_id=paper_id, stems=counts)
 
 
@@ -122,14 +128,14 @@ def build_vectors(corpus: Corpus) -> dict[str, TfIdfVector]:
         df.update(t.stems.keys())
 
     idf = {term: math.log(n_docs / count) for term, count in df.items()}
+    zero_idf = [term for term, w in idf.items() if not w > 0.0]
 
     vectors: dict[str, TfIdfVector] = {}
     for t in tokenized:
-        weights = {}
-        for term, tf in t.stems.items():
-            w = tf * idf[term]
-            if w > 0.0:
-                weights[term] = w
+        stems = t.stems
+        weights = dict(zip(stems, map(mul, stems.values(), map(idf.__getitem__, stems))))
+        for term in zero_idf:
+            weights.pop(term, None)
         vectors[t.paper_id] = TfIdfVector(t.paper_id, weights)
     return vectors
 
@@ -138,23 +144,17 @@ def _norm(weights: dict[str, float]) -> float:
     return math.sqrt(sum(w * w for w in weights.values()))
 
 
-def _dot(u: dict[str, float], v: dict[str, float]) -> float:
-    # accumulate over sorted common terms: multiplication commutes exactly,
-    # so a canonical order makes cosine(u, v) == cosine(v, u) bit for bit
-    if len(u) > len(v):
-        u, v = v, u
-    common = [t for t in u if t in v]
-    if not common:
-        return 0.0
-    common.sort()
-    total = 0.0
-    for term in common:
-        total += u[term] * v[term]
-    return total
+def _cosine(terms: frozenset, u: dict[str, float], v: dict[str, float],
+            nu: float, nv: float) -> float:
+    """Cosine of two non-zero vectors; ``terms`` is ``frozenset(u)``.
 
-
-def _cosine(u: dict[str, float], v: dict[str, float], nu: float, nv: float) -> float:
-    value = _dot(u, v) / (nu * nv)
+    The dot product adds ``u[t] * v[t]`` one term at a time over the sorted
+    common terms: multiplication commutes exactly, so the canonical order
+    makes cosine(u, v) == cosine(v, u) bit for bit. ``reduce`` adds in
+    sequence, where ``sum`` of floats is compensated from Python 3.12 on."""
+    common = sorted(terms.intersection(v))
+    dot = reduce(add, map(mul, map(u.__getitem__, common), map(v.__getitem__, common)), 0.0)
+    value = dot / (nu * nv)
     return value if value < 1.0 else 1.0
 
 
@@ -164,7 +164,7 @@ def cosine(u: TfIdfVector, v: TfIdfVector) -> float:
     nv = _norm(v.weights)
     if nu == 0.0 or nv == 0.0:
         return 0.0
-    return _cosine(u.weights, v.weights, nu, nv)
+    return _cosine(frozenset(u.weights), u.weights, v.weights, nu, nv)
 
 
 @dataclass(slots=True)
@@ -185,7 +185,9 @@ def citation_age_bin(age: int) -> str:
 
 
 class SimilarityTally:
-    """Streaming per-author similarity sums, added in edge order.
+    """Per-author similarity sums, added in edge order: filled in one pass
+    by :func:`selfcite.kernel.tally_corpus`, or one edge at a time by
+    ``add_edge``, the reference feed the tests compare the kernel with.
 
     ``include`` (when given) restricts tallies to that author set; skipped
     records are not counted anywhere.
@@ -218,7 +220,7 @@ class SimilarityTally:
             self.coverage.zero_vector_edges += 1
             return None
         self.coverage.scored_edges += 1
-        return _cosine(u.weights, v.weights, nu, nv)
+        return _cosine(frozenset(u.weights), u.weights, v.weights, nu, nv)
 
     def add_edge(self, edge, citing_authors, ref_types, cited_authors, cite_types):
         cos = self._edge_cosine(edge)

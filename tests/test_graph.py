@@ -1,6 +1,5 @@
 import random
 
-import pytest
 from hypothesis import given, strategies as st
 
 from selfcite.corpus import PaperRecord, corpus_from_records
@@ -10,6 +9,12 @@ from selfcite.graph import (
     export_edges,
 )
 from oracles import joint_paper_before, random_corpus
+
+
+def joint_before(index, a, b, year):
+    # the classifier's strict-year rule: a joint paper before the citing year
+    joint = index.neighbors(a).get(b)
+    return joint is not None and joint < year
 
 
 class TestBuildEdges:
@@ -81,14 +86,11 @@ class TestCollaborationIndex:
         index = build_collaboration_index(corpus)
         assert index.neighbors("A")["B"] == 2003
 
-    def test_before_queries(self, fix1_collab):
-        assert fix1_collab.were_collaborators_before("A", "B", 2002) is True
-        assert fix1_collab.were_collaborators_before("A", "B", 2001) is False
-        assert fix1_collab.were_collaborators_before("A", "C", 2010) is False
-
-    def test_same_author_is_contract_error(self, fix1_collab):
-        with pytest.raises(ValueError):
-            fix1_collab.were_collaborators_before("A", "A", 2005)
+    def test_before_queries(self, fix1, fix1_collab):
+        for a, b, year, expected in (("A", "B", 2002, True), ("A", "B", 2001, False),
+                                     ("A", "C", 2010, False)):
+            assert joint_before(fix1_collab, a, b, year) is expected
+            assert joint_paper_before(fix1, a, b, year) is expected
 
     def test_symmetry_random(self):
         rng = random.Random(17)
@@ -101,8 +103,7 @@ class TestCollaborationIndex:
                 if a == b:
                     continue
                 year = rng.randint(1989, 2012)
-                assert index.were_collaborators_before(a, b, year) == \
-                    index.were_collaborators_before(b, a, year)
+                assert joint_before(index, a, b, year) == joint_before(index, b, a, year)
 
     def test_matches_raw_record_scan(self):
         rng = random.Random(19)
@@ -115,7 +116,7 @@ class TestCollaborationIndex:
                 if a == b:
                     continue
                 year = rng.randint(1989, 2012)
-                assert index.were_collaborators_before(a, b, year) == \
+                assert joint_before(index, a, b, year) == \
                     joint_paper_before(corpus, a, b, year)
 
     @given(st.integers(min_value=1990, max_value=2020), st.integers(min_value=0, max_value=30))
@@ -124,5 +125,6 @@ class TestCollaborationIndex:
             PaperRecord("P1", 2000, "health", ("A", "B"), ()),
         ])
         index = build_collaboration_index(corpus)
-        if index.were_collaborators_before("A", "B", year):
-            assert index.were_collaborators_before("A", "B", year + offset)
+        if joint_before(index, "A", "B", year):
+            assert joint_before(index, "A", "B", year + offset)
+        assert joint_before(index, "A", "B", year) == joint_paper_before(corpus, "A", "B", year)

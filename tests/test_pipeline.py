@@ -1,6 +1,9 @@
 import random
 
-from selfcite.classify import classify_all, read_classifications, write_classifications
+import pytest
+
+from selfcite.classify import CitationType, classify_all, read_classifications, write_classifications
+from selfcite.corpus import PaperRecord, corpus_from_records
 from selfcite.graph import build_collaboration_index, build_edges, iter_edges
 from selfcite.hindex import HindexTally
 from selfcite.kernel import tally_corpus
@@ -95,3 +98,47 @@ class TestKernel:
             assert similarity_state(simil_sim) == similarity_state(sim)
             assert simil_sim.coverage == sim.coverage
             assert simil_only.author_edge_events == events
+            if any(sim.coverage.as_dict().values()):  # a fed tally is refused
+                with pytest.raises(ValueError):
+                    tally_corpus(corpus, ["profile"], similarity=sim)
+
+    def test_similarity_edge_cases(self):
+        # "model" is in every non-empty abstract, so its idf is 0 and P4's
+        # vector is all-zero; P2's abstract is stopwords only; P3 has none
+        papers = [
+            PaperRecord("P1", 1980, "health", ("A", "B"), (), "model graph citation network"),
+            PaperRecord("P2", 2001, "health", ("A", "C"), ("P1",), "the of and a"),
+            PaperRecord("P3", 2005, "health", ("D",), ("P1",)),
+            PaperRecord("P4", 2005, "health", ("A", "E"), ("P1",), "model models"),
+            PaperRecord("P5", 2005, "health", ("A", "F"), ("P1", "P6", "P7"),
+                        "model graph stemming words graphs"),
+            PaperRecord("P6", 2005, "health", ("B", "G"), ("P3", "P5"),
+                        "model citation network"),
+            PaperRecord("P7", 2008, "health", ("C", "H"), ("P5",), "model network analysis"),
+            PaperRecord("P8", 2001, "health", ("B", "H"), ("P1", "P7"), "graph analysis model"),
+            PaperRecord("P9", 2000, "health", ("E",), ("P1",), "citation graph model"),
+        ]
+        corpus = corpus_from_records(papers)
+        vectors = build_vectors(corpus)
+        assert vectors["P2"].weights == {} and vectors["P4"].weights == {}
+        for include in (None, set(corpus.author_index) - {"C", "G"}):
+            base = SimilarityTally(vectors, include=include)
+            run_edge_tallies(corpus, iter_edges(corpus), build_collaboration_index(corpus),
+                             [base])
+            sim = SimilarityTally(vectors, include=include)
+            tally_corpus(corpus, ["hindex"], include=include, similarity=sim)
+            assert similarity_state(sim) == similarity_state(base)
+            assert sim.coverage == base.coverage
+            assert sim.negative_age_records == base.negative_age_records
+
+            # every case is met: ages 0, 20, 21+ and below 0, a direct
+            # self-citation, missing abstracts and zero vectors
+            assert base.coverage.missing_abstract_edges == 2
+            assert base.coverage.zero_vector_edges == 2
+            assert base.negative_age_records > 0
+            age_bins = {age for _a, _t, age in base.author_type_age}
+            assert {0, 20, 21} <= age_bins
+            assert ("A", CitationType.DIRECT) in base.author_type
+            assert "A" in base.author_selfref
+            if include is not None:
+                assert not {a for a, _t in base.author_type} & {"C", "G"}

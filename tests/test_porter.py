@@ -117,3 +117,27 @@ def test_digit_bearing_tokens_are_inert():
 def test_idempotent_on_common_stems():
     for word, stemmed in CLASSIC_PAIRS:
         assert stem(stemmed) in (stemmed, stem(stemmed))
+
+
+@pytest.mark.parametrize("word,expected", [
+    # a final digit ends no suffix of any step
+    ("2010", "2010"),
+    ("covid19", "covid19"),
+    ("x86", "x86"),
+    # step 5b drops one l of a final ll only when m > 1
+    ("fall", "fall"),
+    ("skill", "skill"),
+    ("controll", "control"),
+    ("install", "instal"),
+    # the shortest suffix of steps 2, 3 and 4, with the measure met or not
+    ("vileli", "vile"),
+    ("useful", "us"),
+    ("homologou", "homolog"),
+    ("electric", "electr"),
+    ("metric", "metric"),
+    # step 4's ion needs s or t before it
+    ("adoption", "adopt"),
+    ("opinion", "opinion"),
+])
+def test_suffix_tests(word, expected):
+    assert stem(word) == expected

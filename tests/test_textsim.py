@@ -49,6 +49,11 @@ class TestPreprocess:
         tokens = preprocess("Graph-based METHODS; graphs!")
         assert dict(tokens.stems) == {"graph": 2, "base": 1, "method": 1}
 
+    def test_stems_in_first_occurrence_order(self):
+        # the order of a vector's weights fixes its norm's float sum
+        tokens = preprocess("The models of a Graph: models, graphs and 2010 model-graphs!")
+        assert list(tokens.stems.items()) == [("model", 3), ("graph", 3), ("2010", 1)]
+
     def test_numbers_kept_as_tokens(self):
         tokens = preprocess("model 42 models")
         assert dict(tokens.stems) == {"model": 2, "42": 1}
