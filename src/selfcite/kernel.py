@@ -82,23 +82,25 @@ class KernelTables(NamedTuple):
     """The counts of one kernel pass, three flat lists (``None`` where not
     asked for) indexed by packed ints:
 
-    * events, by ((2 * author + side) * n_years + citing year - first_year)
-      * 4 + type;
-    * ages, by ((publication age + n_years - 1) * 2 + side) * 4 + type;
+    * events, by ((2 * author + side) * len(event_years) + rank of the
+      citing year in event_years) * 4 + type, where event_years are the
+      distinct paper years in increasing order;
+    * ages, by ((publication age + n_years - 1) * 2 + side) * 4 + type,
+      where n_years is the span from the first paper year to the last;
     * cells, four counts (one per type) per authorship slot, the slots of
       the papers in int order and of each paper's authors in order.
 
-    The events list holds 8 * n_years counts per author, used or not. On a
-    corpus that spans a few decades that is far smaller than a dict of the
-    (author, side, year, type) keys in use: at the acceptance scale 816k of
-    its 1.12M slots are used, and a dict costs some 100 bytes per key
-    against 8 bytes per slot.
+    The events list holds 8 counts per author and distinct paper year, used
+    or not, so a year gap in the corpus costs no slots. That is far smaller
+    than a dict of the (author, side, year, type) keys in use: at the
+    acceptance scale 816k of its 1.12M slots are used, and a dict costs
+    some 100 bytes per key against 8 bytes per slot.
     """
 
     events: Optional[list[int]]
     ages: Optional[list[int]]
     cells: Optional[list[int]]
-    first_year: int
+    event_years: list[int]
     n_years: int
 
 
@@ -117,11 +119,12 @@ def run_kernel(
     fed, gets its cells and coverage at the end of the pass.
     """
     authors, author_sets, years = view.authors, view.author_sets, view.years
-    first_year = min(years, default=0)
-    n_years = max(years, default=0) - first_year + 1
+    n_years = max(years, default=0) - min(years, default=0) + 1
+    event_years = sorted(set(years))
+    year_rank = {year: i for i, year in enumerate(event_years)}
     collab = index_collaborations(zip(authors, years))
     neighbors = collab.neighbors
-    side_stride = 4 * n_years
+    side_stride = 4 * len(event_years)
     author_stride = 2 * side_stride
     ev = [0] * (author_stride * len(view.author_ids)) if events else None
     ag = [0] * (8 * (2 * n_years - 1)) if ages else None
@@ -154,7 +157,7 @@ def run_kernel(
         citing = authors[p]
         citing_set = author_sets[p]
         year = years[p]
-        year_offset = 4 * (year - first_year)
+        year_offset = 4 * year_rank[year]
         ref_base = [a * author_stride + year_offset for a in citing]
         cite_offset = side_stride + year_offset
         if similarity is not None:
@@ -227,7 +230,7 @@ def run_kernel(
         similarity.negative_age_records += negative
         _project_similarity(similarity, view.author_ids, age_bins,
                             at_sum, at_n, ata_sum, ata_n, sr_sum, sr_n)
-    return KernelTables(ev, ag, hc, first_year, n_years)
+    return KernelTables(ev, ag, hc, event_years, n_years)
 
 
 class Tallies(NamedTuple):
@@ -263,7 +266,7 @@ def tally_corpus(
         raise ValueError("similarity must be a SimilarityTally that no edge has fed")
     view = intern_corpus(corpus)
     author_ids, paper_ids = view.author_ids, view.paper_ids
-    events, ages, cells, first_year, n_years = run_kernel(
+    events, ages, cells, event_years, n_years = run_kernel(
         view,
         events="profile" in views or "age_curve" in views,
         ages="citation_age" in views,
@@ -283,7 +286,7 @@ def tally_corpus(
             profile = ProfileTally()
         if "age_curve" in views:
             age_curve = AgeCurveTally.for_corpus(corpus, include)
-        _project_events(events, first_year, n_years, author_ids, profile, age_curve)
+        _project_events(events, event_years, author_ids, profile, age_curve)
         del events
     if ages is not None:
         citation_age = CitationAgeTally()
@@ -295,20 +298,21 @@ def tally_corpus(
     return Tallies(profile, age_curve, citation_age, hindex, author_edge_events)
 
 
-def _project_events(events, first_year, n_years, author_ids, profile, age_curve) -> None:
+def _project_events(events, event_years, author_ids, profile, age_curve) -> None:
     """Profile counts and per-author age-curve cells, with the age curve's
     include and pre-age rules applied per (author, side, year, type) count
     instead of per event."""
     if age_curve is not None:
         include = age_curve.include
         per_author = age_curve.per_author
+    n_event_years = len(event_years)
     for i in compress(range(len(events)), events):
         n = events[i]
         i, t = divmod(i, 4)
-        i, year = divmod(i, n_years)
+        i, year = divmod(i, n_event_years)
         author, side = divmod(i, 2)
         aid = author_ids[author]
-        year += first_year
+        year = event_years[year]
         ctype = CITATION_TYPES[t]
         if profile is not None:
             if side:

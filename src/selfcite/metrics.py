@@ -474,20 +474,26 @@ class CitationAgeTally:
 # Percentile strata
 # ---------------------------------------------------------------------------
 
-def rank_and_cut(members: list, n_groups: int) -> list[list]:
+def rank_and_cut(members: list, n_groups: int) -> list[tuple[int, list]]:
     """Sort ``(rate, author_id, ...)`` tuples by rate, ties broken by author
-    id, and cut them into ``n_groups`` near-equal consecutive groups (some
-    empty when there are fewer members than groups)."""
+    id, and cut them into ``n_groups`` near-equal consecutive groups: group
+    ``g`` (from 1) holds sorted positions ``(g-1)*total//n_groups`` up to
+    ``g*total//n_groups``. Returns ``(g, group)`` for the non-empty groups
+    only, in O(members) time and memory whatever ``n_groups`` is."""
     members.sort(key=lambda item: (item[0], item[1]))
     total = len(members)
-    return [members[g * total // n_groups:(g + 1) * total // n_groups]
-            for g in range(n_groups)]
+    if total >= n_groups:
+        return [(g + 1, members[g * total // n_groups:(g + 1) * total // n_groups])
+                for g in range(n_groups)]
+    # fewer members than groups: no group holds two, and position i falls in
+    # the group g with (g-1)*total < (i+1)*n_groups <= g*total
+    return [(((i + 1) * n_groups - 1) // total + 1, [m]) for i, m in enumerate(members)]
 
 
 @dataclass(slots=True)
 class PercentileStrata:
     rows: list[dict]
-    groups: dict  # (discipline, pubs_bin) -> list[list[author_id]]
+    groups: dict  # (discipline, pubs_bin) -> {group: [author_id]}, non-empty groups only
     excluded_undefined: int
     excluded_out_of_bins: int
 
@@ -527,11 +533,9 @@ def percentile_strata(
     for stratum_key in sorted(strata, key=lambda k: (k[0], bin_order[k[1]])):
         members = strata[stratum_key]
         low_support = len(members) < n_percentiles
-        stratum_groups: list[list[str]] = []
-        for g, chunk in enumerate(rank_and_cut(members, n_percentiles)):
-            stratum_groups.append([aid for _r, aid, _p in chunk])
-            if not chunk:
-                continue
+        stratum_groups: dict[int, list[str]] = {}
+        for g, chunk in rank_and_cut(members, n_percentiles):
+            stratum_groups[g] = [aid for _r, aid, _p in chunk]
             n = len(chunk)
             women = sum(1 for _r, _a, p in chunk if p.gender == "woman")
             men = sum(1 for _r, _a, p in chunk if p.gender == "man")
@@ -539,7 +543,7 @@ def percentile_strata(
             rows.append({
                 "discipline": stratum_key[0],
                 "pubs_bin": stratum_key[1],
-                "group": g + 1,
+                "group": g,
                 "n_authors": n,
                 "mean_self_reference_rate": sum(r for r, _a, _p in chunk) / n,
                 "mean_external_citations": sum(p.cite_counts[_EXTERNAL] for _r, _a, p in chunk) / n,
@@ -563,23 +567,24 @@ def percentile_strata(
 def heatmap_by_production_and_age(
     profiles: Mapping[str, AuthorProfile],
     include_authors: Optional[set] = None,
-    pubs_bins: Sequence[tuple[int, Optional[int]]] = DEFAULT_HEATMAP_PUBS_BINS,
 ) -> list[dict]:
     """Mean self-citation and self-reference percentages per
-    (publication-count bin, career-length bin) cell. Career length is the
-    span between first and last publication year; cells with fewer than
-    five authors are flagged low-support."""
+    (publication-count bin of :data:`DEFAULT_HEATMAP_PUBS_BINS`,
+    career-length bin) cell. Career length is the span between first and
+    last publication year; cells with fewer than five authors are flagged
+    low-support."""
     cells: dict = {}
     for aid, profile in profiles.items():
         if include_authors is not None and aid not in include_authors:
             continue
-        bin_label = pubs_bin(profile.n_pubs, pubs_bins)
+        bin_label = pubs_bin(profile.n_pubs, DEFAULT_HEATMAP_PUBS_BINS)
         if bin_label is None:
             continue
         career = age_bin(profile.career_length)
         cells.setdefault((bin_label, career), []).append(profile)
 
-    bin_order = {pubs_bin_label(lo, hi): i for i, (lo, hi) in enumerate(pubs_bins)}
+    bin_order = {pubs_bin_label(lo, hi): i
+                 for i, (lo, hi) in enumerate(DEFAULT_HEATMAP_PUBS_BINS)}
     rows = []
     for (bin_label, career) in sorted(
         cells, key=lambda k: (bin_order[k[0]], _AGE_BIN_ORDER[k[1]])

@@ -48,6 +48,9 @@ _STOPWORDS_SHA256: Optional[str] = None
 #: Citation ages above this are pooled into one open-ended bin.
 MAX_SINGLE_CITATION_AGE = 20
 
+#: Width of the similarity bins of :func:`similarity_histograms`.
+HISTOGRAM_BIN_WIDTH = 0.02
+
 
 def _stopword_bytes() -> bytes:
     return resources.files("selfcite").joinpath("data/stopwords_en.txt").read_bytes()
@@ -307,8 +310,10 @@ def similarity_means(tally, profiles, key: str = "discipline") -> list[dict]:
     )
 
 
-def similarity_histograms(tally, profiles, bin_width: float = 0.02) -> list[dict]:
-    """Histogram of per-author mean similarity per (discipline, type)."""
+def similarity_histograms(tally, profiles) -> list[dict]:
+    """Histogram of per-author mean similarity per (discipline, type), in
+    bins of :data:`HISTOGRAM_BIN_WIDTH`."""
+    bin_width = HISTOGRAM_BIN_WIDTH
     n_bins = max(1, round(1.0 / bin_width))
     counts: dict = {}
     for (author, ctype), (s, n) in tally.author_type.items():
@@ -362,11 +367,9 @@ def similarity_by_selfref_percentile(tally, profiles, n_groups: int = 10) -> lis
             continue
         scored.append((rate, author, s / n))
     rows = []
-    for g, members in enumerate(rank_and_cut(scored, n_groups)):
-        if not members:
-            continue
+    for g, members in rank_and_cut(scored, n_groups):
         rows.append({
-            "group": g + 1,
+            "group": g,
             "n_authors": len(members),
             "mean_self_reference_rate": sum(m[0] for m in members) / len(members),
             "mean_direct_reference_similarity": sum(m[2] for m in members) / len(members),

@@ -169,8 +169,12 @@ class TestExportRoundTrip:
                       b"A\tP1\tP5\tcitation\tdirect"] + rows[:13] + rows[15:],
         lambda rows: rows[:4] + [b"\xff" + rows[4]] + rows[5:],  # not UTF-8
         lambda rows: [rows[0].replace(b"direct", b"external")] + rows[1:],  # retyped
+        lambda rows: [rows[0] + b"\tdirect"] + rows[1:],               # sixth field
+        lambda rows: [rows[0].replace(b"reference", b"citing")] + rows[1:],  # unknown side
+        lambda rows: [rows[2]] + rows[:2] + rows[3:],            # citation row first
     ], ids=["truncated", "last_edge_dropped", "foreign_author", "reordered_edge", "duplicated_edge",
-            "unreferenced_edge", "invalid_utf8", "wrong_type"])
+            "unreferenced_edge", "invalid_utf8", "wrong_type", "sixth_field",
+            "unknown_perspective", "citation_before_reference"])
     def test_export_checked_against_corpus(self, fix1, fix1_records, tmp_path, tamper):
         path = tmp_path / "cls.tsv"
         write_classifications(iter(fix1_records), path)
@@ -178,3 +182,33 @@ class TestExportRoundTrip:
         path.write_bytes(b"".join(r + b"\n" for r in tamper(rows)))
         with pytest.raises(CorpusError, match=r"^classifications line \d+: "):
             list(read_classifications(path, fix1))
+
+    def test_mismatch_names_expected_row(self, fix1, fix1_records, tmp_path):
+        path = tmp_path / "cls.tsv"
+        write_classifications(iter(fix1_records), path)
+        rows = path.read_text().splitlines()
+        path.write_text("\n".join([rows[0].replace("direct", "external")] + rows[1:]) + "\n")
+        with pytest.raises(CorpusError) as exc:
+            list(read_classifications(path, fix1))
+        assert str(exc.value) == (
+            "classifications line 1: expected 'A\\tP2\\tP1\\treference\\tdirect', "
+            "found 'A\\tP2\\tP1\\treference\\texternal'")
+        path.write_text("\n".join(rows[:-1]) + "\n")
+        with pytest.raises(CorpusError) as exc:
+            list(read_classifications(path, fix1))
+        assert str(exc.value) == (
+            f"classifications line {len(rows)}: expected {rows[-1]!r}, found end of file")
+        path.write_text("\n".join(rows + rows[:1]) + "\n")
+        with pytest.raises(CorpusError) as exc:
+            list(read_classifications(path, fix1))
+        assert str(exc.value) == (
+            f"classifications line {len(rows) + 1}: expected end of file, found {rows[0]!r}")
+
+    def test_blank_lines_skipped(self, fix1, fix1_records, tmp_path):
+        # a blank line inside an edge's block is no row: the file still reads
+        # back equal to the records written
+        path = tmp_path / "cls.tsv"
+        write_classifications(iter(fix1_records), path)
+        rows = path.read_text().splitlines()
+        path.write_text("\n".join(rows[:1] + [""] + rows[1:] + [""]) + "\n")
+        assert list(read_classifications(path, fix1)) == fix1_records

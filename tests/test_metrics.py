@@ -14,6 +14,7 @@ from selfcite.metrics import (
     finalize_profiles,
     heatmap_by_production_and_age,
     percentile_strata,
+    rank_and_cut,
     unit_weights,
 )
 from oracles import brute_force_rates, random_corpus
@@ -342,8 +343,8 @@ class TestPercentileStrata:
         }
         strata = percentile_strata(profiles, n_percentiles=10)
         groups = strata.groups[("health", "6-10")]
-        assert [len(g) for g in groups] == [1] * 10
-        rates = [profiles[g[0]].self_reference_rate for g in groups]
+        assert [len(groups.get(g, [])) for g in range(1, 11)] == [1] * 10
+        rates = [profiles[groups[g][0]].self_reference_rate for g in range(1, 11)]
         assert rates == sorted(rates)
 
     def test_equal_rates_tie_break_by_id(self):
@@ -353,8 +354,8 @@ class TestPercentileStrata:
         }
         strata = percentile_strata(profiles, n_percentiles=3)
         groups = strata.groups[("health", "6-10")]
-        assert [len(g) for g in groups] == [2, 2, 2]
-        assert groups[0] == ["A0", "A1"]
+        assert [len(groups.get(g, [])) for g in range(1, 4)] == [2, 2, 2]
+        assert groups[1] == ["A0", "A1"]
 
     def test_group_sizes_differ_by_at_most_one(self):
         for total in (1, 4, 7, 23, 100):
@@ -363,9 +364,23 @@ class TestPercentileStrata:
                 for i in range(total)
             }
             strata = percentile_strata(profiles, n_percentiles=10)
-            sizes = [len(g) for g in strata.groups[("health", "6-10")]]
+            groups = strata.groups[("health", "6-10")]
+            sizes = [len(groups.get(g, [])) for g in range(1, 11)]
             assert sum(sizes) == total
             assert max(sizes) - min(sizes) <= 1
+
+    def test_rank_and_cut_keeps_only_non_empty_groups(self):
+        # one member among a million groups costs one group, not a million
+        # lists; the group is the last, as (g-1)*1//10**6 <= 0 < g*1//10**6
+        assert rank_and_cut([(0.5, "A")], 10**6) == [(10**6, [(0.5, "A")])]
+        for total in range(0, 30):
+            for n_groups in (1, 2, 3, 7, 10, 29, 30, 31, 100, 1000):
+                members = [((i * 7) % 5 / 5, f"A{i:02d}") for i in range(total)]
+                ranked = sorted(members)
+                old = [ranked[g * total // n_groups:(g + 1) * total // n_groups]
+                       for g in range(n_groups)]
+                assert rank_and_cut(members, n_groups) == \
+                    [(g + 1, chunk) for g, chunk in enumerate(old) if chunk]
 
     def test_small_stratum_flagged_low_support(self):
         profiles = {"A1": make_profile("A1", ref_direct=1, ref_external=1)}

@@ -6,7 +6,7 @@ from selfcite.classify import CitationType, classify_all, read_classifications, 
 from selfcite.corpus import PaperRecord, corpus_from_records
 from selfcite.graph import build_collaboration_index, build_edges, iter_edges
 from selfcite.hindex import HindexTally
-from selfcite.kernel import tally_corpus
+from selfcite.kernel import intern_corpus, run_kernel, tally_corpus
 from selfcite.metrics import AgeCurveTally, CitationAgeTally, ProfileTally
 from selfcite.pipeline import run_edge_tallies, run_record_tallies
 from selfcite.textsim import SimilarityTally, build_vectors
@@ -63,10 +63,16 @@ class TestKernel:
     def test_kernel_equals_reference_feed(self):
         # the CLI's fused int kernel, projected, must equal the per-tally
         # add_edge feed on corpora with anachronistic references, unresolved
-        # ids and S10 < S2 string order; similarity floats bit for bit
+        # ids, S10 < S2 string order and, on odd trials, an uncited paper
+        # from 1800 among papers from 1990-2010; similarity floats bit for bit
         rng = random.Random(89)
-        for _trial in range(20):
+        for trial in range(20):
             corpus = random_corpus(rng, max_papers=40, max_authors=10)
+            if trial % 2:
+                papers = list(corpus.papers.values())
+                papers.append(PaperRecord("S_old", 1800, papers[0].discipline,
+                                          papers[0].author_ids[:1], ()))
+                corpus = corpus_from_records(papers)
             vectors = build_vectors(corpus) if corpus.papers_with_abstract else {}
             include = {a for a in corpus.author_index if rng.random() < 0.7}
 
@@ -78,6 +84,13 @@ class TestKernel:
             kernel = [full.profile, full.age_curve, full.citation_age, full.hindex, sim]
             assert integer_state(kernel) == integer_state(base)
             assert similarity_state(sim) == similarity_state(base[4])
+
+            # 8 event slots per author and distinct paper year: the gap
+            # up to 1990 costs none
+            view = intern_corpus(corpus)
+            n_years = len({p.year for p in corpus.papers.values()})
+            tables = run_kernel(view, events=True, ages=False, cells=False)
+            assert len(tables.events) == 8 * n_years * len(view.author_ids)
 
             events = full.author_edge_events
             assert events == {"reference": sum(base[0].ref_counts.values()),
