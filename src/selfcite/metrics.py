@@ -16,6 +16,7 @@ are reported so coverage stays visible.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Mapping, Optional, Sequence
 
 from .classify import CITATION_TYPES, CitationType, Perspective
@@ -482,18 +483,14 @@ def rank_and_cut(members: list, n_groups: int) -> list[tuple[int, list]]:
     only, in O(members) time and memory whatever ``n_groups`` is."""
     members.sort(key=lambda item: (item[0], item[1]))
     total = len(members)
-    if total >= n_groups:
-        return [(g + 1, members[g * total // n_groups:(g + 1) * total // n_groups])
-                for g in range(n_groups)]
-    # fewer members than groups: no group holds two, and position i falls in
-    # the group g with (g-1)*total < (i+1)*n_groups <= g*total
-    return [(((i + 1) * n_groups - 1) // total + 1, [m]) for i, m in enumerate(members)]
+    # position i falls in the group g with (g-1)*total < (i+1)*n_groups <= g*total
+    return [(g, [m for _i, m in group]) for g, group in groupby(
+        enumerate(members), key=lambda im: ((im[0] + 1) * n_groups - 1) // total + 1)]
 
 
 @dataclass(slots=True)
 class PercentileStrata:
     rows: list[dict]
-    groups: dict  # (discipline, pubs_bin) -> {group: [author_id]}, non-empty groups only
     excluded_undefined: int
     excluded_out_of_bins: int
 
@@ -529,13 +526,10 @@ def percentile_strata(
 
     bin_order = {pubs_bin_label(lo, hi): i for i, (lo, hi) in enumerate(pubs_bins)}
     rows: list[dict] = []
-    groups: dict = {}
     for stratum_key in sorted(strata, key=lambda k: (k[0], bin_order[k[1]])):
         members = strata[stratum_key]
         low_support = len(members) < n_percentiles
-        stratum_groups: dict[int, list[str]] = {}
         for g, chunk in rank_and_cut(members, n_percentiles):
-            stratum_groups[g] = [aid for _r, aid, _p in chunk]
             n = len(chunk)
             women = sum(1 for _r, _a, p in chunk if p.gender == "woman")
             men = sum(1 for _r, _a, p in chunk if p.gender == "man")
@@ -551,10 +545,8 @@ def percentile_strata(
                 "mean_first_pub_year": sum(p.first_pub_year for _r, _a, p in chunk) / n,
                 "low_support": int(low_support),
             })
-        groups[stratum_key] = stratum_groups
     return PercentileStrata(
         rows=rows,
-        groups=groups,
         excluded_undefined=excluded_undefined,
         excluded_out_of_bins=excluded_out_of_bins,
     )

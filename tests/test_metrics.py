@@ -335,6 +335,11 @@ def make_profile(aid, ref_direct=0, ref_external=0, cite_direct=0, cite_external
     )
 
 
+def group_sizes(strata, n_groups: int) -> list[int]:
+    sizes = {row["group"]: row["n_authors"] for row in strata.rows}
+    return [sizes.get(g, 0) for g in range(1, n_groups + 1)]
+
+
 class TestPercentileStrata:
     def test_distinct_rates_one_per_group(self):
         profiles = {
@@ -342,9 +347,8 @@ class TestPercentileStrata:
             for i in range(10)
         }
         strata = percentile_strata(profiles, n_percentiles=10)
-        groups = strata.groups[("health", "6-10")]
-        assert [len(groups.get(g, [])) for g in range(1, 11)] == [1] * 10
-        rates = [profiles[groups[g][0]].self_reference_rate for g in range(1, 11)]
+        assert group_sizes(strata, 10) == [1] * 10
+        rates = [row["mean_self_reference_rate"] for row in strata.rows]
         assert rates == sorted(rates)
 
     def test_equal_rates_tie_break_by_id(self):
@@ -353,9 +357,12 @@ class TestPercentileStrata:
             for i in range(6)
         }
         strata = percentile_strata(profiles, n_percentiles=3)
-        groups = strata.groups[("health", "6-10")]
-        assert [len(groups.get(g, [])) for g in range(1, 4)] == [2, 2, 2]
-        assert groups[1] == ["A0", "A1"]
+        assert group_sizes(strata, 3) == [2, 2, 2]
+        # fed in reverse id order, so the sort's tie-break places A0 first
+        members = [(p.self_reference_rate, aid, p) for aid, p in reversed(profiles.items())]
+        first_group = rank_and_cut(members, 3)[0]
+        assert first_group[0] == 1
+        assert [aid for _r, aid, _p in first_group[1]] == ["A0", "A1"]
 
     def test_group_sizes_differ_by_at_most_one(self):
         for total in (1, 4, 7, 23, 100):
@@ -364,8 +371,7 @@ class TestPercentileStrata:
                 for i in range(total)
             }
             strata = percentile_strata(profiles, n_percentiles=10)
-            groups = strata.groups[("health", "6-10")]
-            sizes = [len(groups.get(g, [])) for g in range(1, 11)]
+            sizes = group_sizes(strata, 10)
             assert sum(sizes) == total
             assert max(sizes) - min(sizes) <= 1
 
