@@ -22,7 +22,14 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Union
 
 from .corpus import Corpus, CorpusError, atomic_write, iter_text_lines
-from .graph import CitationEdge, CollaborationIndex, build_collaboration_index, iter_edges
+from .graph import (
+    CitationEdge,
+    CollaborationIndex,
+    build_collaboration_index,
+    index_collaborations,
+    intern_corpus,
+    iter_edges,
+)
 
 
 class CitationType(str, Enum):
@@ -56,7 +63,8 @@ def _side_types(side_authors, side_set, other_set, other_authors, neighbors, cit
     ``neighbors(a)`` maps an author to ``{collaborator: earliest joint
     year}`` and ``labels`` are the values returned for direct, coauthor,
     collaborator and external, so one rule serves string ids with
-    :class:`CitationType` labels and interned int ids with labels 0-3."""
+    :class:`CitationType` labels, interned int ids with labels 0-3 and the
+    ``classify`` export with rendered row ends."""
     direct, coauthor, collaborator, external = labels
     if not side_set.isdisjoint(other_set):
         # an author off the intersection has a co-author on the other paper
@@ -141,6 +149,70 @@ def write_classifications(
             fh.write(f"{_row(rec)}\n")
             n += 1
     return n
+
+
+class ExportCounts(NamedTuple):
+    """What one :func:`export_corpus` walk wrote and counted."""
+
+    edges: int
+    collaboration_pairs: int
+    reference_events: int
+    citation_events: int
+
+    @property
+    def rows(self) -> int:
+        return self.reference_events + self.citation_events
+
+
+def export_corpus(
+    corpus: Corpus, edges_path: Union[str, Path], classifications_path: Union[str, Path]
+) -> ExportCounts:
+    """Write the edge list and the classification export in one walk of the
+    interned corpus.
+
+    The files hold the bytes of :func:`~selfcite.graph.export_edges` over
+    :func:`~selfcite.graph.iter_edges` and of :func:`write_classifications`
+    over :func:`classify_all`, built without a record per edge or row: the
+    labels of :func:`_side_types` are the rendered row ends, each edge adds
+    its ``"\\t<citing>\\t<cited>"`` middle, and each citing paper's lines go
+    to each file in one write. Either both files are replaced or, if the
+    walk raises, neither.
+    """
+    view = intern_corpus(corpus)
+    authors, author_sets, years = view.authors, view.author_sets, view.years
+    paper_ids = view.paper_ids
+    collab = index_collaborations(zip(authors, years))
+    neighbors = collab.neighbors
+    names = [corpus.papers[pid].author_ids for pid in paper_ids]
+    year_ends = [f"\t{year}\n" for year in years]
+    ref_ends, cite_ends = (tuple(f"\t{side._value_}\t{t._value_}\n" for t in CITATION_TYPES)
+                           for side in Perspective)
+    n_edges = n_reference = n_citation = 0
+    with atomic_write(edges_path) as edges_fh, atomic_write(classifications_path) as rows_fh:
+        for p, refs in enumerate(view.references):
+            if not refs:
+                continue
+            citing, citing_set, citing_names, year = authors[p], author_sets[p], names[p], years[p]
+            lead = f"{paper_ids[p]}\t"
+            head = "\t" + lead
+            year_tab = f"\t{year}"
+            edge_lines = []
+            rows = []
+            for q in refs:
+                cited, cited_set, cited_id = authors[q], author_sets[q], paper_ids[q]
+                middle = head + cited_id
+                edge_lines.append(f"{lead}{cited_id}{year_tab}{year_ends[q]}")
+                ref = _side_types(citing, citing_set, cited_set, cited, neighbors, year, ref_ends)
+                cite = _side_types(cited, cited_set, citing_set, citing, neighbors, year,
+                                   cite_ends)
+                rows += [a + middle + end for a, end in zip(citing_names, ref)]
+                rows += [b + middle + end for b, end in zip(names[q], cite)]
+                n_citation += len(cited)
+            edges_fh.write("".join(edge_lines))
+            rows_fh.write("".join(rows))
+            n_edges += len(refs)
+            n_reference += len(citing) * len(refs)
+    return ExportCounts(n_edges, len(collab), n_reference, n_citation)
 
 
 def read_classifications(

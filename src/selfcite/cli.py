@@ -190,25 +190,20 @@ def cmd_validate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .classify import classify_all, write_classifications
-    from .graph import build_collaboration_index, build_edges, export_edges
+    from .classify import export_corpus
 
     run = _Run("classify", Path(args.out), _common_options(args))
     corpus = _load(args, run)
-    edges = build_edges(corpus)
-    collab = build_collaboration_index(corpus)
-    run.counts["edges"] = len(edges)
-    run.counts["collaboration_pairs"] = len(collab)
-
-    export_edges(edges, run.out_dir / EDGES_FILE)
-    run.artifacts.append(EDGES_FILE)
-    n_rows = write_classifications(
-        classify_all(corpus, edges, collab), run.out_dir / CLASSIFICATIONS_FILE
-    )
-    run.artifacts.append(CLASSIFICATIONS_FILE)
-    run.counts["classification_rows"] = n_rows
+    counts = export_corpus(corpus, run.out_dir / EDGES_FILE,
+                           run.out_dir / CLASSIFICATIONS_FILE)
+    run.artifacts += [EDGES_FILE, CLASSIFICATIONS_FILE]
+    run.counts["edges"] = counts.edges
+    run.counts["collaboration_pairs"] = counts.collaboration_pairs
+    run.counts["author_edge_events"] = {"reference": counts.reference_events,
+                                        "citation": counts.citation_events}
+    run.counts["classification_rows"] = counts.rows
     run.finish()
-    print(f"classify: {len(edges)} edges, {n_rows} classification rows")
+    print(f"classify: {counts.edges} edges, {counts.rows} classification rows")
     return 0
 
 

@@ -1,4 +1,5 @@
-"""Citation edges and the time-stamped co-authorship index.
+"""Citation edges, the interned corpus and the time-stamped co-authorship
+index.
 
 The index maps each author to the earliest joint year with every
 co-author. The strict-year reading of "former collaborator" that the
@@ -39,8 +40,41 @@ def iter_edges(corpus: Corpus) -> Iterator[CitationEdge]:
 
 
 def build_edges(corpus: Corpus) -> list[CitationEdge]:
-    """:func:`iter_edges` as a list, for callers that walk the edges twice."""
+    """:func:`iter_edges` as a list, for library callers that walk the edges
+    twice. No command builds it: ``classify`` walks the interned corpus."""
     return list(iter_edges(corpus))
+
+
+class InternedCorpus(NamedTuple):
+    """The corpus over dense int ids assigned in sorted string order: per
+    paper its author tuple and set, its year, and its resolvable references
+    as a sorted int list."""
+
+    paper_ids: list[str]
+    author_ids: list[str]
+    authors: list[tuple[int, ...]]
+    author_sets: list[frozenset[int]]
+    years: list[int]
+    references: list[list[int]]
+
+
+def intern_corpus(corpus: Corpus) -> InternedCorpus:
+    """Int order is string order, so walking each paper's ``references`` in
+    paper order meets every edge in the order of :func:`iter_edges`."""
+    paper_ids = sorted(corpus.papers)
+    author_ids = sorted(corpus.author_index)
+    paper_index = {pid: i for i, pid in enumerate(paper_ids)}
+    author_index = {aid: i for i, aid in enumerate(author_ids)}
+    view = InternedCorpus(paper_ids, author_ids, [], [], [], [])
+    for pid in paper_ids:
+        p = corpus.papers[pid]
+        team = tuple([author_index[a] for a in p.author_ids])
+        view.authors.append(team)
+        view.author_sets.append(frozenset(team))
+        view.years.append(p.year)
+        view.references.append(
+            sorted([i for i in map(paper_index.get, p.reference_ids) if i is not None]))
+    return view
 
 
 class CollaborationIndex:

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .classify import CitationType
 from .corpus import Corpus
-from .metrics import LOW_SUPPORT_AUTHORS
+from .metrics import LOW_SUPPORT_AUTHORS, sequential_sum
 
 _DIRECT = CitationType.DIRECT
 _COAUTHOR = CitationType.COAUTHOR
@@ -154,7 +154,7 @@ def _bucket_means(decompositions, domains, means) -> list[dict]:
         n = len(members)
         row = {"domain": domain, "h_obs": h_obs, "n_authors": n}
         for column, value in means.items():
-            row[column] = sum(value(d) for d in members) / n
+            row[column] = sequential_sum(value(d) for d in members) / n
         row["low_support"] = int(n < LOW_SUPPORT_AUTHORS)
         rows.append(row)
     return rows

@@ -2,13 +2,16 @@
 and ``report``, and the one way into every table for library callers:
 :func:`tally_corpus` followed by the finalize step of each view.
 
-An analysis run interns the corpus once: author and paper ids become dense
+An analysis run interns the corpus once with
+:func:`~selfcite.graph.intern_corpus`: author and paper ids become dense
 ints in sorted string order, so int order is string order and every edge is
 met in the order of :func:`~selfcite.graph.iter_edges`. The kernel types
 both sides of each edge with the classifier of :mod:`selfcite.classify`
-(int ids, labels 0-3). Per author-edge event it adds one to a count in each
-table the run needs: a flat list indexed by an int that packs the event's
-key. At the end the tables are projected into the reference tallies
+(int ids, labels 0-3), as :func:`selfcite.classify.export_corpus` does for
+the ``classify`` export with labels that are rendered row ends. Per
+author-edge event it adds one to a count in each table the run needs: a
+flat list indexed by an int that packs the event's key. At the end the
+tables are projected into the reference tallies
 (:class:`~selfcite.metrics.ProfileTally`,
 :class:`~selfcite.metrics.AgeCurveTally`,
 :class:`~selfcite.metrics.CitationAgeTally`,
@@ -37,7 +40,7 @@ from typing import NamedTuple, Optional
 
 from .classify import CITATION_TYPES, Perspective, _side_types
 from .corpus import Corpus
-from .graph import index_collaborations
+from .graph import InternedCorpus, index_collaborations, intern_corpus
 from .hindex import HindexTally
 from .metrics import AgeCurveTally, CitationAgeTally, ProfileTally
 
@@ -46,36 +49,6 @@ VIEWS = ("profile", "age_curve", "citation_age", "hindex")
 
 _LABELS = (0, 1, 2, 3)  # index into CITATION_TYPES
 _SIDES = (Perspective.REFERENCE, Perspective.CITATION)
-
-
-class InternedCorpus(NamedTuple):
-    """The corpus over dense int ids assigned in sorted string order: per
-    paper its author tuple and set, its year, and its resolvable references
-    as a sorted int list."""
-
-    paper_ids: list[str]
-    author_ids: list[str]
-    authors: list[tuple[int, ...]]
-    author_sets: list[frozenset[int]]
-    years: list[int]
-    references: list[list[int]]
-
-
-def intern_corpus(corpus: Corpus) -> InternedCorpus:
-    paper_ids = sorted(corpus.papers)
-    author_ids = sorted(corpus.author_index)
-    paper_index = {pid: i for i, pid in enumerate(paper_ids)}
-    author_index = {aid: i for i, aid in enumerate(author_ids)}
-    view = InternedCorpus(paper_ids, author_ids, [], [], [], [])
-    for pid in paper_ids:
-        p = corpus.papers[pid]
-        team = tuple([author_index[a] for a in p.author_ids])
-        view.authors.append(team)
-        view.author_sets.append(frozenset(team))
-        view.years.append(p.year)
-        view.references.append(
-            sorted([i for i in map(paper_index.get, p.reference_ids) if i is not None]))
-    return view
 
 
 class KernelTables(NamedTuple):

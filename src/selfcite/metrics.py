@@ -16,7 +16,9 @@ are reported so coverage stays visible.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import groupby
+from operator import add
 from typing import Mapping, Optional, Sequence
 
 from .classify import CITATION_TYPES, CitationType, Perspective
@@ -26,6 +28,17 @@ _DIRECT = CitationType.DIRECT
 _EXTERNAL = CitationType.EXTERNAL
 _REFERENCE = Perspective.REFERENCE
 _CITATION = Perspective.CITATION
+
+
+def sequential_sum(values) -> float:
+    """``values`` added left to right, rounding after each addition.
+
+    Builtin ``sum`` of floats is compensated from Python 3.12 on, so a table
+    built with it can differ in the last bit between interpreters. The float
+    sums behind the tables use this rule instead, the rule of the dot product
+    in :func:`selfcite.textsim._cosine`."""
+    return reduce(add, values, 0)
+
 
 #: Report bins for academic age / career length: single years then ranges.
 AGE_BINS = tuple(str(i) for i in range(11)) + ("11-15", "16-20", "21+")
@@ -224,7 +237,8 @@ def finalize_profiles(
                 if weights is None:
                     weighted[t] = float(cite_counts[t])
                 else:
-                    weighted[t] = sum(years[y] * weights.weight[y] for y in sorted(years))
+                    weighted[t] = sequential_sum(years[y] * weights.weight[y]
+                                                 for y in sorted(years))
             else:
                 cite_counts[t] = 0
                 weighted[t] = 0.0
@@ -386,7 +400,7 @@ class AgeCurveTally:
             wtotal = 0.0
             if weights is not None and side is _CITATION:
                 wcounts = weighted_bins.get((facet, bin_label), {})
-                wtotal = sum(wcounts.values())
+                wtotal = sequential_sum(wcounts.values())
             for ctype in CITATION_TYPES:
                 pct_pooled = 100.0 * type_counts[ctype] / total
                 share_sum = 0.0
@@ -539,7 +553,7 @@ def percentile_strata(
                 "pubs_bin": stratum_key[1],
                 "group": g,
                 "n_authors": n,
-                "mean_self_reference_rate": sum(r for r, _a, _p in chunk) / n,
+                "mean_self_reference_rate": sequential_sum(r for r, _a, _p in chunk) / n,
                 "mean_external_citations": sum(p.cite_counts[_EXTERNAL] for _r, _a, p in chunk) / n,
                 "share_women": (women / known) if known else None,
                 "mean_first_pub_year": sum(p.first_pub_year for _r, _a, p in chunk) / n,
@@ -588,8 +602,10 @@ def heatmap_by_production_and_age(
             "pubs_bin": bin_label,
             "career_bin": career,
             "n_authors": len(members),
-            "mean_self_citation_pct": (100.0 * sum(cite_rates) / len(cite_rates)) if cite_rates else None,
-            "mean_self_reference_pct": (100.0 * sum(ref_rates) / len(ref_rates)) if ref_rates else None,
+            "mean_self_citation_pct": (100.0 * sequential_sum(cite_rates) / len(cite_rates)
+                                       if cite_rates else None),
+            "mean_self_reference_pct": (100.0 * sequential_sum(ref_rates) / len(ref_rates)
+                                        if ref_rates else None),
             "low_support": int(len(members) < LOW_SUPPORT_AUTHORS),
         })
     return rows

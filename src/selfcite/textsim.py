@@ -37,7 +37,7 @@ from typing import NamedTuple, Optional
 from .classify import CitationType
 from .corpus import Corpus, CorpusError
 from .graph import CitationEdge
-from .metrics import LOW_SUPPORT_AUTHORS, rank_and_cut
+from .metrics import LOW_SUPPORT_AUTHORS, rank_and_cut, sequential_sum
 from .porter import stem
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -144,7 +144,7 @@ def build_vectors(corpus: Corpus) -> dict[str, TfIdfVector]:
 
 
 def _norm(weights: dict[str, float]) -> float:
-    return math.sqrt(sum(w * w for w in weights.values()))
+    return math.sqrt(sequential_sum(map(mul, weights.values(), weights.values())))
 
 
 def _cosine(terms: frozenset, u: dict[str, float], v: dict[str, float],
@@ -371,8 +371,9 @@ def similarity_by_selfref_percentile(tally, profiles, n_groups: int = 10) -> lis
         rows.append({
             "group": g,
             "n_authors": len(members),
-            "mean_self_reference_rate": sum(m[0] for m in members) / len(members),
-            "mean_direct_reference_similarity": sum(m[2] for m in members) / len(members),
+            "mean_self_reference_rate": sequential_sum(m[0] for m in members) / len(members),
+            "mean_direct_reference_similarity":
+                sequential_sum(m[2] for m in members) / len(members),
             "low_support": int(len(members) < LOW_SUPPORT_AUTHORS),
         })
     return rows

@@ -9,8 +9,8 @@ from pathlib import Path
 
 from selfcite.classify import CitationType, Perspective, classify_all
 from selfcite.cli import main
-from selfcite.corpus import PaperRecord, corpus_from_records
-from selfcite.graph import build_collaboration_index, build_edges
+from selfcite.corpus import PaperRecord, corpus_from_records, paper_to_obj
+from selfcite.graph import build_collaboration_index, build_edges, export_edges
 from selfcite.hindex import finalize_decompositions
 from selfcite.kernel import tally_corpus
 from selfcite.metrics import compute_inflation_weights, finalize_profiles, unit_weights
@@ -78,6 +78,48 @@ def test_criterion_1_classification_oracle_equivalence():
     assert elapsed < 10.0
     print(f"ACCEPTANCE 1: PASS - {N_ORACLE_CORPORA} corpora, {checked} records, "
           f"0 mismatches, {elapsed:.2f}s")
+
+
+def _write_papers(corpus, path):
+    path.write_text("".join(json.dumps(paper_to_obj(p)) + "\n" for p in corpus.papers.values()))
+
+
+def _oracle_row(rec):
+    return (f"{rec.author_id}\t{rec.edge.citing_id}\t{rec.edge.cited_id}"
+            f"\t{rec.perspective.value}\t{rec.ctype.value}\n")
+
+
+def test_criterion_1_classify_command_writes_the_oracle_rows(tmp_path):
+    """The classify command's two files on the same corpora: the oracle's
+    records as rows, and export_edges over build_edges."""
+    zero_edges = corpus_from_records([
+        PaperRecord("Z1", 2000, "health", ("A",), ("X1",)),
+        PaperRecord("Z2", 2001, "health", ("A", "B"), ()),
+    ])
+    unresolved = no_reference = 0
+    for i, corpus in enumerate([zero_edges, *_oracle_corpora()]):
+        out = tmp_path / f"c{i}"
+        out.mkdir()
+        _write_papers(corpus, out / "papers.jsonl")
+        assert main(["classify", "--papers", str(out / "papers.jsonl"), "--out", str(out)]) == 0
+        expected = brute_force_classify_all(corpus)
+        assert (out / "classifications.tsv").read_text() == "".join(map(_oracle_row, expected))
+        export_edges(build_edges(corpus), out / "oracle_edges.tsv")
+        assert (out / "edges.tsv").read_bytes() == (out / "oracle_edges.tsv").read_bytes()
+        counts = json.loads((out / "run_manifest.json").read_text())["counts"]
+        assert counts["edges"] == corpus.resolvable_references
+        events = counts["author_edge_events"]
+        assert events["reference"] + events["citation"] == counts["classification_rows"]
+        assert events["reference"] == sum(r.perspective is REF for r in expected)
+        assert counts["classification_rows"] == len(expected)
+        unresolved += corpus.unresolved_references > 0
+        no_reference += any(not any(r in corpus.papers for r in p.reference_ids)
+                             for p in corpus.papers.values())
+    assert (tmp_path / "c0" / "edges.tsv").read_bytes() == b""
+    assert (tmp_path / "c0" / "classifications.tsv").read_bytes() == b""
+    assert unresolved and no_reference
+    print(f"ACCEPTANCE 1: PASS - classify wrote the oracle rows and edges of "
+          f"{N_ORACLE_CORPORA} corpora and of a corpus without edges")
 
 
 def test_criterion_2_hindex_oracle_equivalence():

@@ -198,6 +198,29 @@ class TestClassify:
         m = manifest(tmp_path)
         assert m["counts"]["edges"] == 6
         assert m["counts"]["classification_rows"] == 17
+        assert m["counts"]["author_edge_events"] == {"reference": 9, "citation": 8}
+
+    def test_failed_walk_keeps_both_exports(self, tmp_path, monkeypatch):
+        import selfcite.classify
+
+        base = ["classify", "--papers", PAPERS, "--authors", AUTHORS, "--out", tmp_path]
+        assert run(*base) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.glob("*.tsv")}
+        side_types = selfcite.classify._side_types
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 11:  # the reference side of the sixth and last edge
+                raise OSError("disk full")
+            return side_types(*args)
+
+        monkeypatch.setattr(selfcite.classify, "_side_types", failing)
+        assert run(*base) == 2
+        assert len(calls) == 11
+        assert {p.name: p.read_bytes() for p in tmp_path.glob("*.tsv")} == before
+        assert sorted(before) == ["classifications.tsv", "edges.tsv"]
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestMetrics:

@@ -15,6 +15,7 @@ from selfcite.metrics import (
     heatmap_by_production_and_age,
     percentile_strata,
     rank_and_cut,
+    sequential_sum,
     unit_weights,
 )
 from oracles import brute_force_rates, random_corpus
@@ -64,6 +65,14 @@ def two_year_corpus():
         PaperRecord("B1", 2001, "health", ("Y",), tuple(t_ids)),
     ]
     return corpus_from_records(papers)
+
+
+def test_sequential_sum_rounds_after_each_addition():
+    # a compensated sum (builtin sum of floats from Python 3.12 on) gives
+    # 2.0 here; a table must not depend on the interpreter
+    assert sequential_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+    assert sequential_sum(x / 10 for x in range(1, 4)) == (0.1 + 0.2) + 0.3 != 0.6
+    assert sequential_sum([]) == 0
 
 
 class TestInflationWeights:

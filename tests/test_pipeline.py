@@ -4,9 +4,9 @@ import pytest
 
 from selfcite.classify import CitationType, classify_all, read_classifications, write_classifications
 from selfcite.corpus import PaperRecord, corpus_from_records
-from selfcite.graph import build_collaboration_index, build_edges, iter_edges
+from selfcite.graph import build_collaboration_index, build_edges, intern_corpus, iter_edges
 from selfcite.hindex import HindexTally
-from selfcite.kernel import intern_corpus, run_kernel, tally_corpus
+from selfcite.kernel import run_kernel, tally_corpus
 from selfcite.metrics import AgeCurveTally, CitationAgeTally, ProfileTally
 from selfcite.pipeline import run_edge_tallies, run_record_tallies
 from selfcite.textsim import SimilarityTally, build_vectors

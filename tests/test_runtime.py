@@ -28,8 +28,8 @@ tops = {name.partition(".")[0] for name in sys.modules}
 print(json.dumps(sorted(tops - set(sys.stdlib_module_names))))
 """
 
-# Runs validate in process and prints the package modules it loaded.
-_VALIDATE = """
+# Runs a subcommand in process and prints the package modules it loaded.
+_LOADED = """
 import json, sys
 from selfcite.cli import main
 code = main(sys.argv[1:])
@@ -52,14 +52,23 @@ def test_every_module_imports_only_the_standard_library():
     assert json.loads(probe.stdout) == ["__main__", "selfcite"]
 
 
-def test_validate_loads_only_the_corpus_module(tmp_path):
-    probe = _child(_VALIDATE, "validate",
+def _loaded_modules(command, out):
+    probe = _child(_LOADED, command,
                    "--papers", TESTDATA / "fix1_papers.jsonl",
-                   "--authors", TESTDATA / "fix1_authors.jsonl", "--out", tmp_path)
+                   "--authors", TESTDATA / "fix1_authors.jsonl", "--out", out)
     assert probe.returncode == 0, probe.stderr
     code, modules = json.loads(probe.stdout.splitlines()[-1])
     assert code == 0
-    assert modules == ["selfcite", "selfcite.cli", "selfcite.corpus"]
+    return modules
+
+
+def test_validate_loads_only_the_corpus_module(tmp_path):
+    assert _loaded_modules("validate", tmp_path) == ["selfcite", "selfcite.cli", "selfcite.corpus"]
+
+
+def test_classify_loads_no_analysis_module(tmp_path):
+    assert _loaded_modules("classify", tmp_path) == [
+        "selfcite", "selfcite.classify", "selfcite.cli", "selfcite.corpus", "selfcite.graph"]
 
 
 def test_readme_library_example_runs(tmp_path):
