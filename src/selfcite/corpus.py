@@ -15,9 +15,10 @@ from __future__ import annotations
 import json
 import os
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Union
 
@@ -140,11 +141,12 @@ def _parse_paper(obj, source: str, lineno: int) -> PaperRecord:
     authors = obj.get("authors")
     if not isinstance(authors, list):
         raise _fail(source, lineno, f"field 'authors' must be a non-empty list (paper {pid})")
-    if not all(isinstance(a, str) for a in authors):
+    if not all(map(isinstance, authors, repeat(str))):
         raise _fail(source, lineno, f"field 'authors' entries must be non-empty strings (paper {pid})")
 
     references = obj.get("references")
-    if not isinstance(references, list) or not all(isinstance(r, str) and r for r in references):
+    if (not isinstance(references, list)
+            or not all(map(isinstance, references, repeat(str))) or not all(references)):
         raise _fail(source, lineno, f"field 'references' must be a list of id strings (paper {pid})")
 
     abstract = obj.get("abstract")
@@ -216,7 +218,7 @@ def _iter_json_lines(path: Path, source: str):
 def _paper_fault(p: PaperRecord) -> Optional[str]:
     """The first value check that a paper fails, or None: year range,
     discipline, a non-empty list of non-empty, writable and distinct
-    authors, distinct references."""
+    authors, distinct references that do not name the paper itself."""
     pid = p.paper_id
     authors = p.author_ids
     if not YEAR_MIN <= p.year <= YEAR_MAX:
@@ -233,6 +235,8 @@ def _paper_fault(p: PaperRecord) -> Optional[str]:
         return f"field 'authors' contains duplicates (paper {pid})"
     if len(set(p.reference_ids)) != len(p.reference_ids):
         return f"field 'references' contains duplicates (paper {pid})"
+    if pid in p.reference_ids:
+        return f"field 'references' contains the paper's own id (paper {pid})"
     return None
 
 
@@ -321,17 +325,16 @@ def build_author_index(papers: Mapping[str, PaperRecord]) -> dict[str, AuthorInd
 
     Modal-discipline ties break by the order of :data:`DISCIPLINES`.
     """
-    pubs: dict[str, list[str]] = {}
-    disc_counts: dict[str, Counter] = {}
+    pubs: dict[str, list[str]] = defaultdict(list)
     for pid, p in papers.items():
         for aid in p.author_ids:
-            pubs.setdefault(aid, []).append(pid)
-            disc_counts.setdefault(aid, Counter())[p.discipline] += 1
+            pubs[aid].append(pid)
 
     index: dict[str, AuthorIndexEntry] = {}
     for aid, pids in pubs.items():
-        years = [papers[pid].year for pid in pids]
-        counts = disc_counts[aid]
+        records = list(map(papers.__getitem__, pids))
+        years = [p.year for p in records]
+        counts = Counter([p.discipline for p in records])
         best = max(counts.values())
         modal = next(d for d in DISCIPLINES if counts.get(d) == best)
         index[aid] = AuthorIndexEntry(

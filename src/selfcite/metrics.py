@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import groupby
-from operator import add
+from operator import add, truediv
 from typing import Mapping, Optional, Sequence
 
 from .classify import CITATION_TYPES, CitationType, Perspective
@@ -80,6 +80,10 @@ def pubs_bin(n_pubs: int, bins: Sequence[tuple[int, Optional[int]]]) -> Optional
         if n_pubs >= lo and (hi is None or n_pubs <= hi):
             return pubs_bin_label(lo, hi)
     return None
+
+
+_HEATMAP_BIN_ORDER = {pubs_bin_label(lo, hi): i
+                      for i, (lo, hi) in enumerate(DEFAULT_HEATMAP_PUBS_BINS)}
 
 
 # ---------------------------------------------------------------------------
@@ -337,94 +341,87 @@ class AgeCurveTally:
     ) -> AgeCurve:
         """Type percentages by academic age at the citing year, per side and
         domain, and per publication-count bin of
-        :data:`DEFAULT_HEATMAP_PUBS_BINS` when ``by_production``."""
+        :data:`DEFAULT_HEATMAP_PUBS_BINS` when ``by_production``.
+
+        One walk over ``per_author`` in sorted ``(author, side, age, ctype)``
+        key order builds every table, and three rules fix the float bytes
+        whatever order ``per_author`` was filled in: author means add the
+        authors' shares in sorted author order; weighted counts add
+        ``n * w[citing year]`` in the walk's key order; a cell's weighted
+        total adds its types in the order in which the walk first met them.
+        """
         meta = self.meta
-
-        def facet_of(author: str):
-            _first, domain, n_pubs = meta[author]
-            if by_production:
-                label = pubs_bin(n_pubs, DEFAULT_HEATMAP_PUBS_BINS)
-                if label is None:
-                    return None
-                return (domain, label)
-            return domain
-
-        pooled_raw: dict = {}  # (facet, side, raw age, ctype) -> n
-        author_cells: dict = {}  # (facet, side, bin) -> {author: {ctype: n}}
-        for (author, side, age, ctype), n in self.per_author.items():
-            facet = facet_of(author)
-            if facet is None:
-                continue
-            key = (facet, side, age, ctype)
-            pooled_raw[key] = pooled_raw.get(key, 0) + n
-            cell = author_cells.setdefault((facet, side, age_bin(age)), {})
-            counts = cell.setdefault(author, {})
-            counts[ctype] = counts.get(ctype, 0) + n
-
-        # weighted citation-side pooled counts; the citing year of every
-        # event is first_pub_year + age, so weights can be applied here.
-        # Sorted iteration keeps the float sums canonical regardless of how
-        # the tally was accumulated.
+        per_author = self.per_author
+        weight = weights.weight if weights is not None else None
+        type_index = _TYPE_ORDER
+        bins: dict = {}  # raw age -> age bin
+        age_counts: dict = {}  # (facet, side, raw age) -> [n per type]
+        author_cells: dict = {}  # (facet, side, bin) -> {author: [n per type]}
         weighted_bins: dict = {}  # (facet, bin) -> {ctype: weighted n}
-        if weights is not None:
-            for key in sorted(
-                k for k in self.per_author if k[1] is _CITATION
-            ):
-                author, _side, age, ctype = key
-                facet = facet_of(author)
+        author = side = age = None
+        for key in sorted(per_author):
+            # a new (author, side, age) run: its facet, bin and count lists
+            if key[2] != age or key[1] is not side or key[0] != author:
+                if key[0] != author:
+                    author = key[0]
+                    first, domain, n_pubs = meta[author]
+                    facet = domain
+                    if by_production:
+                        label = pubs_bin(n_pubs, DEFAULT_HEATMAP_PUBS_BINS)
+                        facet = None if label is None else (domain, label)
+                _author, side, age, _ctype = key
                 if facet is None:
                     continue
-                year = meta[author][0] + age
-                cell = weighted_bins.setdefault((facet, age_bin(age)), {})
-                cell[ctype] = cell.get(ctype, 0.0) + self.per_author[key] * weights.weight[year]
-
-        bin_order = {pubs_bin_label(lo, hi): i
-                     for i, (lo, hi) in enumerate(DEFAULT_HEATMAP_PUBS_BINS)}
-
-        def facet_key(facet):
-            if by_production:
-                return (facet[0], bin_order[facet[1]])
-            return (facet, 0)
+                bin_label = bins.get(age) or bins.setdefault(age, age_bin(age))
+                cell = author_cells.setdefault((facet, side, bin_label), {})
+                counts = cell.setdefault(author, [0, 0, 0, 0])
+                pooled = age_counts.setdefault((facet, side, age), [0, 0, 0, 0])
+                wcell = None
+                if weight is not None and side is _CITATION:
+                    wcell = weighted_bins.setdefault((facet, bin_label), {})
+                    # the citing year of every event is first_pub_year + age
+                    w = weight[first + age]
+            elif facet is None:
+                continue
+            ctype = key[3]
+            i = type_index[ctype]
+            n = per_author[key]
+            counts[i] += n
+            pooled[i] += n
+            if wcell is not None:
+                wcell[ctype] = wcell.get(ctype, 0.0) + n * w
+        pooled_raw = {(*head, ctype): n
+                      for head, ns in age_counts.items()
+                      for ctype, n in zip(CITATION_TYPES, ns) if n}
 
         rows: list[dict] = []
-        for cell_key in sorted(
-            author_cells,
-            key=lambda k: (facet_key(k[0]), _SIDE_ORDER[k[1]], _AGE_BIN_ORDER[k[2]]),
-        ):
+        for cell_key in sorted(author_cells, key=lambda k: (
+            (k[0][0], _HEATMAP_BIN_ORDER[k[0][1]]) if by_production else k[0],
+            _SIDE_ORDER[k[1]], _AGE_BIN_ORDER[k[2]],
+        )):
             facet, side, bin_label = cell_key
-            authors = author_cells[cell_key]
-            type_counts = {t: sum(c.get(t, 0) for c in authors.values()) for t in CITATION_TYPES}
-            total = sum(type_counts.values())
-            n_authors = len(authors)
-            wcounts = None
-            wtotal = 0.0
-            if weights is not None and side is _CITATION:
-                wcounts = weighted_bins.get((facet, bin_label), {})
-                wtotal = sequential_sum(wcounts.values())
-            for ctype in CITATION_TYPES:
-                pct_pooled = 100.0 * type_counts[ctype] / total
-                share_sum = 0.0
-                # sorted so the float sum is canonical for any build order
-                for author in sorted(authors):
-                    counts = authors[author]
-                    share_sum += counts.get(ctype, 0) / sum(counts.values())
-                pct_author = 100.0 * share_sum / n_authors
-                pct_weighted = None
-                if wcounts is not None and wtotal > 0.0:
-                    pct_weighted = 100.0 * wcounts.get(ctype, 0.0) / wtotal
-                if by_production:
-                    facet_cols = {"domain": facet[0], "pubs_bin": facet[1]}
-                else:
-                    facet_cols = {"domain": facet}
+            authors = author_cells[cell_key].values()
+            columns = tuple(zip(*authors))
+            totals = tuple(map(sum, authors))
+            total = sum(totals)
+            n_authors = len(totals)
+            wcounts = weighted_bins.get((facet, bin_label), {}) if side is _CITATION else {}
+            wtotal = sequential_sum(wcounts.values())
+            facet_cols = (dict(zip(("domain", "pubs_bin"), facet)) if by_production
+                          else {"domain": facet})
+            for ctype, column in zip(CITATION_TYPES, columns):
+                n_events = sum(column)
+                pct_weighted = 100.0 * wcounts.get(ctype, 0.0) / wtotal if wtotal > 0.0 else None
                 rows.append({
                     **facet_cols,
                     "side": side.value,
                     "age_bin": bin_label,
                     "citation_type": ctype.value,
-                    "pct_pooled": pct_pooled,
-                    "pct_author_mean": pct_author,
+                    "pct_pooled": 100.0 * n_events / total,
+                    "pct_author_mean": (100.0 * sequential_sum(map(truediv, column, totals))
+                                        / n_authors),
                     "pct_pooled_weighted": pct_weighted,
-                    "n_events": type_counts[ctype],
+                    "n_events": n_events,
                     "n_authors": n_authors,
                 })
         return AgeCurve(
@@ -589,11 +586,9 @@ def heatmap_by_production_and_age(
         career = age_bin(profile.career_length)
         cells.setdefault((bin_label, career), []).append(profile)
 
-    bin_order = {pubs_bin_label(lo, hi): i
-                 for i, (lo, hi) in enumerate(DEFAULT_HEATMAP_PUBS_BINS)}
     rows = []
     for (bin_label, career) in sorted(
-        cells, key=lambda k: (bin_order[k[0]], _AGE_BIN_ORDER[k[1]])
+        cells, key=lambda k: (_HEATMAP_BIN_ORDER[k[0]], _AGE_BIN_ORDER[k[1]])
     ):
         members = cells[(bin_label, career)]
         cite_rates = [p.self_citation_rate for p in members if p.self_citation_rate is not None]

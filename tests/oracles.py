@@ -144,6 +144,24 @@ def brute_force_rates(corpus, author):
     )
 
 
+def brute_force_author_index(papers):
+    """{author: (first year, last year, paper ids in ``papers`` order, modal
+    discipline, whether the mode was tied)} by recounting each author's
+    papers, authors in order of first appearance."""
+    authors = []
+    for p in papers.values():
+        authors += [a for a in p.author_ids if a not in authors]
+    index = {}
+    for author in authors:
+        own = [p for p in papers.values() if author in p.author_ids]
+        years = [p.year for p in own]
+        counts = [sum(1 for p in own if p.discipline == d) for d in DISCIPLINES]
+        best = max(counts)
+        index[author] = (min(years), max(years), [p.paper_id for p in own],
+                         DISCIPLINES[counts.index(best)], counts.count(best) > 1)
+    return index
+
+
 def random_corpus(rng: random.Random, max_papers=50, max_authors=15):
     """Random small corpus: mixed team sizes, anachronistic references,
     occasional unresolved ids and missing abstracts."""

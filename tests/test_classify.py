@@ -106,17 +106,6 @@ class TestClassifyAll:
         assert len(records) == 2
         assert all(r.ctype is D for r in records)
 
-    def test_paper_citing_itself(self):
-        # degenerate but loadable: the edge is direct on both sides
-        corpus = corpus_from_records([
-            PaperRecord("P1", 2000, "health", ("A", "B"), ("P1",)),
-        ])
-        edges = build_edges(corpus)
-        collab = build_collaboration_index(corpus)
-        records = list(classify_all(corpus, edges, collab))
-        assert len(records) == 4
-        assert all(r.ctype is D for r in records)
-
     def test_exhaustive_partition(self, fix1, fix1_edges, fix1_records):
         slots = set()
         for edge in fix1_edges:

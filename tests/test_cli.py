@@ -20,8 +20,9 @@ def manifest(out_dir):
 
 
 def _paper(pid):
+    # Q0 names no record, so no paper cites itself, duplicates included
     return {"id": pid, "year": 2000, "discipline": "health",
-            "authors": ["A", "B"], "references": ["P0"], "abstract": "a b"}
+            "authors": ["A", "B"], "references": ["Q0"], "abstract": "a b"}
 
 
 def _author(aid):
@@ -122,8 +123,10 @@ class TestValidate:
         b'"references": []}\n',
         b'{"id": "P\\ud800", "year": 2000, "discipline": "health", "authors": ["A"], '
         b'"references": []}\n',
+        b'{"id": "P1", "year": 2000, "discipline": "health", "authors": ["A"], '
+        b'"references": ["P1"]}\n',
     ], ids=["missing_fields", "invalid_utf8", "deeply_nested", "tab_in_author_id",
-            "lone_surrogate_id"])
+            "lone_surrogate_id", "self_citing_paper"])
     def test_malformed_input_exit_2(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.jsonl"
         bad.write_bytes(content)

@@ -1,6 +1,7 @@
 import json
 import random
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,13 +14,15 @@ from selfcite.corpus import (
     AuthorRecord,
     CorpusError,
     PaperRecord,
+    build_author_index,
     corpus_from_records,
     eligible_authors,
     load_corpus,
     save_corpus,
 )
 from selfcite.graph import build_collaboration_index, build_edges
-from oracles import random_corpus
+from conftest import TESTDATA
+from oracles import brute_force_author_index, random_corpus
 
 
 def write_lines(path, lines):
@@ -97,6 +100,26 @@ class TestLoadCorpus:
         write_lines(papers, [paper_line("P1", 2000, ["A"], ["X", "X"])])
         with pytest.raises(CorpusError, match="'references'"):
             load_corpus(papers)
+
+    def test_self_reference_names_line(self):
+        # counted, p1 -> p1 would be a direct self-citation of p1 by itself
+        with pytest.raises(CorpusError, match=r"^papers line 2: field 'references' contains "
+                                              r"the paper's own id \(paper p1\)$"):
+            load_corpus(TESTDATA / "self_citing_papers.jsonl")
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("authors", ["A", 1], "field 'authors' entries must be non-empty strings"),
+        ("references", ["X", 1], "field 'references' must be a list of id strings"),
+        ("references", ["X", ""], "field 'references' must be a list of id strings"),
+    ], ids=["author_not_string", "reference_not_string", "reference_empty"])
+    def test_list_entry_messages(self, tmp_path, field, value, message):
+        papers = tmp_path / "papers.jsonl"
+        bad = {"id": "P1", "year": 2001, "discipline": "health", "authors": ["A"],
+               "references": [], field: value}
+        write_lines(papers, [paper_line("P0", 2000, ["A"], []), json.dumps(bad)])
+        with pytest.raises(CorpusError) as err:
+            load_corpus(papers)
+        assert str(err.value) == f"papers line 2: {message} (paper P1)"
 
     def test_bad_discipline(self, tmp_path):
         papers = tmp_path / "papers.jsonl"
@@ -198,6 +221,13 @@ class TestCorpusFromRecords:
         with pytest.raises(CorpusError, match="^field 'references' contains duplicates"):
             corpus_from_records(papers)
 
+    def test_self_reference(self):
+        papers = [PaperRecord("p0", 2000, "health", ("a",), ()),
+                  PaperRecord("p1", 2001, "health", ("a",), ("p0", "p1"))]
+        with pytest.raises(CorpusError, match=r"^field 'references' contains the paper's own "
+                                              r"id \(paper p1\)$"):
+            corpus_from_records(papers)
+
     def test_repeated_author(self):
         papers = [PaperRecord("P1", 2000, "health", ("A", "A"), ()),
                   PaperRecord("P2", 2001, "health", ("A",), ())]
@@ -239,7 +269,7 @@ _PAPER_IDS = st.sampled_from(["P0", "P1", "P2", "P3", "P4"])
 _AUTHOR_IDS = st.sampled_from(["A", "B", "C", "\u00e9 D"])
 # empty ids and the characters an export cannot carry
 _BAD_IDS = st.text(alphabet="A\t\n\r\ud800", max_size=2)
-_PAPER = st.builds(
+_ANY_PAPER = st.builds(
     PaperRecord,
     paper_id=_mostly(_PAPER_IDS, _BAD_IDS),
     year=_mostly(st.integers(1995, 2005), st.integers(1700, 2200)),
@@ -249,6 +279,9 @@ _PAPER = st.builds(
     reference_ids=_mostly(st.lists(_PAPER_IDS | st.just("X"), max_size=4, unique=True),
                           st.lists(_PAPER_IDS, max_size=4)).map(tuple),
 )
+# a valid paper does not cite itself
+_PAPER = _mostly(_ANY_PAPER.map(lambda p: replace(p, reference_ids=tuple(
+    r for r in p.reference_ids if r != p.paper_id))), _ANY_PAPER)
 _PAPERS = _mostly(st.lists(_PAPER, max_size=6, unique_by=lambda p: p.paper_id),
                   st.lists(_PAPER, max_size=6))
 _AUTHOR = st.builds(
@@ -306,6 +339,23 @@ class TestAuthorIndex:
         ])
         # tie between health and social_sciences: health comes first
         assert corpus.author_index["A"].modal_discipline == "health"
+
+    def test_equals_brute_force_recount(self):
+        # first and last year, publication ids in papers order, modal
+        # discipline with ties broken by DISCIPLINES order, and authors in
+        # order of first appearance
+        rng = random.Random(17)
+        ties = 0
+        for _ in range(30):
+            corpus = random_corpus(rng, max_papers=30, max_authors=8)
+            index = build_author_index(corpus.papers)
+            expected = brute_force_author_index(corpus.papers)
+            assert list(index) == list(expected)
+            for aid, entry in index.items():
+                assert (entry.first_pub_year, entry.last_pub_year, entry.publication_ids,
+                        entry.modal_discipline) == expected[aid][:4]
+            ties += sum(tied for *_entry, tied in expected.values())
+        assert ties > 0  # the tie-break was exercised
 
 
 class TestEligibleAuthors:

@@ -5,9 +5,10 @@ import pytest
 
 from selfcite.classify import CitationType, Perspective, classify_all
 from selfcite.corpus import CorpusError, PaperRecord, corpus_from_records
-from selfcite.graph import build_collaboration_index, build_edges
+from selfcite.graph import build_collaboration_index, build_edges, iter_edges
 from selfcite.kernel import tally_corpus
 from selfcite.metrics import (
+    AgeCurveTally,
     AuthorProfile,
     age_bin,
     compute_inflation_weights,
@@ -18,6 +19,7 @@ from selfcite.metrics import (
     sequential_sum,
     unit_weights,
 )
+from selfcite.pipeline import run_edge_tallies
 from oracles import brute_force_rates, random_corpus
 
 D = CitationType.DIRECT
@@ -290,6 +292,33 @@ class TestAgeCurves:
         pooled = cells(curve)
         for key, pct in cells(curve, "pct_pooled_weighted").items():
             assert pct == pooled[key]
+
+    def test_finalize_independent_of_fill_order(self):
+        # the add_edge feed (edge order), the kernel (author order) and a
+        # shuffled copy fill per_author in three orders; every finalize gives
+        # the same bytes, weighted percentages included
+        rng = random.Random(101)
+        orders_differ = 0
+        for _ in range(20):
+            corpus = random_corpus(rng, max_papers=40, max_authors=10)
+            include = {a for a in corpus.author_index if rng.random() < 0.8}
+            fed = AgeCurveTally.for_corpus(corpus, include)
+            run_edge_tallies(corpus, iter_edges(corpus), build_collaboration_index(corpus),
+                             [fed])
+            kernel = age_curve_tally(corpus, include)
+            items = list(kernel.per_author.items())
+            rng.shuffle(items)
+            shuffled = AgeCurveTally.for_corpus(corpus, include)
+            shuffled.per_author.update(items)
+            tallies = (fed, kernel, shuffled)
+            orders_differ += len({tuple(t.per_author) for t in tallies}) > 1
+            weights = compute_inflation_weights(corpus)
+            for by_production in (False, True):
+                for w in (None, weights):
+                    curves = [t.finalize(by_production, w) for t in tallies]
+                    assert len({repr(c.rows) for c in curves}) == 1
+                    assert len({repr(c.pooled_raw) for c in curves}) == 1
+        assert orders_differ == 20
 
 
 class TestCitationAgeDistribution:
