@@ -303,21 +303,20 @@ def cmd_analysis(args) -> int:
         views += ["age_curve", "citation_age"]
     if "hindex" in tables:
         views.append("hindex")
-    sim_tally = None
+    vectors = None
     if "simil" in tables:
-        from .textsim import SimilarityTally, build_vectors
+        from .textsim import build_vectors
 
         # report writes every table group, so a corpus without abstracts must
         # not cost it the other nine tables: with no vectors no edge is scored
         # and the similarity tables are header-only. simil has nothing else
         # to write, and build_vectors makes that case a data error.
-        vectors = {}
         if args.subcommand == "report" and corpus.papers_with_abstract == 0:
             run.notes.append("no abstracts in corpus: similarity tables are header-only")
+            vectors = {}
         else:
             vectors = build_vectors(corpus)
-        sim_tally = SimilarityTally(vectors, include=eligible)
-    tallies = tally_corpus(corpus, views, include=eligible, similarity=sim_tally)
+    tallies = tally_corpus(corpus, views, include=eligible, vectors=vectors)
     run.counts["author_edge_events"] = tallies.author_edge_events
     # Unweighted: figS7, figS8 and the similarity tables read raw counts only.
     profiles = (finalize_profiles(corpus, tallies.profile)
@@ -329,7 +328,7 @@ def cmd_analysis(args) -> int:
     if "hindex" in tables:
         _hindex_outputs(run, corpus, tallies.hindex, eligible, args.individual)
     if "simil" in tables:
-        _simil_outputs(run, sim_tally, profiles, eligible, args.n_percentiles)
+        _simil_outputs(run, tallies.similarity, profiles, eligible, args.n_percentiles)
     run.finish()
     print(f"{args.subcommand}: wrote {len(run.artifacts)} artifacts to {run.out_dir}")
     return 0

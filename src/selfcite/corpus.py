@@ -210,6 +210,8 @@ def _iter_json_lines(path: Path, source: str):
             obj = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise _fail(source, lineno, f"invalid JSON: {exc.msg}") from exc
+        except ValueError as exc:  # an integer past the int-string digit limit
+            raise _fail(source, lineno, f"invalid JSON: {exc}") from exc
         except RecursionError as exc:
             raise _fail(source, lineno, "JSON nested too deeply") from exc
         yield lineno, obj

@@ -1,11 +1,12 @@
 """h-index computation and its decomposition by citation type.
 
-Exclusions are cumulative (direct; direct+coauthor; direct+coauthor+
-collaborator), matching how network-driven gains accumulate; single-type
-exclusions are computed alongside for the per-type view. Percentages are
-expressed against the observed h-index. Raw citation counts are used
-throughout: the h-index is defined on counts, not on inflation-weighted
-values.
+Each exclusion of :data:`EXCLUSIONS` drops a set of citation types from
+every paper's citation count. The first three are cumulative (direct;
+direct+coauthor; direct+coauthor+collaborator), matching how
+network-driven gains accumulate; the last two drop the coauthor or the
+collaborator type alone for the per-type view. Percentages are expressed
+against the observed h-index. Raw citation counts are used throughout: the
+h-index is defined on counts, not on inflation-weighted values.
 """
 
 from __future__ import annotations
@@ -21,8 +22,18 @@ _DIRECT = CitationType.DIRECT
 _COAUTHOR = CitationType.COAUTHOR
 _COLLABORATOR = CitationType.COLLABORATOR
 
+#: Exclusion name -> whether it drops (direct, coauthor, collaborator)
+#: citations, cumulative levels first.
+EXCLUSIONS = {
+    "direct": (1, 0, 0),
+    "direct_coauthor": (1, 1, 0),
+    "direct_coauthor_collab": (1, 1, 1),
+    "coauthor_only": (0, 1, 0),
+    "collaborator_only": (0, 0, 1),
+}
+
 #: Cumulative exclusion levels in order.
-LEVELS = ("direct", "direct_coauthor", "direct_coauthor_collab")
+LEVELS = tuple(EXCLUSIONS)[:3]
 
 #: Observed h-index values whose pct-attributable distributions are reported.
 DEFAULT_H_BUCKETS = (5, 15, 30, 50)
@@ -46,46 +57,19 @@ def h_index(citation_counts: Iterable[int]) -> int:
 
 @dataclass(slots=True)
 class HDecomposition:
-    """Observed h-index and its value under cumulative and single-type
-    citation exclusions, evaluated from this author's perspective."""
+    """Observed h-index and its value under each exclusion of
+    :data:`EXCLUSIONS` (``h_minus``, by name), evaluated from this author's
+    perspective."""
 
     author_id: str
     h_obs: int
-    h_minus_direct: int
-    h_minus_direct_coauthor: int
-    h_minus_direct_coauthor_collab: int
-    h_minus_coauthor_only: int
-    h_minus_collaborator_only: int
+    h_minus: dict[str, int]
 
-    def _pct(self, h_excl: int) -> float:
+    def pct(self, exclusion: str) -> float:
+        """Share of the observed h-index, in percent, lost under ``exclusion``."""
         if self.h_obs == 0:
             return 0.0
-        return 100.0 * (self.h_obs - h_excl) / self.h_obs
-
-    @property
-    def pct_direct(self) -> float:
-        return self._pct(self.h_minus_direct)
-
-    @property
-    def pct_direct_coauthor(self) -> float:
-        return self._pct(self.h_minus_direct_coauthor)
-
-    @property
-    def pct_direct_coauthor_collab(self) -> float:
-        return self._pct(self.h_minus_direct_coauthor_collab)
-
-    @property
-    def pct_coauthor_only(self) -> float:
-        return self._pct(self.h_minus_coauthor_only)
-
-    @property
-    def pct_collaborator_only(self) -> float:
-        return self._pct(self.h_minus_collaborator_only)
-
-    def pct_attributable(self, level: str) -> float:
-        if level not in LEVELS:
-            raise ValueError(f"unknown exclusion level: {level!r}")
-        return self._pct(getattr(self, f"h_minus_{level}"))
+        return 100.0 * (self.h_obs - self.h_minus[exclusion]) / self.h_obs
 
 
 class HindexTally:
@@ -129,15 +113,10 @@ def finalize_decompositions(
             continue
         # [total, direct, coauthor, collaborator] per own paper
         cells = [per_paper.get((aid, pid), _UNCITED) for pid in entry.publication_ids]
-        out[aid] = HDecomposition(
-            author_id=aid,
-            h_obs=h_index([t for t, d, c, l in cells]),
-            h_minus_direct=h_index([t - d for t, d, c, l in cells]),
-            h_minus_direct_coauthor=h_index([t - d - c for t, d, c, l in cells]),
-            h_minus_direct_coauthor_collab=h_index([t - d - c - l for t, d, c, l in cells]),
-            h_minus_coauthor_only=h_index([t - c for t, d, c, l in cells]),
-            h_minus_collaborator_only=h_index([t - l for t, d, c, l in cells]),
-        )
+        out[aid] = HDecomposition(aid, h_index([t for t, d, c, l in cells]), {
+            name: h_index([t - d * xd - c * xc - l * xl for t, d, c, l in cells])
+            for name, (xd, xc, xl) in EXCLUSIONS.items()
+        })
     return out
 
 
@@ -167,8 +146,7 @@ def attribution_curve(
     """Mean pct attributable per cumulative level, bucketed by exact
     observed h-index (and by domain when an author->domain map is given)."""
     return _bucket_means(decompositions, domains, {
-        f"mean_pct_{level}": lambda d, level=level: d.pct_attributable(level)
-        for level in LEVELS
+        f"mean_pct_{level}": lambda d, level=level: d.pct(level) for level in LEVELS
     })
 
 
@@ -178,14 +156,12 @@ def individual_exclusion_table(
 ) -> list[dict]:
     """Absolute and relative impact of each citation type excluded on its
     own (direct / coauthor / collaborator), bucketed like the curve."""
-    return _bucket_means(decompositions, domains, {
-        "mean_drop_direct": lambda d: d.h_obs - d.h_minus_direct,
-        "mean_pct_direct": lambda d: d.pct_direct,
-        "mean_drop_coauthor": lambda d: d.h_obs - d.h_minus_coauthor_only,
-        "mean_pct_coauthor": lambda d: d.pct_coauthor_only,
-        "mean_drop_collaborator": lambda d: d.h_obs - d.h_minus_collaborator_only,
-        "mean_pct_collaborator": lambda d: d.pct_collaborator_only,
-    })
+    means = {}
+    for label, exclusion in (("direct", "direct"), ("coauthor", "coauthor_only"),
+                             ("collaborator", "collaborator_only")):
+        means[f"mean_drop_{label}"] = lambda d, e=exclusion: d.h_obs - d.h_minus[e]
+        means[f"mean_pct_{label}"] = lambda d, e=exclusion: d.pct(e)
+    return _bucket_means(decompositions, domains, means)
 
 
 def attribution_distribution(
@@ -195,25 +171,18 @@ def attribution_distribution(
     """Histograms of pct attributable (bin width 5 over [0, 100]) for
     authors whose observed h-index equals each requested bucket value."""
     n_bins = 100 // HIST_BIN_WIDTH
-    hist: dict = {}  # (h_obs, level, bin_idx) -> count
+    hist: dict = {}  # (h_obs, index in LEVELS, bin_idx) -> count
     for dec in decompositions.values():
         if dec.h_obs not in h_buckets:
             continue
-        for level in LEVELS:
-            pct = dec.pct_attributable(level)
-            idx = min(int(pct // HIST_BIN_WIDTH), n_bins - 1)
-            key = (dec.h_obs, level, idx)
+        for i, level in enumerate(LEVELS):
+            idx = min(int(dec.pct(level) // HIST_BIN_WIDTH), n_bins - 1)
+            key = (dec.h_obs, i, idx)
             hist[key] = hist.get(key, 0) + 1
-    level_order = {lv: i for i, lv in enumerate(LEVELS)}
-    rows = []
-    for (h_obs, level, idx) in sorted(
-        hist, key=lambda k: (k[0], level_order[k[1]], k[2])
-    ):
-        rows.append({
-            "h_obs": h_obs,
-            "level": level,
-            "bin_lo": idx * HIST_BIN_WIDTH,
-            "bin_hi": (idx + 1) * HIST_BIN_WIDTH,
-            "n_authors": hist[(h_obs, level, idx)],
-        })
-    return rows
+    return [{
+        "h_obs": h_obs,
+        "level": LEVELS[i],
+        "bin_lo": idx * HIST_BIN_WIDTH,
+        "bin_hi": (idx + 1) * HIST_BIN_WIDTH,
+        "n_authors": hist[(h_obs, i, idx)],
+    } for h_obs, i, idx in sorted(hist)]

@@ -20,14 +20,15 @@ every table writer keep their inputs. Those tallies' own ``add_edge``, fed
 by :func:`selfcite.pipeline.run_edge_tallies`, is the reference the tests
 compare the kernel with.
 
-Similarity is accumulated in the same pass: per scored edge the kernel
-takes the cosine of :func:`selfcite.textsim._cosine`, the rule the
-tally's own ``add_edge`` uses, and adds it to flat float and count cells
-per (author, type), (author, type, citation age bin) and direct-reference
-author, reference side first, in edge order, so every float sum keeps the
-association of the ``add_edge`` feed. At the end the cells and the
-coverage counts are projected into the
-:class:`~selfcite.textsim.SimilarityTally` dicts with string ids and
+Given tf-idf vectors, :func:`tally_corpus` builds a
+:class:`~selfcite.textsim.SimilarityTally` and fills it in the same pass:
+per scored edge the kernel takes the cosine of
+:func:`selfcite.textsim._cosine`, the rule the tally's own ``add_edge``
+uses, and adds it to flat float and count cells per (author, type),
+(author, type, citation age bin) and direct-reference author, reference
+side first, in edge order, so every float sum keeps the association of the
+``add_edge`` feed. At the end the cells and the coverage counts are
+projected into the tally's dicts with string ids and
 :class:`~selfcite.classify.CitationType` keys. ``add_edge`` stays as the
 reference feed the tests compare with.
 """
@@ -214,6 +215,7 @@ class Tallies(NamedTuple):
     age_curve: Optional[AgeCurveTally]
     citation_age: Optional[CitationAgeTally]
     hindex: Optional[HindexTally]
+    similarity: Optional["SimilarityTally"]
     author_edge_events: dict[str, int]
 
 
@@ -221,12 +223,12 @@ def tally_corpus(
     corpus: Corpus,
     views=VIEWS,
     include: Optional[set] = None,
-    similarity=None,
+    vectors: Optional[dict] = None,
 ) -> Tallies:
     """Intern the corpus, run the kernel for ``views`` (a subset of
-    :data:`VIEWS`) and fill ``similarity`` (when given, a tally no edge has
-    fed yet), then project each view. ``include`` is the author set of the
-    age-curve view.
+    :data:`VIEWS`), then project each view. ``include`` is the author set of
+    the age-curve view and of the similarity tally, which the pass fills
+    when ``vectors`` (tf-idf vectors by paper id) are given.
 
     The interned corpus and the collaboration index are dropped before the
     projection, and each count table once it is projected.
@@ -234,9 +236,11 @@ def tally_corpus(
     unknown = set(views) - set(VIEWS)
     if unknown or not views:
         raise ValueError(f"views must be a non-empty subset of {VIEWS}")
-    if similarity is not None and any(similarity.coverage.as_dict().values()):
-        # the kernel sets each cell once; it cannot add to a fed tally's sums
-        raise ValueError("similarity must be a SimilarityTally that no edge has fed")
+    similarity = None
+    if vectors is not None:
+        from .textsim import SimilarityTally
+
+        similarity = SimilarityTally(vectors, include=include)
     view = intern_corpus(corpus)
     author_ids, paper_ids = view.author_ids, view.paper_ids
     events, ages, cells, event_years, n_years = run_kernel(
@@ -268,7 +272,8 @@ def tally_corpus(
     if cells is not None:
         hindex = HindexTally()
         _project_cells(cells, corpus, paper_ids, hindex)
-    return Tallies(profile, age_curve, citation_age, hindex, author_edge_events)
+    return Tallies(profile, age_curve, citation_age, hindex, similarity,
+                   author_edge_events)
 
 
 def _project_events(events, event_years, author_ids, profile, age_curve) -> None:

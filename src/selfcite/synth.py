@@ -59,6 +59,14 @@ _POOLS = ("own", "coauthor", "collaborator", "external")
 _REAL_DISCIPLINES = tuple(d for d in DISCIPLINES if d != "unknown")
 
 
+#: Annotation of a scalar config field -> (accepted types, rule when not).
+_TYPES = {
+    "int": (int, "must be an integer"),
+    "Optional[int]": ((int, type(None)), "must be an integer or null"),
+    "float": ((int, float), "must be a number"),
+}
+
+
 class SynthConfigError(CorpusError):
     """Invalid generator configuration; the message names the field."""
 
@@ -100,6 +108,18 @@ class SynthConfig:
     def validate(self) -> None:
         def bad(name, reason):
             raise SynthConfigError(f"invalid config field '{name}': {reason}")
+
+        # each field's type, read from its annotation; a bool is no number
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "tuple[str, ...]":
+                if not (isinstance(value, (list, tuple))
+                        and all(isinstance(d, str) for d in value)):
+                    bad(f.name, "must be a list of strings")
+            elif isinstance(value, bool) or not isinstance(value, _TYPES[f.type][0]):
+                bad(f.name, _TYPES[f.type][1])
+            elif isinstance(value, float) and not math.isfinite(value):
+                bad(f.name, "must be finite")
 
         if self.n_authors < 1:
             bad("n_authors", "must be >= 1")
@@ -174,6 +194,8 @@ class SynthConfig:
                 f"config file is not valid UTF-8 at byte {exc.start + 1}") from exc
         except json.JSONDecodeError as exc:
             raise SynthConfigError(f"config file is not valid JSON: {exc.msg}") from exc
+        except ValueError as exc:  # an integer past the int-string digit limit
+            raise SynthConfigError(f"config file is not valid JSON: {exc}") from exc
         except RecursionError as exc:
             raise SynthConfigError("config file is nested too deeply to parse") from exc
         return cls.from_obj(obj)

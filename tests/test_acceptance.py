@@ -15,7 +15,7 @@ from selfcite.hindex import finalize_decompositions
 from selfcite.kernel import tally_corpus
 from selfcite.metrics import compute_inflation_weights, finalize_profiles, unit_weights
 from selfcite.synth import SynthConfig, generate, generate_with_stats, write_corpus
-from selfcite.textsim import SimilarityTally, TfIdfVector, build_vectors, cosine, similarity_means
+from selfcite.textsim import TfIdfVector, build_vectors, cosine, similarity_means
 from conftest import TESTDATA
 from oracles import brute_force_classify_all, brute_force_decompose, random_corpus
 
@@ -129,12 +129,12 @@ def test_criterion_2_hindex_oracle_equivalence():
         for aid, dec in decomps.items():
             expected = brute_force_decompose(corpus, aid)
             assert dec.h_obs == expected["h_obs"]
-            assert dec.h_minus_direct == expected["h_minus_direct"]
-            assert dec.h_minus_direct_coauthor == expected["h_minus_direct_coauthor"]
-            assert dec.h_minus_direct_coauthor_collab == \
+            assert dec.h_minus["direct"] == expected["h_minus_direct"]
+            assert dec.h_minus["direct_coauthor"] == expected["h_minus_direct_coauthor"]
+            assert dec.h_minus["direct_coauthor_collab"] == \
                 expected["h_minus_direct_coauthor_collab"]
-            assert dec.h_obs >= dec.h_minus_direct >= dec.h_minus_direct_coauthor \
-                >= dec.h_minus_direct_coauthor_collab >= 0
+            assert dec.h_obs >= dec.h_minus["direct"] >= dec.h_minus["direct_coauthor"] \
+                >= dec.h_minus["direct_coauthor_collab"] >= 0
             authors_checked += 1
     print(f"ACCEPTANCE 2: PASS - {N_ORACLE_CORPORA} corpora, "
           f"{authors_checked} author decompositions match brute force")
@@ -146,8 +146,8 @@ def test_criterion_3_fix1_golden_values(fix1, fix1_profiles):
     assert a.self_citation_rate == 2 / 5
     dec = finalize_decompositions(fix1, tally_corpus(fix1, ["hindex"]).hindex)["A"]
     assert dec.h_obs == 2
-    assert dec.h_minus_direct == 1
-    assert dec.pct_direct == 50.0
+    assert dec.h_minus["direct"] == 1
+    assert dec.pct("direct") == 50.0
     print("ACCEPTANCE 3: PASS - FIX1 author A: self_reference_rate=2/3, "
           "self_citation_rate=2/5, h_obs=2, h_minus_direct=1, pct=50%")
 
@@ -250,9 +250,9 @@ def test_criterion_8_similarity_ordering():
         PaperRecord("Z2", 2003, "health", ("Z",), ("X1",),
                     abstract="market auction equilibrium pricing agent trade"),
     ])
-    tally = SimilarityTally(build_vectors(corpus))
-    profiles = finalize_profiles(
-        corpus, tally_corpus(corpus, ["profile"], similarity=tally).profile)
+    tallies = tally_corpus(corpus, ["profile"], vectors=build_vectors(corpus))
+    tally = tallies.similarity
+    profiles = finalize_profiles(corpus, tallies.profile)
     rows = similarity_means(tally, profiles, key="discipline")
     means = {row["citation_type"]: row["similarity_author_mean"] for row in rows}
     assert means["direct"] > means["collaborator"] > means["external"]

@@ -114,26 +114,33 @@ class TestValidate:
         assert m["counts"]["papers"] == 0
         assert m["counts"]["authors"] == 0
 
-    @pytest.mark.parametrize("content", [
-        b'{"id": "P1"}\n',
-        b'{"id": "P1", "year": 2000, "discipline": "health", "authors": ["A"], '
-        b'"references": [], "title": "caf\xe9"}\n',
-        b"[" * 100_000 + b"]" * 100_000 + b"\n",
-        b'{"id": "P1", "year": 2000, "discipline": "health", "authors": ["A\\tX"], '
-        b'"references": []}\n',
-        b'{"id": "P\\ud800", "year": 2000, "discipline": "health", "authors": ["A"], '
-        b'"references": []}\n',
-        b'{"id": "P1", "year": 2000, "discipline": "health", "authors": ["A"], '
-        b'"references": ["P1"]}\n',
+    # an integer of 5,001 digits is past CPython's int-string digit limit
+    @pytest.mark.parametrize("source, content", [
+        ("papers", b'{"id": "P1"}\n'),
+        ("papers", b'{"id": "P1", "year": 2000, "discipline": "health", "authors": ["A"], '
+                   b'"references": [], "title": "caf\xe9"}\n'),
+        ("papers", b"[" * 100_000 + b"]" * 100_000 + b"\n"),
+        ("papers", b'{"id": "P1", "year": 2000, "discipline": "health", "authors": ["A\\tX"], '
+                   b'"references": []}\n'),
+        ("papers", b'{"id": "P\\ud800", "year": 2000, "discipline": "health", "authors": ["A"], '
+                   b'"references": []}\n'),
+        ("papers", b'{"id": "P1", "year": 2000, "discipline": "health", "authors": ["A"], '
+                   b'"references": ["P1"]}\n'),
+        ("papers", b'{"id": "P1", "year": ' + b"1" * 5001 + b', "discipline": "health", '
+                   b'"authors": ["A"], "references": []}\n'),
+        ("authors", b'{"id": "A", "gender": "woman", "name": "Author", "rank": '
+                    + b"1" * 5001 + b'}\n'),
     ], ids=["missing_fields", "invalid_utf8", "deeply_nested", "tab_in_author_id",
-            "lone_surrogate_id", "self_citing_paper"])
-    def test_malformed_input_exit_2(self, tmp_path, capsys, content):
+            "lone_surrogate_id", "self_citing_paper", "oversized_integer_papers",
+            "oversized_integer_authors"])
+    def test_malformed_input_exit_2(self, tmp_path, capsys, source, content):
         bad = tmp_path / "bad.jsonl"
         bad.write_bytes(content)
-        assert run("validate", "--papers", bad, "--out", tmp_path / "o") == 2
+        files = ["--papers", bad] if source == "papers" else ["--papers", PAPERS, "--authors", bad]
+        assert run("validate", *files, "--out", tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert "data error" in err
-        assert "papers line 1:" in err
+        assert f"{source} line 1:" in err
 
     # Each example draws which file is malformed; the other is fix1's.
     @settings(max_examples=120, deadline=None,
@@ -359,16 +366,35 @@ class TestSynthCommand:
         meta = json.loads((out / "synth_meta.json").read_text())
         assert meta["seed"] == 9
 
-    @pytest.mark.parametrize("content", [
-        b'{"n_authors": -2}',
-        b'{"n_authors": 10, "seed": 5}\xff',
-        b"[" * 100_000 + b"]" * 100_000,
-    ], ids=["invalid_value", "invalid_utf8", "deeply_nested"])
-    def test_bad_config_exit_2(self, tmp_path, capsys, content):
+    @pytest.mark.parametrize("content, message", [
+        (b'{"n_authors": -2}', "field 'n_authors'"),
+        (b'{"n_authors": 10, "seed": 5}\xff', "not valid UTF-8"),
+        (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+        (b'{"n_authors": "5"}', "field 'n_authors'"),
+        (b'{"n_authors": true}', "field 'n_authors'"),
+        (b'{"n_authors": 5.0}', "field 'n_authors'"),
+        (b'{"seed": null}', "field 'seed'"),
+        # 5,001 digits is past CPython's int-string digit limit
+        (b'{"n_authors": ' + b"1" * 5001 + b'}', "not valid JSON"),
+        (b'{"p_direct": null}', "field 'p_direct'"),
+        (b'{"p_direct": true}', "field 'p_direct'"),
+        (b'{"p_direct": NaN}', "field 'p_direct'"),
+        (b'{"coauthors_mean": Infinity}', "field 'coauthors_mean'"),
+        (b'{"entry_years": 2.0}', "field 'entry_years'"),
+        (b'{"disciplines": 5}', "field 'disciplines'"),
+        (b'{"disciplines": "health"}', "field 'disciplines'"),
+        (b'{"disciplines": ["health", 3]}', "field 'disciplines'"),
+    ], ids=["invalid_value", "invalid_utf8", "deeply_nested", "int_as_string", "int_as_bool",
+            "int_as_float", "int_as_null", "oversized_integer", "float_as_null",
+            "float_as_bool", "float_nan", "float_infinite", "entry_years_as_float",
+            "disciplines_as_int", "disciplines_as_string", "disciplines_with_int"])
+    def test_bad_config_exit_2(self, tmp_path, capsys, content, message):
         config = tmp_path / "config.json"
         config.write_bytes(content)
         assert run("synth", "--config", config, "--out", tmp_path / "s") == 2
-        assert "data error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert message in err
 
 
 class TestIdempotence:

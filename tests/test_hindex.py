@@ -57,27 +57,27 @@ class TestDecompose:
         dec = decompositions(fix1)["A"]
         # A's papers: P1 cited 3x, P2 cited 2x, P5 uncited
         assert dec.h_obs == 2
-        assert dec.h_minus_direct == 1
-        assert dec.pct_direct == 50.0
+        assert dec.h_minus["direct"] == 1
+        assert dec.pct("direct") == 50.0
 
     def test_fix1_author_a_deeper_levels(self, fix1):
         dec = decompositions(fix1)["A"]
         # removing coauthor (P3->P2) leaves P1:1, P2:1 -> h=1
-        assert dec.h_minus_direct_coauthor == 1
+        assert dec.h_minus["direct_coauthor"] == 1
         # removing collaborator (P3->P1) leaves P1:0, P2:1 -> h=1
-        assert dec.h_minus_direct_coauthor_collab == 1
+        assert dec.h_minus["direct_coauthor_collab"] == 1
 
     def test_author_without_self_citations(self, fix1):
         dec = decompositions(fix1)["D"]
-        assert dec.h_obs == dec.h_minus_direct == dec.h_minus_direct_coauthor \
-            == dec.h_minus_direct_coauthor_collab == 1
-        assert dec.pct_direct_coauthor_collab == 0.0
+        assert dec.h_obs == dec.h_minus["direct"] == dec.h_minus["direct_coauthor"] \
+            == dec.h_minus["direct_coauthor_collab"] == 1
+        assert dec.pct("direct_coauthor_collab") == 0.0
 
     def test_h_zero_author(self, fix1):
         dec = decompositions(fix1)["C"]
         assert dec.h_obs == 0
-        assert dec.pct_direct == 0.0
-        assert dec.pct_direct_coauthor_collab == 0.0
+        assert dec.pct("direct") == 0.0
+        assert dec.pct("direct_coauthor_collab") == 0.0
 
     def test_oracle_equivalence(self):
         rng = random.Random(53)
@@ -87,20 +87,20 @@ class TestDecompose:
             for aid, dec in decomps.items():
                 expected = brute_force_decompose(corpus, aid)
                 assert dec.h_obs == expected["h_obs"]
-                assert dec.h_minus_direct == expected["h_minus_direct"]
-                assert dec.h_minus_direct_coauthor == expected["h_minus_direct_coauthor"]
-                assert dec.h_minus_direct_coauthor_collab == \
+                assert dec.h_minus["direct"] == expected["h_minus_direct"]
+                assert dec.h_minus["direct_coauthor"] == expected["h_minus_direct_coauthor"]
+                assert dec.h_minus["direct_coauthor_collab"] == \
                     expected["h_minus_direct_coauthor_collab"]
-                assert dec.h_minus_coauthor_only == expected["h_minus_coauthor_only"]
-                assert dec.h_minus_collaborator_only == expected["h_minus_collaborator_only"]
+                assert dec.h_minus["coauthor_only"] == expected["h_minus_coauthor_only"]
+                assert dec.h_minus["collaborator_only"] == expected["h_minus_collaborator_only"]
 
     def test_monotone_exclusion(self):
         rng = random.Random(59)
         for _ in range(15):
             corpus = random_corpus(rng)
             for dec in decompositions(corpus).values():
-                assert dec.h_obs >= dec.h_minus_direct >= dec.h_minus_direct_coauthor \
-                    >= dec.h_minus_direct_coauthor_collab >= 0
+                assert dec.h_obs >= dec.h_minus["direct"] >= dec.h_minus["direct_coauthor"] \
+                    >= dec.h_minus["direct_coauthor_collab"] >= 0
 
 
 class TestAttributionCurve:
@@ -162,8 +162,8 @@ class TestAttributionCurve:
         decomps = decompositions(corpus)
         assert any(d.h_obs > 0 for d in decomps.values())
         for dec in decomps.values():
-            assert dec.h_minus_direct_coauthor == dec.h_minus_direct_coauthor_collab
-            assert dec.h_minus_direct == dec.h_minus_direct_coauthor
+            assert dec.h_minus["direct_coauthor"] == dec.h_minus["direct_coauthor_collab"]
+            assert dec.h_minus["direct"] == dec.h_minus["direct_coauthor"]
         rows = attribution_curve(decomps)
         for row in rows:
             assert row["mean_pct_direct_coauthor"] == row["mean_pct_direct_coauthor_collab"]

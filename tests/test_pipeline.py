@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from selfcite.classify import CitationType, classify_all, read_classifications, write_classifications
 from selfcite.corpus import PaperRecord, corpus_from_records
 from selfcite.graph import build_collaboration_index, build_edges, intern_corpus, iter_edges
@@ -79,8 +77,8 @@ class TestKernel:
             base = all_five(corpus, vectors, include)
             run_edge_tallies(corpus, iter_edges(corpus), build_collaboration_index(corpus), base)
 
-            sim = SimilarityTally(vectors, include=include)
-            full = tally_corpus(corpus, include=include, similarity=sim)
+            full = tally_corpus(corpus, include=include, vectors=vectors)
+            sim = full.similarity
             kernel = [full.profile, full.age_curve, full.citation_age, full.hindex, sim]
             assert integer_state(kernel) == integer_state(base)
             assert similarity_state(sim) == similarity_state(base[4])
@@ -98,22 +96,18 @@ class TestKernel:
 
             hindex_only = tally_corpus(corpus, ["hindex"])
             assert hindex_only.hindex.per_paper == full.hindex.per_paper
-            assert (hindex_only.profile, hindex_only.age_curve,
-                    hindex_only.citation_age) == (None, None, None)
+            assert (hindex_only.profile, hindex_only.age_curve, hindex_only.citation_age,
+                    hindex_only.similarity) == (None, None, None, None)
             assert hindex_only.author_edge_events == events
 
-            simil_sim = SimilarityTally(vectors, include=include)
-            simil_only = tally_corpus(corpus, ["profile"], include=include,
-                                      similarity=simil_sim)
+            simil_only = tally_corpus(corpus, ["profile"], include=include, vectors=vectors)
+            simil_sim = simil_only.similarity
             assert (simil_only.profile.ref_counts, simil_only.profile.cite_year_counts) == (
                 full.profile.ref_counts, full.profile.cite_year_counts)
             assert simil_only.hindex is None and simil_only.age_curve is None
             assert similarity_state(simil_sim) == similarity_state(sim)
             assert simil_sim.coverage == sim.coverage
             assert simil_only.author_edge_events == events
-            if any(sim.coverage.as_dict().values()):  # a fed tally is refused
-                with pytest.raises(ValueError):
-                    tally_corpus(corpus, ["profile"], similarity=sim)
 
     def test_similarity_edge_cases(self):
         # "model" is in every non-empty abstract, so its idf is 0 and P4's
@@ -138,8 +132,7 @@ class TestKernel:
             base = SimilarityTally(vectors, include=include)
             run_edge_tallies(corpus, iter_edges(corpus), build_collaboration_index(corpus),
                              [base])
-            sim = SimilarityTally(vectors, include=include)
-            tally_corpus(corpus, ["hindex"], include=include, similarity=sim)
+            sim = tally_corpus(corpus, ["hindex"], include=include, vectors=vectors).similarity
             assert similarity_state(sim) == similarity_state(base)
             assert sim.coverage == base.coverage
             assert sim.negative_age_records == base.negative_age_records

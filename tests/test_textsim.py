@@ -26,10 +26,8 @@ D = CitationType.DIRECT
 
 
 def similarity_tally(corpus, vectors=None, include=None):
-    tally = SimilarityTally(build_vectors(corpus) if vectors is None else vectors,
-                            include=include)
-    tally_corpus(corpus, ["profile"], similarity=tally)
-    return tally
+    return tally_corpus(corpus, ["profile"], include=include,
+                        vectors=build_vectors(corpus) if vectors is None else vectors).similarity
 
 
 class TestPreprocess:
@@ -266,9 +264,9 @@ class TestAggregation:
         )
         corpus = generate(config)
         vectors = build_vectors(corpus)
-        tally = SimilarityTally(vectors)
-        profiles = finalize_profiles(
-            corpus, tally_corpus(corpus, ["profile"], similarity=tally).profile)
+        tallies = tally_corpus(corpus, ["profile"], vectors=vectors)
+        tally = tallies.similarity
+        profiles = finalize_profiles(corpus, tallies.profile)
         rows = similarity_by_selfref_percentile(tally, profiles, n_groups=4)
         sims = [row["mean_direct_reference_similarity"] for row in rows]
         assert len(sims) == 4
