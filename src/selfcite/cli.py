@@ -86,7 +86,7 @@ def write_csv(path: Path, columns: Sequence[str], rows) -> None:
     with atomic_write(path) as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(row.get(col)) for col in columns) + "\n")
+            fh.write(",".join(_fmt(row[col]) for col in columns) + "\n")
 
 
 def _sha256(path: Path) -> str:
@@ -274,8 +274,11 @@ def _simil_outputs(run: _Run, sim_tally, profiles, eligible, n_percentiles) -> N
     run.csv("fig3d_by_selfref.csv", FIG3D_COLUMNS,
             similarity_by_selfref_percentile(sim_tally, eligible_profiles,
                                              n_groups=n_percentiles))
+    # rows grouped by gender alone carry no discipline: the column stays
+    # empty until a change that re-pins this table's digests drops it
     run.csv("figS9_by_gender.csv", FIGS9_COLUMNS,
-            similarity_means(sim_tally, eligible_profiles, key="gender"))
+            ({**row, "discipline": None}
+             for row in similarity_means(sim_tally, eligible_profiles, key="gender")))
     run.coverage["similarity"] = sim_tally.coverage.as_dict()
     run.coverage["similarity_negative_age_records"] = sim_tally.negative_age_records
     run.coverage["stopwords_sha256"] = stopwords_sha256()

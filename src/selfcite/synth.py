@@ -6,22 +6,26 @@ four pools that map one-to-one onto the classification taxonomy from the
 writing (lead) author's perspective:
 
 * own: the lead's earlier papers (direct),
-* coauthor: papers by a co-author of the current paper that do not list
-  the lead (co-author),
-* collaborator: papers by a strictly-earlier collaborator of the lead,
-  listing neither the lead nor any current co-author (collaborator),
-* external: papers free of the lead, the current team and the lead's
-  prior collaborators (external).
+* coauthor: papers by a co-author of the current paper (co-author),
+* collaborator: papers by a strictly-earlier collaborator of the lead
+  (collaborator),
+* external: any paper already written (external).
 
-When a drawn pool is empty the draw falls *down* the chain own ->
-coauthor -> collaborator -> external, never upward, so a planted
-probability of zero stays exactly zero. A draw that only re-hits targets
-already referenced by the paper is dropped rather than retyped, keeping
-realized pool shares faithful to the mixture. Pool-availability effects
-(empty pools at career start) are exactly what makes the career-age
-curves emerge, and :func:`ground_truth` reports the realized shares from
-an instrumented run instead of pretending the planted mixture survives
-them.
+The pools form one cumulative chain: each bars the authors the pool before
+it barred plus one more group (no one; the lead; the current team; the team
+and the lead's prior collaborators). A candidate is admissible when the
+paper does not reference it yet and it shares no author with its pool's
+barred set; an external one must also be ``external_min_paper_age`` years
+old and pass the coupling's acceptance draw. A pool gets :data:`_TRIES`
+candidates per draw. A draw falls *down* the chain own -> coauthor ->
+collaborator -> external when its pool is empty or, below own, yields no
+admissible candidate; it never moves upward, so a planted probability of
+zero stays exactly zero. An own draw that only re-hits targets already
+referenced is dropped rather than retyped, and an external draw that finds
+nothing is skipped. Pool-availability effects (empty pools at career
+start) are exactly what makes the career-age curves emerge, and
+:func:`ground_truth` reports the realized shares from an instrumented run
+instead of pretending the planted mixture survives them.
 
 Abstracts are sampled from a per-author topic vocabulary mixed with a
 shared background vocabulary; optional couplings tie an author's direct
@@ -36,7 +40,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, fields
+from bisect import bisect_right
+from dataclasses import asdict, dataclass, field, fields
 from itertools import combinations
 from pathlib import Path
 from typing import Optional, Union
@@ -54,7 +59,20 @@ from .corpus import (
     save_corpus,
 )
 
-_POOLS = ("own", "coauthor", "collaborator", "external")
+#: Each pool's citation type from the lead's side (reference) and from the
+#: target's lead's side (citation): a co-author's paper is direct for its lead.
+_POOL_TYPES = {
+    "own": ("direct", "direct"),
+    "coauthor": ("coauthor", "direct"),
+    "collaborator": ("collaborator", "collaborator"),
+    "external": ("external", "external"),
+}
+_POOLS = tuple(_POOL_TYPES)
+#: Candidates tried per pool before the draw falls down (or, own pool, drops).
+_TRIES = (6, 8, 8, 12)
+#: Knuth's product method in :func:`_poisson` is exact while ``exp(-rate)``
+#: is a normal float; far past that it silently draws too few.
+_MAX_RATE = 700
 
 _REAL_DISCIPLINES = tuple(d for d in DISCIPLINES if d != "unknown")
 
@@ -133,6 +151,10 @@ class SynthConfig:
             bad("coauthors_mean", "must be >= 0")
         if self.refs_per_paper_start < 0 or self.refs_per_paper_end < 0:
             bad("refs_per_paper_start/refs_per_paper_end", "must be >= 0")
+        for name in ("papers_per_author_year", "coauthors_mean",
+                     "refs_per_paper_start", "refs_per_paper_end"):
+            if getattr(self, name) > _MAX_RATE:
+                bad(name, f"must be <= {_MAX_RATE}")
         probs = (self.p_direct, self.p_coauthor, self.p_collaborator, self.p_external)
         if any(p < 0 or p > 1 for p in probs):
             bad("p_direct/p_coauthor/p_collaborator/p_external", "must lie in [0, 1]")
@@ -228,7 +250,7 @@ class GroundTruth:
 
 
 def _poisson(rng: random.Random, lam: float) -> int:
-    """Knuth's product method; fine for the small rates used here."""
+    """Knuth's product method, exact up to the validated :data:`_MAX_RATE`."""
     if lam <= 0:
         return 0
     threshold = math.exp(-lam)
@@ -253,18 +275,20 @@ def generate_with_stats(config: SynthConfig) -> tuple[Corpus, DrawStats]:
 
     author_ids = [f"A{i:05d}" for i in range(n)]
     entry: dict[str, int] = {}
-    author_u: dict[str, float] = {}
+    # chance that an external draw which passed every other check lands
+    ext_accept: dict[str, float] = {}
     mixture: dict[str, tuple[float, float, float]] = {}
     reuse: dict[str, float] = {}
     topic_idx: dict[str, int] = {}
     gender: dict[str, str] = {}
     home_disc: dict[str, str] = {}
 
+    ext_coupling = config.selfref_external_coupling
     rest_mass = config.p_coauthor + config.p_collaborator + config.p_external
     for i, aid in enumerate(author_ids):
         entry[aid] = config.year_start + rng.randrange(entry_span)
         u = rng.random()
-        author_u[aid] = u
+        ext_accept[aid] = (1.0 + ext_coupling * u) / (1.0 + ext_coupling)
         d = config.p_direct * (1.0 + config.direct_spread * (2.0 * u - 1.0))
         d = min(max(d, 0.0), 1.0)
         if rest_mass > 0.0:
@@ -292,7 +316,6 @@ def generate_with_stats(config: SynthConfig) -> tuple[Corpus, DrawStats]:
     authored: dict[str, list[str]] = {aid: [] for aid in author_ids}
     first_joint: dict[str, dict[str, int]] = {aid: {} for aid in author_ids}
 
-    ext_coupling = config.selfref_external_coupling
     ext_min_age = config.external_min_paper_age
     n_topic = config.topic_terms_per_author
     n_bg = config.background_terms
@@ -328,109 +351,46 @@ def generate_with_stats(config: SynthConfig) -> tuple[Corpus, DrawStats]:
                         if cand != lead and cand not in team:
                             team.append(cand)
 
-                adj = first_joint[lead]
-                prior_collabs = [c for c, jy in adj.items() if jy < year]
-                own_pool = authored[lead]
-                coauthor_candidates = [c for c in team[1:] if authored[c]]
-                d1, c2, c3 = mixture[lead]
+                prior = [c for c, jy in first_joint[lead].items() if jy < year]
+                team_set = frozenset(team)
+                sources = (authored[lead], [c for c in team[1:] if authored[c]],
+                           prior, paper_list)
+                barred = (frozenset(), frozenset((lead,)), team_set, team_set.union(prior))
 
                 refs: list[str] = []
                 ref_set: set[str] = set()
                 for _ in range(_poisson(rng, ref_rate)):
-                    rv = rng.random()
-                    if rv < d1:
-                        branch = 0
-                    elif rv < c2:
-                        branch = 1
-                    elif rv < c3:
-                        branch = 2
-                    else:
-                        branch = 3
-                    stats.intended[_POOLS[branch]] += 1
-
+                    drawn = bisect_right(mixture[lead], rng.random())
+                    stats.intended[_POOLS[drawn]] += 1
                     target = None
-                    landed_branch = branch
-                    dropped = False
-                    b = branch
-                    while b <= 3:
-                        if b == 0:
-                            if own_pool:
-                                for _try in range(6):
-                                    t = own_pool[rng.randrange(len(own_pool))]
-                                    if t not in ref_set:
-                                        target = t
-                                        break
-                                if target is None:
-                                    # pool exhausted by duplicates: drop the draw
-                                    dropped = True
-                                    break
-                        elif b == 1:
-                            if coauthor_candidates:
-                                for _try in range(8):
-                                    c = coauthor_candidates[rng.randrange(len(coauthor_candidates))]
-                                    pool = authored[c]
-                                    t = pool[rng.randrange(len(pool))]
-                                    if t in ref_set or lead in paper_authors[t]:
-                                        continue
-                                    target = t
-                                    break
-                        elif b == 2:
-                            if prior_collabs:
-                                for _try in range(8):
-                                    c = prior_collabs[rng.randrange(len(prior_collabs))]
-                                    pool = authored[c]
-                                    t = pool[rng.randrange(len(pool))]
-                                    if t in ref_set:
-                                        continue
-                                    ta = paper_authors[t]
-                                    if lead in ta:
-                                        continue
-                                    if len(team) > 1 and any(m in ta for m in team[1:]):
-                                        continue
-                                    target = t
-                                    break
-                        else:
-                            if paper_list:
-                                for _try in range(12):
-                                    t = paper_list[rng.randrange(len(paper_list))]
-                                    if t in ref_set:
-                                        continue
-                                    if ext_min_age and year - papers[t].year < ext_min_age:
-                                        continue
-                                    ta = paper_authors[t]
-                                    if lead in ta:
-                                        continue
-                                    if len(team) > 1 and any(m in ta for m in team[1:]):
-                                        continue
-                                    joint = False
-                                    for m in ta:
-                                        jy = adj.get(m)
-                                        if jy is not None and jy < year:
-                                            joint = True
-                                            break
-                                    if joint:
-                                        continue
-                                    if ext_coupling > 0.0:
-                                        accept = (1.0 + ext_coupling * author_u[ta[0]]) / (1.0 + ext_coupling)
-                                        if rng.random() > accept:
-                                            continue
-                                    target = t
-                                    break
-                        if target is not None:
-                            landed_branch = b
+                    for pool in range(drawn, 4):
+                        source = sources[pool]
+                        if not source:
+                            continue
+                        bar = barred[pool]
+                        for _try in range(_TRIES[pool]):
+                            t = source[rng.randrange(len(source))]
+                            if pool == 1 or pool == 2:  # an author, then one of their papers
+                                theirs = authored[t]
+                                t = theirs[rng.randrange(len(theirs))]
+                            ta = paper_authors[t]
+                            if t not in ref_set and bar.isdisjoint(ta) and (
+                                    pool < 3 or year - papers[t].year >= ext_min_age and (
+                                        not ext_coupling or rng.random() <= ext_accept[ta[0]])):
+                                target = t
+                                break
+                        if target is not None or pool == 0:
                             break
-                        b += 1
 
-                    if dropped:
-                        stats.dropped_duplicate_draws += 1
-                    elif target is None:
-                        stats.skipped_draws += 1
-                    else:
-                        if landed_branch != branch:
-                            stats.fallbacks += 1
+                    if target is not None:
+                        stats.fallbacks += pool != drawn
                         refs.append(target)
                         ref_set.add(target)
-                        stats.landed[_POOLS[landed_branch]] += 1
+                        stats.landed[_POOLS[pool]] += 1
+                    elif drawn == 0 and sources[0]:
+                        stats.dropped_duplicate_draws += 1
+                    else:
+                        stats.skipped_draws += 1
 
                 abstract = None
                 if config.abstract_length > 0 and rng.random() < config.abstract_coverage:
@@ -491,25 +451,18 @@ def ground_truth(config: SynthConfig) -> GroundTruth:
     def share(count: int, denom: int) -> float:
         return count / denom if denom else 0.0
 
-    reference_shares = {
-        "direct": share(stats.landed["own"], total),
-        "coauthor": share(stats.landed["coauthor"], total),
-        "collaborator": share(stats.landed["collaborator"], total),
-        "external": share(stats.landed["external"], total),
-    }
-    citation_shares = {
-        "direct": share(stats.landed["own"] + stats.landed["coauthor"], total),
-        "coauthor": 0.0,
-        "collaborator": share(stats.landed["collaborator"], total),
-        "external": share(stats.landed["external"], total),
-    }
+    references = {ref_type: 0 for ref_type, _cite_type in _POOL_TYPES.values()}
+    citations = dict(references)
+    for pool, (ref_type, cite_type) in _POOL_TYPES.items():
+        references[ref_type] += stats.landed[pool]
+        citations[cite_type] += stats.landed[pool]
     signs = {
         "external_citations_vs_self_reference_rate": 1 if config.selfref_external_coupling > 0 else 0,
         "direct_similarity_vs_self_reference_rate": -1 if config.selfref_reuse_coupling > 0 else 0,
     }
     return GroundTruth(
-        reference_shares=reference_shares,
-        citation_shares=citation_shares,
+        reference_shares={t: share(c, total) for t, c in references.items()},
+        citation_shares={t: share(c, total) for t, c in citations.items()},
         intended_shares={p: share(c, intended_total) for p, c in stats.intended.items()},
         fallback_rate=share(stats.fallbacks, total),
         correlation_signs=signs,
@@ -538,13 +491,7 @@ def write_corpus(
         meta["config"] = config.to_obj()
         meta["seed"] = config.seed
     if stats is not None:
-        meta["draws"] = {
-            "intended": stats.intended,
-            "landed": stats.landed,
-            "fallbacks": stats.fallbacks,
-            "dropped_duplicate_draws": stats.dropped_duplicate_draws,
-            "skipped_draws": stats.skipped_draws,
-        }
+        meta["draws"] = asdict(stats)
     with atomic_write(out_dir / "synth_meta.json") as fh:
         fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return meta

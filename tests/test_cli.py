@@ -177,6 +177,15 @@ class TestWriteCsv:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
+    def test_missing_column_is_an_error(self, tmp_path):
+        # a row without a column's key fails instead of writing an empty cell
+        path = tmp_path / "table.csv"
+        with pytest.raises(KeyError, match="'b'"):
+            write_csv(path, ["a", "b"], [{"a": 1}])
+        assert not path.exists()
+        write_csv(path, ["a", "b"], [{"a": 1, "b": None}])
+        assert path.read_text() == "a,b\n1,\n"
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
@@ -384,10 +393,21 @@ class TestSynthCommand:
         (b'{"disciplines": 5}', "field 'disciplines'"),
         (b'{"disciplines": "health"}', "field 'disciplines'"),
         (b'{"disciplines": ["health", 3]}', "field 'disciplines'"),
+        # Poisson rates past 700 drew silently too few; one author keeps the
+        # unchecked run short
+        (b'{"n_authors": 1, "papers_per_author_year": 1000}',
+         "field 'papers_per_author_year': must be <= 700"),
+        (b'{"n_authors": 1, "coauthors_mean": 1000}', "field 'coauthors_mean': must be <= 700"),
+        (b'{"n_authors": 1, "refs_per_paper_start": 1000}',
+         "field 'refs_per_paper_start': must be <= 700"),
+        (b'{"n_authors": 1, "refs_per_paper_end": 1000}',
+         "field 'refs_per_paper_end': must be <= 700"),
     ], ids=["invalid_value", "invalid_utf8", "deeply_nested", "int_as_string", "int_as_bool",
             "int_as_float", "int_as_null", "oversized_integer", "float_as_null",
             "float_as_bool", "float_nan", "float_infinite", "entry_years_as_float",
-            "disciplines_as_int", "disciplines_as_string", "disciplines_with_int"])
+            "disciplines_as_int", "disciplines_as_string", "disciplines_with_int",
+            "papers_rate_too_high", "coauthors_rate_too_high", "refs_start_rate_too_high",
+            "refs_end_rate_too_high"])
     def test_bad_config_exit_2(self, tmp_path, capsys, content, message):
         config = tmp_path / "config.json"
         config.write_bytes(content)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -8,6 +10,7 @@ from selfcite.graph import build_collaboration_index, build_edges
 from selfcite.synth import (
     SynthConfig,
     SynthConfigError,
+    _poisson,
     generate,
     generate_with_stats,
     ground_truth,
@@ -63,6 +66,77 @@ class TestDeterminism:
         import dataclasses
         other = dataclasses.replace(SMALL, seed=4321)
         assert generate(SMALL).papers != generate(other).papers
+
+
+PIN_BASE = dict(
+    n_authors=24, year_start=2000, year_end=2009, papers_per_author_year=0.8,
+    coauthors_mean=1.5, refs_per_paper_start=4.0, refs_per_paper_end=8.0,
+    p_direct=0.2, p_coauthor=0.2, p_collaborator=0.2, p_external=0.4,
+    abstract_length=6, seed=17,
+)
+
+# SHA-256 of papers.jsonl, authors.jsonl and synth_meta.json for PIN_BASE
+# with each case's overrides. Together the cases take every path of the
+# draw loop: all four pools, the two couplings, the spread, the
+# external age floor, single-author teams (empty co-author and collaborator
+# pools), a pure-direct mixture (own-pool drops and fall-downs) and a
+# one-year span. A change that moves a byte of a generated corpus on
+# purpose re-pins the cases it changes, and says why.
+GENERATOR_PINS = {
+    "mixture": ({}, (
+        "479ea74407da5d1781ba431cfdee8d4a38c73f48f1e9c0e4d0e3514f652a4c50",
+        "d5ce1292ec379b3d5f16207afeeba79cdc3dd8ceff65a4da95ec27873d8af507",
+        "0e17be81466bfb6e846a72fb04d76d1de53853158fd28c082695cb911c670241",
+    )),
+    "external_coupling": ({"selfref_external_coupling": 0.8, "direct_spread": 0.5}, (
+        "a1c89a4013c5919b32d21968b7fcd78720dfe7c34531da64c60fe3533adde8e7",
+        "d5ce1292ec379b3d5f16207afeeba79cdc3dd8ceff65a4da95ec27873d8af507",
+        "06c70cc1a4e859a2534e65517967526393f15408d02c3635d0126ff9b97e5b51",
+    )),
+    "reuse_coupling": ({"selfref_reuse_coupling": 0.6, "direct_spread": 0.5}, (
+        "e370928f4dedf47680cb36d2741700929817e7b0add836f588ec147e2c27cc68",
+        "d5ce1292ec379b3d5f16207afeeba79cdc3dd8ceff65a4da95ec27873d8af507",
+        "e934f0db4cd74512c1fc2d8155a84899ab01aebd4e5e7b01b75c0bb55dcee07d",
+    )),
+    "direct_spread": ({"direct_spread": 1.0}, (
+        "9c5d33638accf3c4571732da39bce53c4c34dc952f6ce371246d02b692348d19",
+        "d5ce1292ec379b3d5f16207afeeba79cdc3dd8ceff65a4da95ec27873d8af507",
+        "c0a2d40a3b899072037574be10ad5ae7176e195bc8489b69367d5307c84180c4",
+    )),
+    "external_min_age": ({"external_min_paper_age": 3}, (
+        "c26b14d9357cd54a6544f2cbff487848843e4a2aedbc036315a94f00590f7aa2",
+        "d5ce1292ec379b3d5f16207afeeba79cdc3dd8ceff65a4da95ec27873d8af507",
+        "72df7a5b0569dffad094ce9e825a215c921b65a5828d302226bd5823aef4c37b",
+    )),
+    "single_author": ({"coauthors_mean": 0.0}, (
+        "4b791e1736429c246860f28e0eac675a53b0b534ace1d793eb41a192cbe7b953",
+        "d5ce1292ec379b3d5f16207afeeba79cdc3dd8ceff65a4da95ec27873d8af507",
+        "e3d7e6b75ce11f06fc53820ec3ec33403ea88707856e64fba62684a509bce2bc",
+    )),
+    "pure_direct": ({"p_direct": 1.0, "p_coauthor": 0.0, "p_collaborator": 0.0,
+                     "p_external": 0.0}, (
+        "2fe95c980128affdd71e9c24fad723f5c3099fa1e0f11d03420ee250d0c9ec03",
+        "d5ce1292ec379b3d5f16207afeeba79cdc3dd8ceff65a4da95ec27873d8af507",
+        "b3d8b846909f410143f0c387f2f3effec12feb8668a8dff29144a78e7597d5a1",
+    )),
+    "one_year": ({"year_start": 2005, "year_end": 2005}, (
+        "ac92ece6229eb10ebba263c81d381044605e865844dec81e25faaf84920ca5d2",
+        "ff4bdf65e9cf94dc1200315e15249665ac0a287eb28668829a6f15f4aecc424a",
+        "5b7833301cb437dd882e5915c33a9873d601c642b98b31011ab240877ad49be7",
+    )),
+}
+
+
+class TestGeneratorPins:
+    @pytest.mark.parametrize("case", sorted(GENERATOR_PINS))
+    def test_corpus_bytes(self, tmp_path, case):
+        overrides, pins = GENERATOR_PINS[case]
+        config = SynthConfig(**{**PIN_BASE, **overrides})
+        corpus, stats = generate_with_stats(config)
+        write_corpus(corpus, tmp_path, config, stats)
+        digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                        for name in ("papers.jsonl", "authors.jsonl", "synth_meta.json"))
+        assert digests == pins
 
 
 class TestStructuralValidity:
@@ -225,6 +299,20 @@ class TestConfigValidation:
             SynthConfig(papers_per_author_year=0.0).validate()
         with pytest.raises(SynthConfigError, match="disciplines"):
             SynthConfig(disciplines=("astrology",)).validate()
+
+    @pytest.mark.parametrize("name", ["papers_per_author_year", "coauthors_mean",
+                                      "refs_per_paper_start", "refs_per_paper_end"])
+    def test_poisson_rate_bound(self, name):
+        SynthConfig(**{name: 700.0}).validate()
+        with pytest.raises(SynthConfigError, match=f"'{name}': must be <= 700"):
+            SynthConfig(**{name: 700.5}).validate()
+
+    def test_poisson_exact_at_rate_bound(self):
+        # the product method stays unbiased up to the bound; at 1000 its
+        # mean fell to about 743
+        rng = random.Random(3)
+        draws = [_poisson(rng, 700.0) for _ in range(300)]
+        assert abs(sum(draws) / len(draws) - 700.0) < 10.0
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "config.json"
