@@ -98,7 +98,10 @@ def _sha256(path: Path) -> str:
 
 
 class _Run:
-    """Collects manifest fields while a subcommand executes."""
+    """Collects manifest fields while a subcommand executes.
+
+    The output directory is created when the first file is written into it,
+    so a run that ends in an error before that leaves no directory behind."""
 
     def __init__(self, command: str, out_dir: Path, options: dict):
         self.command = command
@@ -110,17 +113,21 @@ class _Run:
         self.artifacts: list[str] = []
         self.notes: list[str] = []
         self.started = time.monotonic()
-        out_dir.mkdir(parents=True, exist_ok=True)
 
     def add_input(self, path: Optional[Path]) -> None:
         if path is not None:
             self.inputs[str(path)] = _sha256(path)
 
+    def path(self, name: str) -> Path:
+        """``name`` in the output directory, which exists once this returns."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        return self.out_dir / name
+
     def record_corpus(self, corpus: Corpus) -> None:
         self.counts.update(corpus.validation_report())
 
     def csv(self, name: str, columns, rows) -> None:
-        write_csv(self.out_dir / name, columns, rows)
+        write_csv(self.path(name), columns, rows)
         self.artifacts.append(name)
 
     def finish(self) -> None:
@@ -137,7 +144,7 @@ class _Run:
             "elapsed_seconds": round(time.monotonic() - self.started, 3),
             "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         }
-        with atomic_write(self.out_dir / MANIFEST_FILE) as fh:
+        with atomic_write(self.path(MANIFEST_FILE)) as fh:
             fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -194,8 +201,7 @@ def cmd_classify(args) -> int:
 
     run = _Run("classify", Path(args.out), _common_options(args))
     corpus = _load(args, run)
-    counts = export_corpus(corpus, run.out_dir / EDGES_FILE,
-                           run.out_dir / CLASSIFICATIONS_FILE)
+    counts = export_corpus(corpus, run.path(EDGES_FILE), run.path(CLASSIFICATIONS_FILE))
     run.artifacts += [EDGES_FILE, CLASSIFICATIONS_FILE]
     run.counts["edges"] = counts.edges
     run.counts["collaboration_pairs"] = counts.collaboration_pairs

@@ -21,10 +21,14 @@ by :func:`selfcite.pipeline.run_edge_tallies`, is the reference the tests
 compare the kernel with.
 
 Given tf-idf vectors, :func:`tally_corpus` builds a
-:class:`~selfcite.textsim.SimilarityTally` and fills it in the same pass:
-per scored edge the kernel takes the cosine of
+:class:`~selfcite.textsim.SimilarityTally` and fills it in the same pass.
+It reads each :class:`~selfcite.textsim.TfIdfVector` in its compact layout
+(terms tuple, aligned ``array('d')`` of weights, norm made with the vector):
+per citing paper it builds the term set and term -> weight dict of the
+citing vector once, and per scored edge it takes the cosine of
 :func:`selfcite.textsim._cosine`, the rule the tally's own ``add_edge``
-uses, and adds it to flat float and count cells per (author, type),
+uses (common terms in sorted order, each product added in turn). It adds
+the cosine to flat float and count cells per (author, type),
 (author, type, citation age bin) and direct-reference author, reference
 side first, in edge order, so every float sum keeps the association of the
 ``add_edge`` feed. At the end the cells and the coverage counts are
@@ -112,18 +116,17 @@ def run_kernel(
         hc = [0] * n
     type_references = events or ages or similarity is not None
     if similarity is not None:
-        from .textsim import MAX_SINGLE_CITATION_AGE as max_age, _cosine
+        from .textsim import MAX_SINGLE_CITATION_AGE as max_age, _cosine, _term_lookup
 
         age_bins = max_age + 2  # 0 .. max_age, then max_age + 1 for every older citation
-        vectors, tally_norms, include = similarity.vectors, similarity.norms, similarity.include
-        weights = [None if v is None else v.weights for v in map(vectors.get, view.paper_ids)]
-        norms = [tally_norms.get(pid, 0.0) for pid in view.paper_ids]
+        include = similarity.include
+        vectors = list(map(similarity.vectors.get, view.paper_ids))
         included = [include is None or aid in include for aid in view.author_ids]
         n = 4 * len(included)
         at_sum, at_n = [0.0] * n, [0] * n
         ata_sum, ata_n = [0.0] * (age_bins * n), [0] * (age_bins * n)
         sr_sum, sr_n = [0.0] * len(included), [0] * len(included)
-        missing = zero = scored = records = negative = 0
+        missing = zero = scored = 0
 
     for p, refs in enumerate(view.references):
         if not refs:
@@ -135,9 +138,11 @@ def run_kernel(
         ref_base = [a * author_stride + year_offset for a in citing]
         cite_offset = side_stride + year_offset
         if similarity is not None:
-            u = weights[p]
-            nu = norms[p]
-            terms = frozenset(u) if nu != 0.0 else None
+            u = vectors[p]
+            if u is not None:
+                nu = u.norm
+                if nu != 0.0:
+                    u_terms, u_weights = _term_lookup(u)
         for q in refs:
             cited = authors[q]
             cited_set = author_sets[q]
@@ -164,16 +169,15 @@ def run_kernel(
                     ag[i + t] += 1
             if similarity is None:
                 continue
-            v = weights[q]
+            v = vectors[q]
             if u is None or v is None:
                 missing += 1
                 continue
-            nv = norms[q]
-            if nu == 0.0 or nv == 0.0:
+            if nu == 0.0 or v.norm == 0.0:
                 zero += 1
                 continue
             scored += 1
-            cos = _cosine(terms, u, v, nu, nv)
+            cos = _cosine(u_terms, u_weights, nu, v)
             age = year - years[q]
             age_bin = age if age <= max_age else max_age + 1
             # reference side first, then citation side: each cell's sum
@@ -181,13 +185,10 @@ def run_kernel(
             for a, t in chain(zip(citing, ref), zip(cited, cite)):
                 if not included[a]:
                     continue
-                records += 1
                 i = 4 * a + t
                 at_sum[i] += cos
                 at_n[i] += 1
-                if age < 0:
-                    negative += 1
-                else:
+                if age >= 0:
                     i = age_bins * i + age_bin
                     ata_sum[i] += cos
                     ata_n[i] += 1
@@ -200,8 +201,11 @@ def run_kernel(
         coverage.missing_abstract_edges += missing
         coverage.zero_vector_edges += zero
         coverage.scored_edges += scored
+        # every included record has one (author, type) count, and one
+        # (author, type, age bin) count unless its citation age is negative
+        records = sum(at_n)
         coverage.records += records
-        similarity.negative_age_records += negative
+        similarity.negative_age_records += records - sum(ata_n)
         _project_similarity(similarity, view.author_ids, age_bins,
                             at_sum, at_n, ata_sum, ata_n, sr_sum, sr_n)
     return KernelTables(ev, ag, hc, event_years, n_years)

@@ -1,15 +1,21 @@
 """Citing-cited abstract similarity.
 
-Pipeline: lowercase, split on non-alphanumeric runs, drop stopwords, apply
-the Porter stemmer, weight terms with tf * ln(N/df) (unsmoothed, tf = raw
-within-abstract count) and score pairs with cosine similarity. Vector
-building is two-phase: a corpus-wide document-frequency pass, then an
-independent per-document weighting pass.
+Pipeline: lowercase, split into tokens that are runs of ASCII letters and
+digits (``[a-z0-9]+``: every other character separates tokens, so accented
+letters do too and ``naïve`` gives ``na`` and ``ve``), drop stopwords,
+apply the Porter stemmer, weight terms with tf * ln(N/df) (unsmoothed,
+tf = raw within-abstract count) and score pairs with cosine similarity.
+Vector building is two-phase: a corpus-wide document-frequency pass, then
+an independent per-document weighting pass.
 
-One cosine rule serves every caller (:func:`_cosine`): the dot product
-adds the products of the common terms one at a time in sorted term order,
-so cosine(u, v) == cosine(v, u) bit for bit and no caller depends on how
-the common terms were found.
+A :class:`TfIdfVector` is compact: its terms as a tuple in first-occurrence
+order, their weights as a flat ``array('d')`` aligned with the terms, and
+its norm, computed once when the vector is made. Three rules fix every
+float: a weight is tf * idf; the norm adds the squared weights left to
+right in first-occurrence order; a dot product adds the products of the
+common terms one at a time in sorted term order. One cosine rule serves
+every caller (:func:`_cosine`), so cosine(u, v) == cosine(v, u) bit for bit
+and no caller depends on how the common terms were found.
 
 Pairs where either abstract is missing, or where either tf-idf vector is
 all-zero, are excluded from every average and counted instead of being
@@ -27,12 +33,14 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import reduce
 from importlib import resources
+from itertools import chain, compress
 from operator import add, mul
-from typing import NamedTuple, Optional
+from typing import Mapping, Optional
 
 from .classify import CitationType
 from .corpus import Corpus, CorpusError
@@ -87,11 +95,9 @@ class TokenizedAbstract:
         return not self.stems
 
 
-def preprocess(text: str, paper_id: str = "") -> TokenizedAbstract:
-    """Lowercase, tokenize on non-alphanumeric runs, drop stopwords, stem.
-
-    The stems keep the order of their first occurrence, which fixes the
-    order of every later float sum over a vector's weights."""
+def _stem_counts(text: str) -> Counter:
+    """Stem -> count over the tokens of ``text`` that are not stopwords, in
+    the order of each stem's first occurrence."""
     tokens = _TOKEN_RE.findall(text.lower())
     cache = _stem_cache
     new = set(tokens).difference(cache)
@@ -101,12 +107,51 @@ def preprocess(text: str, paper_id: str = "") -> TokenizedAbstract:
             cache[token] = None if token in stopwords else stem(token)
     counts = Counter(map(cache.__getitem__, tokens))
     counts.pop(None, None)
-    return TokenizedAbstract(paper_id=paper_id, stems=counts)
+    return counts
 
 
-class TfIdfVector(NamedTuple):
-    paper_id: str
-    weights: dict[str, float]
+def preprocess(text: str, paper_id: str = "") -> TokenizedAbstract:
+    """Lowercase, split into runs of ASCII letters and digits (every other
+    character separates tokens), drop stopwords, stem.
+
+    The stems keep the order of their first occurrence, which fixes the
+    order of every later float sum over a vector's weights."""
+    return TokenizedAbstract(paper_id=paper_id, stems=_stem_counts(text))
+
+
+class TfIdfVector:
+    """One paper's tf-idf vector in a compact layout: ``terms``, a tuple in
+    first-occurrence order; ``values``, their weights as a flat
+    ``array('d')`` aligned with the terms; ``norm``, computed once when the
+    vector is made, adding the squared weights left to right in that order.
+
+    ``TfIdfVector(paper_id, weights)`` takes a term -> weight mapping, and
+    ``weights`` rebuilds that mapping as a dict each time it is read."""
+
+    __slots__ = ("paper_id", "terms", "values", "norm")
+
+    def __init__(self, paper_id: str, weights: Mapping[str, float]):
+        self._fill(paper_id, tuple(weights), list(weights.values()))
+
+    @classmethod
+    def from_terms(cls, paper_id: str, terms: tuple, values: list) -> "TfIdfVector":
+        """The vector of ``terms`` with the aligned float ``values``."""
+        vector = cls.__new__(cls)
+        vector._fill(paper_id, terms, values)
+        return vector
+
+    def _fill(self, paper_id: str, terms: tuple, values: list) -> None:
+        self.paper_id = paper_id
+        self.terms = terms
+        self.values = array("d", values)
+        self.norm = math.sqrt(sequential_sum(map(mul, values, values)))
+
+    @property
+    def weights(self) -> dict[str, float]:
+        return dict(zip(self.terms, self.values))
+
+    def __repr__(self) -> str:
+        return f"TfIdfVector({self.paper_id!r}, {self.weights!r})"
 
 
 def build_vectors(corpus: Corpus) -> dict[str, TfIdfVector]:
@@ -114,60 +159,88 @@ def build_vectors(corpus: Corpus) -> dict[str, TfIdfVector]:
 
     idf = ln(N/df) where N counts abstracts with a non-empty stem multiset;
     terms present in every such abstract get weight 0 and are dropped, so a
-    vector may come out empty (flagged by its emptiness).
+    vector may come out empty (its norm is 0). A weight is tf * idf.
+
+    No document is held twice: each abstract's stem counts become a terms
+    tuple and an aligned count array as soon as it is tokenized, the
+    document frequencies turn into the idf in place, and each count array
+    is dropped once its vector is made. The vector keeps the terms tuple.
     """
-    tokenized = [
-        preprocess(p.abstract, pid)
-        for pid, p in corpus.papers.items()
-        if p.abstract is not None
-    ]
-    if not tokenized:
+    docs = []  # (paper id, terms, term counts), in corpus order
+    for pid, p in corpus.papers.items():
+        if p.abstract is not None:
+            counts = _stem_counts(p.abstract)
+            docs.append((pid, tuple(counts), array("I", counts.values())))
+    if not docs:
         raise CorpusError("no abstracts in corpus: tf-idf vectors undefined")
 
-    docs = [t for t in tokenized if not t.is_empty]
-    n_docs = len(docs)
-    df: Counter = Counter()
-    for t in docs:
-        df.update(t.stems.keys())
-
-    idf = {term: math.log(n_docs / count) for term, count in df.items()}
-    zero_idf = [term for term, w in idf.items() if not w > 0.0]
+    n_docs = sum(1 for _pid, terms, _counts in docs if terms)
+    # document frequencies, then replaced by ln(N/df) in place
+    idf = Counter(chain.from_iterable(terms for _pid, terms, _counts in docs))
+    for term, df in idf.items():
+        idf[term] = math.log(n_docs / df)
+    dropped = {term for term, w in idf.items() if not w > 0.0}
 
     vectors: dict[str, TfIdfVector] = {}
-    for t in tokenized:
-        stems = t.stems
-        weights = dict(zip(stems, map(mul, stems.values(), map(idf.__getitem__, stems))))
-        for term in zero_idf:
-            weights.pop(term, None)
-        vectors[t.paper_id] = TfIdfVector(t.paper_id, weights)
+    docs.reverse()
+    while docs:
+        pid, terms, counts = docs.pop()
+        if dropped and not dropped.isdisjoint(terms):
+            kept = [term not in dropped for term in terms]
+            terms = tuple(compress(terms, kept))
+            counts = compress(counts, kept)
+        values = list(map(mul, counts, map(idf.__getitem__, terms)))
+        vectors[pid] = TfIdfVector.from_terms(pid, terms, values)
     return vectors
 
 
-def _norm(weights: dict[str, float]) -> float:
-    return math.sqrt(sequential_sum(map(mul, weights.values(), weights.values())))
+#: Common terms up to which :func:`_cosine` finds each one's weight in v by
+#: a scan of v's terms tuple; above it, one dict of v's weights is cheaper.
+_SCAN_LIMIT = 6
 
 
-def _cosine(terms: frozenset, u: dict[str, float], v: dict[str, float],
-            nu: float, nv: float) -> float:
-    """Cosine of two non-zero vectors; ``terms`` is ``frozenset(u)``.
+def _term_lookup(u: TfIdfVector) -> tuple[frozenset, dict[str, float]]:
+    """The term set and the term -> weight dict of ``u``: the first two
+    arguments of :func:`_cosine`, built once for every pair ``u`` begins."""
+    weights = u.weights
+    return frozenset(weights), weights
+
+
+def _cosine(terms: frozenset, weights: dict[str, float], norm: float,
+            v: TfIdfVector) -> float:
+    """Cosine of two non-zero vectors, u given by :func:`_term_lookup` and
+    its norm.
 
     The dot product adds ``u[t] * v[t]`` one term at a time over the sorted
     common terms: multiplication commutes exactly, so the canonical order
     makes cosine(u, v) == cosine(v, u) bit for bit. ``reduce`` adds in
-    sequence, where ``sum`` of floats is compensated from Python 3.12 on."""
-    common = sorted(terms.intersection(v))
-    dot = reduce(add, map(mul, map(u.__getitem__, common), map(v.__getitem__, common)), 0.0)
-    value = dot / (nu * nv)
+    sequence, where ``sum`` of floats is compensated from Python 3.12 on.
+    A single common term needs no order; its product is added to 0.0 as
+    ``reduce`` would."""
+    v_terms = v.terms
+    common = terms.intersection(v_terms)
+    if not common:
+        return 0.0
+    values = v.values
+    if len(common) == 1:
+        (term,) = common
+        dot = 0.0 + weights[term] * values[v_terms.index(term)]
+    else:
+        common = sorted(common)
+        if len(common) <= _SCAN_LIMIT:
+            v_weights = map(values.__getitem__, map(v_terms.index, common))
+        else:
+            v_weights = map(dict(zip(v_terms, values)).__getitem__, common)
+        dot = reduce(add, map(mul, map(weights.__getitem__, common), v_weights), 0.0)
+    value = dot / (norm * v.norm)
     return value if value < 1.0 else 1.0
 
 
 def cosine(u: TfIdfVector, v: TfIdfVector) -> float:
     """Cosine similarity in [0, 1]; 0 when either vector is all-zero."""
-    nu = _norm(u.weights)
-    nv = _norm(v.weights)
-    if nu == 0.0 or nv == 0.0:
+    if u.norm == 0.0 or v.norm == 0.0:
         return 0.0
-    return _cosine(frozenset(u.weights), u.weights, v.weights, nu, nv)
+    return _cosine(*_term_lookup(u), u.norm, v)
 
 
 @dataclass(slots=True)
@@ -193,18 +266,19 @@ class SimilarityTally:
     ``add_edge``, the reference feed the tests compare the kernel with.
 
     ``include`` (when given) restricts tallies to that author set; skipped
-    records are not counted anywhere.
+    records are not counted anywhere. ``add_edge`` keeps the term lookup of
+    the last citing paper, as edges come grouped by citing paper.
     """
 
     __slots__ = (
-        "vectors", "norms", "include", "author_type", "author_type_age",
-        "author_selfref", "coverage", "negative_age_records",
+        "vectors", "include", "author_type", "author_type_age",
+        "author_selfref", "coverage", "negative_age_records", "_citing",
     )
 
     def __init__(self, vectors: dict[str, TfIdfVector], include=None):
         self.vectors = vectors
-        self.norms = {pid: _norm(v.weights) for pid, v in vectors.items()}
         self.include = include
+        self._citing = (None, None)  # (citing paper id, its _term_lookup)
         self.author_type: dict = {}       # (author, ctype) -> [sum, n]
         self.author_type_age: dict = {}   # (author, ctype, age 0..21) -> [sum, n]
         self.author_selfref: dict = {}    # author -> [sum, n]; direct reference-side only
@@ -217,13 +291,15 @@ class SimilarityTally:
         if u is None or v is None:
             self.coverage.missing_abstract_edges += 1
             return None
-        nu = self.norms[edge.citing_id]
-        nv = self.norms[edge.cited_id]
-        if nu == 0.0 or nv == 0.0:
+        if u.norm == 0.0 or v.norm == 0.0:
             self.coverage.zero_vector_edges += 1
             return None
         self.coverage.scored_edges += 1
-        return _cosine(frozenset(u.weights), u.weights, v.weights, nu, nv)
+        pid, lookup = self._citing
+        if pid != edge.citing_id:
+            lookup = _term_lookup(u)
+            self._citing = (edge.citing_id, lookup)
+        return _cosine(*lookup, u.norm, v)
 
     def add_edge(self, edge, citing_authors, ref_types, cited_authors, cite_types):
         cos = self._edge_cosine(edge)

@@ -6,11 +6,15 @@ the library internals beyond the record and enum types needed to compare
 outputs.
 """
 
+import math
 import random
+import string
 
 from selfcite.classify import AuthorEdgeClass, CitationType, Perspective
 from selfcite.corpus import DISCIPLINES, PaperRecord, corpus_from_records
 from selfcite.graph import CitationEdge
+from selfcite.porter import stem
+from selfcite.textsim import load_stopwords
 
 _WORDS = (
     "alpha", "beta", "gamma", "delta", "kernel", "graph", "matrix", "field",
@@ -187,3 +191,61 @@ def random_corpus(rng: random.Random, max_papers=50, max_authors=15):
             abstract=abstract,
         ))
     return corpus_from_records(papers)
+
+
+def brute_force_vectors(corpus):
+    """tf-idf vectors by the definition of the textsim docstring, with plain
+    string-keyed dicts: paper id -> (term -> weight, norm).
+
+    Text is lowercased and split into runs of ASCII letters and digits;
+    stopwords are dropped and the rest stemmed. tf is the raw count of a
+    stem, idf = ln(N/df) over the N abstracts with at least one stem, and a
+    term of weight 0 is dropped. Terms keep the order of their first
+    occurrence; the norm adds the squared weights left to right in it."""
+    kept = string.ascii_lowercase + string.digits
+    stopwords = load_stopwords()
+    counts = {}
+    for pid, paper in corpus.papers.items():
+        if paper.abstract is None:
+            continue
+        tf = {}
+        token = ""
+        for char in paper.abstract.lower() + " ":
+            if char in kept:
+                token += char
+                continue
+            if token and token not in stopwords:
+                term = stem(token)
+                tf[term] = tf.get(term, 0) + 1
+            token = ""
+        counts[pid] = tf
+    n_docs = sum(1 for tf in counts.values() if tf)
+    df = {}
+    for tf in counts.values():
+        for term in tf:
+            df[term] = df.get(term, 0) + 1
+    vectors = {}
+    for pid, tf in counts.items():
+        weights = {}
+        for term, n in tf.items():
+            weight = n * math.log(n_docs / df[term])
+            if weight > 0.0:
+                weights[term] = weight
+        total = 0.0
+        for weight in weights.values():
+            total += weight * weight
+        vectors[pid] = (weights, math.sqrt(total))
+    return vectors
+
+
+def brute_force_cosine(u, v):
+    """Cosine of two (weights, norm) oracle vectors: the products of the
+    common terms added one at a time in sorted term order; 0 for a zero
+    vector."""
+    (wu, nu), (wv, nv) = u, v
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    dot = 0.0
+    for term in sorted(set(wu) & set(wv)):
+        dot += wu[term] * wv[term]
+    return min(dot / (nu * nv), 1.0)

@@ -417,6 +417,37 @@ class TestSynthCommand:
         assert message in err
 
 
+class TestFailedRunLeavesNoOutput:
+    """A run that ends in a data error before writing anything does not
+    create its --out directory."""
+
+    @pytest.mark.parametrize("subcommand", [
+        "validate", "classify", "metrics", "hindex", "simil", "report"])
+    def test_bad_corpus(self, tmp_path, subcommand):
+        out = tmp_path / "out"
+        assert run(subcommand, "--papers", TESTDATA / "self_citing_papers.jsonl",
+                   "--out", out) == 2
+        assert not out.exists()
+
+    def test_simil_without_abstracts(self, tmp_path):
+        # the corpus loads; the error comes from the tf-idf step
+        papers = tmp_path / "papers.jsonl"
+        papers.write_text(json.dumps({
+            "id": "P1", "year": 2000, "discipline": "health",
+            "authors": ["A"], "references": [],
+        }) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("simil", "--papers", papers, "--out", out) == 2
+        assert not out.exists()
+
+    def test_synth_bad_config(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"n_authors": 1, "refs_per_paper_end": 1000}', encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("synth", "--config", config, "--out", out) == 2
+        assert not out.exists()
+
+
 class TestIdempotence:
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -6,9 +6,10 @@ from hypothesis import given, strategies as st
 
 from selfcite.classify import CitationType
 from selfcite.corpus import CorpusError, PaperRecord, corpus_from_records
+from selfcite.graph import build_collaboration_index, build_edges
 from selfcite.kernel import tally_corpus
 from selfcite.metrics import finalize_profiles
-from selfcite.pipeline import run_record_tallies
+from selfcite.pipeline import run_edge_tallies, run_record_tallies
 from selfcite.textsim import (
     SimilarityCoverage,
     SimilarityTally,
@@ -21,6 +22,8 @@ from selfcite.textsim import (
     similarity_means,
     stopwords_sha256,
 )
+
+from oracles import brute_force_classify_all, brute_force_cosine, brute_force_vectors
 
 D = CitationType.DIRECT
 
@@ -51,6 +54,11 @@ class TestPreprocess:
         # the order of a vector's weights fixes its norm's float sum
         tokens = preprocess("The models of a Graph: models, graphs and 2010 model-graphs!")
         assert list(tokens.stems.items()) == [("model", 3), ("graph", 3), ("2010", 1)]
+
+    def test_only_ascii_letters_and_digits_form_tokens(self):
+        # every other character, accented letters included, separates tokens
+        assert dict(preprocess("naïve résumé").stems) == {"na": 1, "ve": 1, "r": 1, "sum": 1}
+        assert dict(preprocess("ÉCOLE école").stems) == {"cole": 2}
 
     def test_numbers_kept_as_tokens(self):
         tokens = preprocess("model 42 models")
@@ -114,6 +122,98 @@ class TestBuildVectors:
         assert "alpha" not in vectors["P2"].weights
         assert vectors["P2"].weights["beta"] == pytest.approx(math.log(2))
         assert vectors["P1"].weights == {}
+
+
+_ORACLE_WORDS = (
+    "graph", "graphs", "kernel", "kernels", "spectral", "cluster", "clustering",
+    "model", "models", "modeling", "signal", "neuron", "matrix", "field", "theory",
+    "bound", "sample", "2010", "42", "the", "of", "and", "naïve", "x-ray",
+)
+
+
+def oracle_corpus(rng: random.Random):
+    """Random corpus for the tf-idf oracle: missing abstracts, abstracts with
+    no token or only stopwords, abstracts whose only stem every abstract
+    shares, and 1-40 word abstracts, so pairs share from 0 to about 20
+    terms."""
+    n_papers = rng.randint(1, 25)
+    records = []
+    for i in range(n_papers):
+        kind = rng.random()
+        if kind < 0.1:
+            abstract = None
+        elif kind < 0.2:
+            abstract = rng.choice(["", "!!! ...", "the of and", "é"])
+        elif kind < 0.3:
+            abstract = "shared shared"
+        else:
+            words = [rng.choice(_ORACLE_WORDS) for _ in range(rng.randint(1, 40))]
+            abstract = " ".join(words + ["shared"])
+        refs = tuple(f"P{j}" for j in rng.sample(range(n_papers), rng.randint(0, n_papers - 1))
+                     if j != i)
+        records.append(PaperRecord(f"P{i}", rng.randint(2000, 2010), "health",
+                                   tuple(rng.sample("ABCDE", rng.randint(1, 3))), refs,
+                                   abstract=abstract))
+    return corpus_from_records(records)
+
+
+class TestVectorOracle:
+    """build_vectors, the cosine and the kernel's similarity sums against
+    the plain-dict oracle, bit for bit."""
+
+    def test_vectors_equal_oracle(self):
+        rng = random.Random(1501)
+        for _ in range(60):
+            corpus = oracle_corpus(rng)
+            if corpus.papers_with_abstract == 0:
+                continue
+            vectors = build_vectors(corpus)
+            oracle = brute_force_vectors(corpus)
+            assert vectors.keys() == oracle.keys()
+            for pid, (weights, norm) in oracle.items():
+                vector = vectors[pid]
+                assert vector.terms == tuple(weights)
+                assert [w.hex() for w in vector.values] == [w.hex() for w in weights.values()]
+                assert vector.norm.hex() == norm.hex()
+
+    def test_cosine_equals_oracle(self):
+        rng = random.Random(1502)
+        overlaps = set()
+        for _ in range(40):
+            corpus = oracle_corpus(rng)
+            if corpus.papers_with_abstract == 0:
+                continue
+            vectors = build_vectors(corpus)
+            oracle = brute_force_vectors(corpus)
+            for p, u in vectors.items():
+                for q, v in vectors.items():
+                    overlaps.add(len(set(u.terms) & set(v.terms)))
+                    assert cosine(u, v).hex() == brute_force_cosine(oracle[p], oracle[q]).hex()
+        # every lookup path of the cosine ran: no, one, a few and many common terms
+        assert {0, 1, 2, 6, 7, 12} <= overlaps
+
+    def test_kernel_and_reference_feed_sums_equal_oracle(self):
+        rng = random.Random(1503)
+        for _ in range(40):
+            corpus = oracle_corpus(rng)
+            if corpus.papers_with_abstract == 0:
+                continue
+            oracle = brute_force_vectors(corpus)
+            expected = {}
+            for rec in brute_force_classify_all(corpus):
+                u = oracle.get(rec.edge.citing_id)
+                v = oracle.get(rec.edge.cited_id)
+                if u is None or v is None or u[1] == 0.0 or v[1] == 0.0:
+                    continue
+                cell = expected.setdefault((rec.author_id, rec.ctype), [0.0, 0])
+                cell[0] += brute_force_cosine(u, v)
+                cell[1] += 1
+            vectors = build_vectors(corpus)
+            assert similarity_tally(corpus, vectors).author_type == expected
+            reference = SimilarityTally(vectors)
+            run_edge_tallies(corpus, build_edges(corpus), build_collaboration_index(corpus),
+                             [reference])
+            assert reference.author_type == expected
 
 
 class TestCosine:
