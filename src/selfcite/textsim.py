@@ -36,10 +36,9 @@ import re
 from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass
-from functools import reduce
 from importlib import resources
 from itertools import chain, compress
-from operator import add, mul
+from operator import mul
 from typing import Mapping, Optional
 
 from .classify import CitationType
@@ -126,7 +125,9 @@ class TfIdfVector:
     vector is made, adding the squared weights left to right in that order.
 
     ``TfIdfVector(paper_id, weights)`` takes a term -> weight mapping, and
-    ``weights`` rebuilds that mapping as a dict each time it is read."""
+    ``weights`` rebuilds that mapping as a new dict each time it is read (a
+    read-only copy). Vectors are equal when their paper id, terms (in
+    order) and values are; they have no hash."""
 
     __slots__ = ("paper_id", "terms", "values", "norm")
 
@@ -150,6 +151,12 @@ class TfIdfVector:
     def weights(self) -> dict[str, float]:
         return dict(zip(self.terms, self.values))
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TfIdfVector):
+            return NotImplemented
+        return (self.paper_id, self.terms, self.values) == (
+            other.paper_id, other.terms, other.values)
+
     def __repr__(self) -> str:
         return f"TfIdfVector({self.paper_id!r}, {self.weights!r})"
 
@@ -162,9 +169,9 @@ def build_vectors(corpus: Corpus) -> dict[str, TfIdfVector]:
     vector may come out empty (its norm is 0). A weight is tf * idf.
 
     No document is held twice: each abstract's stem counts become a terms
-    tuple and an aligned count array as soon as it is tokenized, the
-    document frequencies turn into the idf in place, and each count array
-    is dropped once its vector is made. The vector keeps the terms tuple.
+    tuple and an aligned count array as soon as it is tokenized, and the
+    document frequencies turn into the idf in place. The vector keeps the
+    terms tuple; the count arrays go when the function returns.
     """
     docs = []  # (paper id, terms, term counts), in corpus order
     for pid, p in corpus.papers.items():
@@ -182,9 +189,7 @@ def build_vectors(corpus: Corpus) -> dict[str, TfIdfVector]:
     dropped = {term for term, w in idf.items() if not w > 0.0}
 
     vectors: dict[str, TfIdfVector] = {}
-    docs.reverse()
-    while docs:
-        pid, terms, counts = docs.pop()
+    for pid, terms, counts in docs:
         if dropped and not dropped.isdisjoint(terms):
             kept = [term not in dropped for term in terms]
             terms = tuple(compress(terms, kept))
@@ -194,9 +199,11 @@ def build_vectors(corpus: Corpus) -> dict[str, TfIdfVector]:
     return vectors
 
 
-#: Common terms up to which :func:`_cosine` finds each one's weight in v by
-#: a scan of v's terms tuple; above it, one dict of v's weights is cheaper.
-_SCAN_LIMIT = 6
+#: Common terms up to which :func:`_cosine` finds each one in v by a scan of
+#: v's terms tuple. A scan costs about half of v's length per term and one
+#: dict of v's positions costs about v's length, so on the 125-140-term
+#: vectors of the text-simil benchmark the dict pays from 8-10 terms on.
+_SCAN_LIMIT = 8
 
 
 def _term_lookup(u: TfIdfVector) -> tuple[frozenset, dict[str, float]]:
@@ -211,27 +218,23 @@ def _cosine(terms: frozenset, weights: dict[str, float], norm: float,
     """Cosine of two non-zero vectors, u given by :func:`_term_lookup` and
     its norm.
 
-    The dot product adds ``u[t] * v[t]`` one term at a time over the sorted
-    common terms: multiplication commutes exactly, so the canonical order
-    makes cosine(u, v) == cosine(v, u) bit for bit. ``reduce`` adds in
-    sequence, where ``sum`` of floats is compensated from Python 3.12 on.
-    A single common term needs no order; its product is added to 0.0 as
-    ``reduce`` would."""
+    The dot product adds ``u[t] * v[t]`` one term at a time, starting from
+    0.0, over the sorted common terms: multiplication commutes exactly, so
+    the canonical order makes cosine(u, v) == cosine(v, u) bit for bit, and
+    how a term is found in v does not touch the float. The loop adds in
+    sequence, where ``sum`` of floats is compensated from Python 3.12 on."""
     v_terms = v.terms
     common = terms.intersection(v_terms)
     if not common:
         return 0.0
-    values = v.values
-    if len(common) == 1:
-        (term,) = common
-        dot = 0.0 + weights[term] * values[v_terms.index(term)]
+    if len(common) <= _SCAN_LIMIT:
+        position = v_terms.index
     else:
-        common = sorted(common)
-        if len(common) <= _SCAN_LIMIT:
-            v_weights = map(values.__getitem__, map(v_terms.index, common))
-        else:
-            v_weights = map(dict(zip(v_terms, values)).__getitem__, common)
-        dot = reduce(add, map(mul, map(weights.__getitem__, common), v_weights), 0.0)
+        position = dict(zip(v_terms, range(len(v_terms)))).__getitem__
+    values = v.values
+    dot = 0.0
+    for term in sorted(common):
+        dot += weights[term] * values[position(term)]
     value = dot / (norm * v.norm)
     return value if value < 1.0 else 1.0
 

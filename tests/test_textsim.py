@@ -11,6 +11,7 @@ from selfcite.kernel import tally_corpus
 from selfcite.metrics import finalize_profiles
 from selfcite.pipeline import run_edge_tallies, run_record_tallies
 from selfcite.textsim import (
+    _SCAN_LIMIT,
     SimilarityCoverage,
     SimilarityTally,
     TfIdfVector,
@@ -104,6 +105,14 @@ class TestBuildVectors:
         vectors = build_vectors(corpus)
         assert vectors["P1"].weights["alpha"] == pytest.approx(math.log(2))
 
+    def test_vector_equality_and_weights_copy(self):
+        u = TfIdfVector("u", {"a": 1.0, "b": 2.0})
+        assert u == TfIdfVector("u", {"a": 1.0, "b": 2.0})
+        assert u != TfIdfVector("u", {"b": 2.0, "a": 1.0})  # term order fixes the norm's sum
+        assert u != TfIdfVector("v", {"a": 1.0, "b": 2.0})
+        u.weights["a"] = 5.0
+        assert u.weights == {"a": 1.0, "b": 2.0}
+
     def test_zero_abstracts_error(self):
         corpus = corpus_from_records([
             PaperRecord("P1", 2000, "health", ("A",), ()),
@@ -189,8 +198,9 @@ class TestVectorOracle:
                 for q, v in vectors.items():
                     overlaps.add(len(set(u.terms) & set(v.terms)))
                     assert cosine(u, v).hex() == brute_force_cosine(oracle[p], oracle[q]).hex()
-        # every lookup path of the cosine ran: no, one, a few and many common terms
-        assert {0, 1, 2, 6, 7, 12} <= overlaps
+        # both ways of finding the common terms in v ran: no, one, a few
+        # common terms, and the first count above the scan limit
+        assert {0, 1, 2, _SCAN_LIMIT, _SCAN_LIMIT + 1} <= overlaps
 
     def test_kernel_and_reference_feed_sums_equal_oracle(self):
         rng = random.Random(1503)
