@@ -24,6 +24,7 @@ import json
 import resource
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -101,7 +102,8 @@ class _Run:
     """Collects manifest fields while a subcommand executes.
 
     The output directory is created when the first file is written into it,
-    so a run that ends in an error before that leaves no directory behind."""
+    so a run that ends in an error before that leaves no directory behind.
+    Each :meth:`stage` the run passes through adds one ``stages`` entry."""
 
     def __init__(self, command: str, out_dir: Path, options: dict):
         self.command = command
@@ -112,7 +114,8 @@ class _Run:
         self.coverage: dict = {}
         self.artifacts: list[str] = []
         self.notes: list[str] = []
-        self.started = time.monotonic()
+        self.stages: list[dict] = []
+        self.started = time.perf_counter()
 
     def add_input(self, path: Optional[Path]) -> None:
         if path is not None:
@@ -122,6 +125,19 @@ class _Run:
         """``name`` in the output directory, which exists once this returns."""
         self.out_dir.mkdir(parents=True, exist_ok=True)
         return self.out_dir / name
+
+    @contextmanager
+    def stage(self, name: str):
+        """Time the block as stage ``name``: when it completes, ``stages``
+        gains its name, its seconds and the process's peak RSS so far
+        (``ru_maxrss``, in KB on Linux)."""
+        start = time.perf_counter()
+        yield
+        self.stages.append({
+            "name": name,
+            "seconds": round(time.perf_counter() - start, 3),
+            "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        })
 
     def record_corpus(self, corpus: Corpus) -> None:
         self.counts.update(corpus.validation_report())
@@ -141,7 +157,8 @@ class _Run:
             "coverage": self.coverage,
             "artifacts": self.artifacts,
             "notes": self.notes,
-            "elapsed_seconds": round(time.monotonic() - self.started, 3),
+            "stages": self.stages,
+            "elapsed_seconds": round(time.perf_counter() - self.started, 3),
             "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         }
         with atomic_write(self.path(MANIFEST_FILE)) as fh:
@@ -151,11 +168,12 @@ class _Run:
 def _load(args, run: _Run) -> Corpus:
     papers = Path(args.papers)
     authors = Path(args.authors) if args.authors else None
-    corpus = load_corpus(papers, authors)
-    run.add_input(papers)
-    if authors is not None:
-        run.add_input(authors)
-    run.record_corpus(corpus)
+    with run.stage("load"):
+        corpus = load_corpus(papers, authors)
+        run.add_input(papers)
+        if authors is not None:
+            run.add_input(authors)
+        run.record_corpus(corpus)
     return corpus
 
 
@@ -201,7 +219,8 @@ def cmd_classify(args) -> int:
 
     run = _Run("classify", Path(args.out), _common_options(args))
     corpus = _load(args, run)
-    counts = export_corpus(corpus, run.path(EDGES_FILE), run.path(CLASSIFICATIONS_FILE))
+    with run.stage("export"):
+        counts = export_corpus(corpus, run.path(EDGES_FILE), run.path(CLASSIFICATIONS_FILE))
     run.artifacts += [EDGES_FILE, CLASSIFICATIONS_FILE]
     run.counts["edges"] = counts.edges
     run.counts["collaboration_pairs"] = counts.collaboration_pairs
@@ -214,9 +233,14 @@ def cmd_classify(args) -> int:
 
 
 def _metrics_outputs(run: _Run, corpus, profiles, age_tally, citeage_tally,
-                     weights, eligible, n_percentiles) -> None:
-    from .metrics import heatmap_by_production_and_age, percentile_strata
+                     weighting, eligible, n_percentiles) -> None:
+    from .metrics import (
+        compute_inflation_weights,
+        heatmap_by_production_and_age,
+        percentile_strata,
+    )
 
+    weights = compute_inflation_weights(corpus) if weighting else None
     curve = age_tally.finalize(weights=weights)
     run.csv("fig1_age_curves.csv", FIG1_COLUMNS, curve.rows)
     production = age_tally.finalize(by_production=True, weights=weights)
@@ -295,7 +319,7 @@ def cmd_analysis(args) -> int:
     builds only the tallies behind ``args.tables``, then each table group is
     written."""
     from .kernel import tally_corpus
-    from .metrics import compute_inflation_weights, finalize_profiles
+    from .metrics import finalize_profiles
 
     tables = args.tables
     run = _Run(args.subcommand, Path(args.out), _common_options(args))
@@ -308,7 +332,6 @@ def cmd_analysis(args) -> int:
     if "metrics" in tables or "simil" in tables:
         views.append("profile")
     if "metrics" in tables:
-        weights = compute_inflation_weights(corpus) if args.weighting else None
         views += ["age_curve", "citation_age"]
     if "hindex" in tables:
         views.append("hindex")
@@ -324,20 +347,25 @@ def cmd_analysis(args) -> int:
             run.notes.append("no abstracts in corpus: similarity tables are header-only")
             vectors = {}
         else:
-            vectors = build_vectors(corpus)
-    tallies = tally_corpus(corpus, views, include=eligible, vectors=vectors)
+            with run.stage("vectors"):
+                vectors = build_vectors(corpus)
+    with run.stage("tally"):
+        tallies = tally_corpus(corpus, views, include=eligible, vectors=vectors)
+        # Unweighted: figS7, figS8 and the similarity tables read raw counts only.
+        profiles = (finalize_profiles(corpus, tallies.profile)
+                    if tallies.profile is not None else None)
     run.counts["author_edge_events"] = tallies.author_edge_events
-    # Unweighted: figS7, figS8 and the similarity tables read raw counts only.
-    profiles = (finalize_profiles(corpus, tallies.profile)
-                if tallies.profile is not None else None)
 
     if "metrics" in tables:
-        _metrics_outputs(run, corpus, profiles, tallies.age_curve, tallies.citation_age,
-                         weights, eligible, args.n_percentiles)
+        with run.stage("metrics"):
+            _metrics_outputs(run, corpus, profiles, tallies.age_curve, tallies.citation_age,
+                             args.weighting, eligible, args.n_percentiles)
     if "hindex" in tables:
-        _hindex_outputs(run, corpus, tallies.hindex, eligible, args.individual)
+        with run.stage("hindex"):
+            _hindex_outputs(run, corpus, tallies.hindex, eligible, args.individual)
     if "simil" in tables:
-        _simil_outputs(run, tallies.similarity, profiles, eligible, args.n_percentiles)
+        with run.stage("simil"):
+            _simil_outputs(run, tallies.similarity, profiles, eligible, args.n_percentiles)
     run.finish()
     print(f"{args.subcommand}: wrote {len(run.artifacts)} artifacts to {run.out_dir}")
     return 0
@@ -352,8 +380,10 @@ def cmd_synth(args) -> int:
         config = dataclasses.replace(config, seed=args.seed)
         config.validate()
     run.add_input(Path(args.config))
-    corpus, stats = generate_with_stats(config)
-    meta = write_corpus(corpus, run.out_dir, config, stats)
+    with run.stage("generate"):
+        corpus, stats = generate_with_stats(config)
+    with run.stage("write"):
+        meta = write_corpus(corpus, run.out_dir, config, stats)
     run.artifacts.extend(["papers.jsonl", "authors.jsonl", "synth_meta.json"])
     run.counts.update({k: v for k, v in meta.items() if k not in ("config", "draws")})
     run.finish()

@@ -126,7 +126,16 @@ def _unwritable(value: str) -> bool:
             or not value.isascii() and _SURROGATE.search(value) is not None)
 
 
-def _parse_paper(obj, source: str, lineno: int) -> PaperRecord:
+def _constant(value, constants: tuple):
+    """The member of ``constants`` equal to ``value``, else ``value``. It
+    compares and never hashes, so a JSON list is kept for the value check
+    to reject with its line."""
+    return constants[constants.index(value)] if value in constants else value
+
+
+def _parse_paper(obj, source: str, lineno: int, ids: dict) -> PaperRecord:
+    """The record of one papers-file object; ``ids`` maps each id string
+    to the one object that stands for it in this load."""
     if not isinstance(obj, dict):
         raise _fail(source, lineno, "record is not an object")
 
@@ -157,17 +166,18 @@ def _parse_paper(obj, source: str, lineno: int) -> PaperRecord:
         raise _fail(source, lineno, f"field 'title' must be a string when present (paper {pid})")
 
     return PaperRecord(
-        paper_id=pid,
+        paper_id=ids.setdefault(pid, pid),
         year=year,
-        discipline=obj.get("discipline"),
-        author_ids=tuple(authors),
-        reference_ids=tuple(references),
+        discipline=_constant(obj.get("discipline"), DISCIPLINES),
+        author_ids=tuple(map(ids.setdefault, authors, authors)),
+        reference_ids=tuple(map(ids.setdefault, references, references)),
         abstract=abstract,
         title=title,
     )
 
 
-def _parse_author(obj, source: str, lineno: int) -> AuthorRecord:
+def _parse_author(obj, source: str, lineno: int, ids: dict) -> AuthorRecord:
+    """The record of one authors-file object, its id taken from ``ids``."""
     if not isinstance(obj, dict):
         raise _fail(source, lineno, "record is not an object")
     aid = obj.get("id")
@@ -179,7 +189,8 @@ def _parse_author(obj, source: str, lineno: int) -> AuthorRecord:
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise _fail(source, lineno, f"field 'name' must be a string when present (author {aid})")
-    return AuthorRecord(author_id=aid, gender=gender, display_name=name)
+    return AuthorRecord(author_id=ids.setdefault(aid, aid),
+                        gender=_constant(gender, GENDERS), display_name=name)
 
 
 def iter_text_lines(path: Path, source: str):
@@ -266,14 +277,15 @@ def _add_record(records: dict, record, key: str,
     records[rid] = record
 
 
-def _read_records(path: Path, source: str, parse, key: str) -> dict:
-    """Records of one line-delimited JSON file by id, checked by
-    :func:`_add_record`; a missing file is a :class:`CorpusError`."""
+def _read_records(path: Path, source: str, parse, key: str, ids: dict) -> dict:
+    """Records of one line-delimited JSON file by id, parsed with the id
+    memo ``ids`` and checked by :func:`_add_record`; a missing file is a
+    :class:`CorpusError`."""
     if not path.exists():
         raise CorpusError(f"{source} file not found: {path}")
     records: dict = {}
     for lineno, obj in _iter_json_lines(path, source):
-        _add_record(records, parse(obj, source, lineno), key, source, lineno)
+        _add_record(records, parse(obj, source, lineno, ids), key, source, lineno)
     return records
 
 
@@ -287,11 +299,17 @@ def load_corpus(
     malformed record, duplicate paper id or empty author list. Author
     records missing from the authors file are synthesized with gender
     ``unknown``.
+
+    Equal ids share one string object across both files, so a resolvable
+    reference is the object that keys its paper in :attr:`Corpus.papers`;
+    the memo that makes them so is local to this call. Disciplines and
+    genders are the :data:`DISCIPLINES` and :data:`GENDERS` objects.
     """
-    papers = _read_records(Path(papers_path), "papers", _parse_paper, "paper_id")
+    ids: dict[str, str] = {}
+    papers = _read_records(Path(papers_path), "papers", _parse_paper, "paper_id", ids)
     authors = {}
     if authors_path is not None:
-        authors = _read_records(Path(authors_path), "authors", _parse_author, "author_id")
+        authors = _read_records(Path(authors_path), "authors", _parse_author, "author_id", ids)
     return _assemble(papers, authors)
 
 

@@ -80,10 +80,6 @@ def stopwords_sha256() -> str:
     return _STOPWORDS_SHA256
 
 
-#: token -> its stem, or None for a stopword
-_stem_cache: dict[str, Optional[str]] = {}
-
-
 @dataclass(slots=True)
 class TokenizedAbstract:
     paper_id: str
@@ -94,11 +90,12 @@ class TokenizedAbstract:
         return not self.stems
 
 
-def _stem_counts(text: str) -> Counter:
+def _stem_counts(text: str, cache: dict[str, Optional[str]]) -> Counter:
     """Stem -> count over the tokens of ``text`` that are not stopwords, in
-    the order of each stem's first occurrence."""
+    the order of each stem's first occurrence. ``cache`` maps each token
+    already seen to its stem, or to None for a stopword; new tokens are
+    added to it."""
     tokens = _TOKEN_RE.findall(text.lower())
-    cache = _stem_cache
     new = set(tokens).difference(cache)
     if new:
         stopwords = load_stopwords()
@@ -115,7 +112,7 @@ def preprocess(text: str, paper_id: str = "") -> TokenizedAbstract:
 
     The stems keep the order of their first occurrence, which fixes the
     order of every later float sum over a vector's weights."""
-    return TokenizedAbstract(paper_id=paper_id, stems=_stem_counts(text))
+    return TokenizedAbstract(paper_id=paper_id, stems=_stem_counts(text, {}))
 
 
 class TfIdfVector:
@@ -171,13 +168,16 @@ def build_vectors(corpus: Corpus) -> dict[str, TfIdfVector]:
     No document is held twice: each abstract's stem counts become a terms
     tuple and an aligned count array as soon as it is tokenized, and the
     document frequencies turn into the idf in place. The vector keeps the
-    terms tuple; the count arrays go when the function returns.
+    terms tuple; the count arrays go when the function returns. The
+    token -> stem cache is this call's own and goes before the idf pass.
     """
     docs = []  # (paper id, terms, term counts), in corpus order
+    cache: dict[str, Optional[str]] = {}
     for pid, p in corpus.papers.items():
         if p.abstract is not None:
-            counts = _stem_counts(p.abstract)
+            counts = _stem_counts(p.abstract, cache)
             docs.append((pid, tuple(counts), array("I", counts.values())))
+    del cache
     if not docs:
         raise CorpusError("no abstracts in corpus: tf-idf vectors undefined")
 

@@ -130,9 +130,12 @@ class TestValidate:
                    b'"authors": ["A"], "references": []}\n'),
         ("authors", b'{"id": "A", "gender": "woman", "name": "Author", "rank": '
                     + b"1" * 5001 + b'}\n'),
+        ("papers", b'{"id": "P1", "year": 2000, "discipline": ["health"], "authors": ["A"], '
+                   b'"references": []}\n'),
+        ("authors", b'{"id": "A", "gender": ["woman"]}\n'),
     ], ids=["missing_fields", "invalid_utf8", "deeply_nested", "tab_in_author_id",
             "lone_surrogate_id", "self_citing_paper", "oversized_integer_papers",
-            "oversized_integer_authors"])
+            "oversized_integer_authors", "list_discipline", "list_gender"])
     def test_malformed_input_exit_2(self, tmp_path, capsys, source, content):
         bad = tmp_path / "bad.jsonl"
         bad.write_bytes(content)
@@ -352,6 +355,51 @@ class TestReport:
         assert len(lines) == 1  # header only
         assert manifest(out)["notes"] == [
             "no abstracts in corpus: similarity tables are header-only"]
+
+
+#: Stage names of each subcommand's manifest on a corpus with abstracts.
+_STAGES = {
+    "validate": ["load"],
+    "classify": ["load", "export"],
+    "metrics": ["load", "tally", "metrics"],
+    "hindex": ["load", "tally", "hindex"],
+    "simil": ["load", "vectors", "tally", "simil"],
+    "report": ["load", "vectors", "tally", "metrics", "hindex", "simil"],
+    "synth": ["generate", "write"],
+}
+#: Each stage's seconds and elapsed_seconds are rounded to the millisecond,
+#: so their sum may pass elapsed_seconds by half a millisecond per value.
+_ROUNDING_SLACK_S = 0.0005 * (max(map(len, _STAGES.values())) + 1)
+
+
+class TestManifestStages:
+    @pytest.mark.parametrize("command", sorted(_STAGES))
+    def test_stage_names_seconds_and_rss(self, tmp_path, command):
+        out = tmp_path / "o"
+        if command == "synth":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"n_authors": 10, "seed": 5}), encoding="utf-8")
+            argv = ["--config", config]
+        else:
+            argv = ["--papers", PAPERS, "--authors", AUTHORS]
+        assert run(command, *argv, "--out", out) == 0
+        m = manifest(out)
+        stages = m["stages"]
+        assert [s["name"] for s in stages] == _STAGES[command]
+        assert all(s["seconds"] >= 0 for s in stages)
+        assert sum(s["seconds"] for s in stages) <= m["elapsed_seconds"] + _ROUNDING_SLACK_S
+        rss = [s["peak_rss_kb"] for s in stages]
+        assert 0 < rss[0] and rss == sorted(rss) and rss[-1] <= m["peak_rss_kb"]
+
+    def test_report_without_abstracts_has_no_vectors_stage(self, tmp_path):
+        papers = tmp_path / "papers.jsonl"
+        papers.write_text(json.dumps({
+            "id": "P1", "year": 2000, "discipline": "health",
+            "authors": ["A"], "references": [],
+        }) + "\n", encoding="utf-8")
+        assert run("report", "--papers", papers, "--out", tmp_path / "o") == 0
+        assert [s["name"] for s in manifest(tmp_path / "o")["stages"]] == [
+            "load", "tally", "metrics", "hindex", "simil"]
 
 
 class TestSynthCommand:

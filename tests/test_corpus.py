@@ -173,6 +173,99 @@ class TestLoadCorpus:
             load_corpus(papers, authors)
 
 
+def _id_objects(corpus):
+    """Every id string object the corpus holds, by where it sits."""
+    for pid, p in corpus.papers.items():
+        yield "papers key", pid
+        yield "paper_id", p.paper_id
+        yield from (("author_ids", a) for a in p.author_ids)
+        yield from (("reference_ids", r) for r in p.reference_ids)
+    for aid, a in corpus.authors.items():
+        yield "authors key", aid
+        yield "author_id", a.author_id
+    for aid, entry in corpus.author_index.items():
+        yield "author_index key", aid
+        yield from (("publication_ids", pid) for pid in entry.publication_ids)
+
+
+class TestOneObjectPerId:
+    """A load keeps one string object per distinct id, from a memo that
+    lives for that load only. Ids are longer than one character, since
+    CPython shares one-character strings anyway."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        papers = tmp_path / "papers.jsonl"
+        write_lines(papers, [
+            paper_line("paper-2", 2001, ["author-a", "author-b"], ["paper-1", "ghost-9"],
+                       discipline="social_sciences"),
+            paper_line("paper-1", 2000, ["author-a"], ["ghost-9"]),
+            paper_line("paper-3", 2002, ["author-b", "author-c"], ["paper-2", "paper-1"]),
+        ])
+        authors = tmp_path / "authors.jsonl"
+        write_lines(authors, [json.dumps({"id": "author-b", "gender": "woman"}),
+                              json.dumps({"id": "author-z", "gender": "man"})])
+        return papers, authors
+
+    def test_resolvable_reference_is_its_paper_key(self, files):
+        corpus = load_corpus(*files)
+        keys = {pid: pid for pid in corpus.papers}
+        resolvable = [rid for p in corpus.papers.values() for rid in p.reference_ids
+                      if rid in keys]
+        assert len(resolvable) == 3
+        for rid in resolvable:
+            assert rid is keys[rid]
+        for pid, p in corpus.papers.items():
+            assert p.paper_id is pid
+
+    def test_one_object_per_id_across_the_corpus(self, files):
+        corpus = load_corpus(*files)
+        first = {}
+        for where, value in _id_objects(corpus):
+            assert first.setdefault(value, value) is value, (where, value)
+        assert {"author-a", "author-b", "author-c", "author-z", "ghost-9"} <= set(first)
+
+    def test_two_loads_share_no_id_object(self, files):
+        one = load_corpus(*files)
+        two = load_corpus(*files)
+        ids_one = {id(v) for _where, v in _id_objects(one)}
+        ids_two = {id(v) for _where, v in _id_objects(two)}
+        assert ids_one.isdisjoint(ids_two)
+
+    def test_discipline_and_gender_are_the_constants(self, files):
+        corpus = load_corpus(*files)
+        for p in corpus.papers.values():
+            assert p.discipline is DISCIPLINES[DISCIPLINES.index(p.discipline)]
+        for a in corpus.authors.values():
+            assert a.gender is GENDERS[GENDERS.index(a.gender)]
+
+    @pytest.mark.parametrize("field, value", [
+        ("discipline", ["health"]), ("discipline", {"health": 1}),
+        ("gender", ["woman"]), ("gender", {"woman": 1}),
+    ])
+    def test_unhashable_discipline_or_gender_names_its_line(self, files, field, value):
+        papers, authors = files
+        if field == "discipline":
+            path, source, what = papers, "papers", f"one of {DISCIPLINES} (paper P9)"
+            bad = json.loads(paper_line("P9", 2000, ["author-a"], []))
+        else:
+            path, source, what = authors, "authors", f"one of {GENDERS} (author A9)"
+            bad = {"id": "A9"}
+        bad[field] = value
+        path.write_text(path.read_text() + json.dumps(bad) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError) as err:
+            load_corpus(papers, authors)
+        lineno = 4 if source == "papers" else 3
+        assert str(err.value) == f"{source} line {lineno}: field '{field}' must be {what}"
+
+    def test_records_keep_their_callers_objects(self):
+        papers = [PaperRecord("paper-1", 2000, "health", ("author-a",), ())]
+        authors = [AuthorRecord("author-a", gender="woman")]
+        corpus = corpus_from_records(papers, authors)
+        assert corpus.papers["paper-1"] is papers[0]
+        assert corpus.authors["author-a"] is authors[0]
+
+
 class TestCorpusFromRecords:
     """In-memory records pass the id and year checks of :func:`load_corpus`."""
 
