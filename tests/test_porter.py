@@ -1,6 +1,10 @@
 import pytest
 
-from selfcite.porter import stem
+from conftest import TESTDATA
+from selfcite.porter import _STEP2, _STEP3, _STEP4, stem
+
+# word<TAB>stem lines, the stems made by the stemmer this list was cut from
+GOLDEN = TESTDATA / "porter_golden.tsv"
 
 # final outputs of the published algorithm for its own worked examples
 CLASSIC_PAIRS = [
@@ -141,3 +145,66 @@ def test_idempotent_on_common_stems():
 ])
 def test_suffix_tests(word, expected):
     assert stem(word) == expected
+
+
+def _golden():
+    with open(GOLDEN, encoding="utf-8") as f:
+        return [tuple(line.rstrip("\n").split("\t")) for line in f]
+
+
+def test_golden_vocabulary():
+    wrong = [(word, expected, stem(word)) for word, expected in _golden()
+             if stem(word) != expected]
+    assert not wrong, wrong[:20]
+
+
+def _measure(word):
+    """m of [C](VC)^m[V], where y is a vowel after a consonant."""
+    form = ""
+    for ch in word:
+        vowel = ch in "aeiou" or (ch == "y" and form[-1:] == "c")
+        form += "v" if vowel else "c"
+    return form.count("vc")
+
+
+def _suffix_outcomes(word):
+    """(suffix, outcome) for steps 2, 3 and 4 of a word steps 1a-1c leave alone.
+
+    The outcome is "fires", "measure" when the measure bound refuses the
+    longest matching suffix, or "st" when ion lacks s or t before it.
+    """
+    outcomes = []
+    for rules, bound in ((_STEP2, 0), (_STEP3, 0), (_STEP4, 1)):
+        for suffix, repl in (rule[:2] for rule in rules):
+            if word.endswith(suffix):
+                base = word[: len(word) - len(suffix)]
+                if _measure(base) <= bound:
+                    outcomes.append((suffix, "measure"))
+                elif suffix == "ion" and not base.endswith(("s", "t")):
+                    outcomes.append((suffix, "st"))
+                else:
+                    outcomes.append((suffix, "fires"))
+                    word = base + repl
+                break
+    return outcomes
+
+
+def test_golden_vocabulary_covers_every_suffix():
+    seen = set()
+    for word, _ in _golden():
+        if len(word) > 2 and (word.endswith("ss") or not word.endswith(("s", "ed", "ing", "y"))):
+            seen.update(_suffix_outcomes(word))
+    suffixes = [rule[0] for rules in (_STEP2, _STEP3, _STEP4) for rule in rules]
+    assert len(set(suffixes)) == len(suffixes) == 46
+    missing = [(s, o) for s in suffixes for o in ("fires", "measure") if (s, o) not in seen]
+    assert not missing
+    assert ("ion", "st") in seen
+
+
+def test_golden_vocabulary_covers_edge_tokens():
+    words = [word for word, _ in _golden()]
+    assert {len(w) for w in words} >= {1, 2}
+    assert any(c.isdigit() for w in words for c in w)
+    assert any(w.startswith("y") for w in words)
+    assert any(w[i] == "y" and w[i - 1] in "aeiou" for w in words for i in range(1, len(w)))
+    assert any(w[i] == "y" and w[i - 1] not in "aeiouy" for w in words for i in range(1, len(w)))
