@@ -357,6 +357,15 @@ class TestReport:
             "no abstracts in corpus: similarity tables are header-only"]
 
 
+
+@pytest.mark.parametrize("command,tables", [("simil", 5), ("report", 14)])
+def test_long_y_run_in_abstract(tmp_path, command, tables):
+    # 1,200 y letters then "ed": deeper than the default recursion limit,
+    # so a stemmer that recursed once per letter would die on this token
+    papers = TESTDATA / "long_y_run_papers.jsonl"
+    assert run(command, "--papers", papers, "--out", tmp_path, "--min-pubs", "0") == 0
+    assert len(list(tmp_path.glob("*.csv"))) == tables
+
 #: Stage names of each subcommand's manifest on a corpus with abstracts.
 _STAGES = {
     "validate": ["load"],

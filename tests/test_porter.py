@@ -147,6 +147,15 @@ def test_suffix_tests(word, expected):
     assert stem(word) == expected
 
 
+
+@pytest.mark.parametrize("suffix", ["", "ed", "ing", "ness", "ement"])
+def test_long_y_run(suffix):
+    # y alternates consonant, vowel, ... along the run: far deeper than the
+    # recursion limit if each letter's class were found by recursion
+    expected = "y" * 5000 if suffix in ("ness", "ement") else "y" * 4999 + "i"
+    assert stem("y" * 5000 + suffix) == expected
+
+
 def _golden():
     with open(GOLDEN, encoding="utf-8") as f:
         return [tuple(line.rstrip("\n").split("\t")) for line in f]
