@@ -1,83 +1,40 @@
 """Porter suffix-stripping stemmer.
 
-Implements the original 1980 rule set (steps 1a through 5b) with the
-standard longest-match semantics: within a step, only the longest matching
-suffix is considered, and if its condition fails the step makes no change.
-Words of one or two letters are returned unchanged. The implementation is
-deliberately dependency-free so the text pipeline stays deterministic and
-self-contained; swap :func:`stem` to substitute another stemmer.
+The original 1980 rule set, steps 1a through 5b: step 2 has ``abli`` ->
+``able`` and ``eli`` -> ``e`` and not the later ``logi`` -> ``log``. Within
+a step only the longest matching suffix is considered, and if its condition
+fails the step makes no change. Words of one or two letters are returned
+unchanged. Dependency-free, so the text pipeline stays deterministic.
+
+Each condition is read off the word's consonant/vowel form, built left to
+right: a, e, i, o and u are vowels, and y is a vowel exactly when the letter
+before it is a consonant. m is the number of ``vc`` pairs in the form.
 """
 
 from __future__ import annotations
 
-_VOWELS = frozenset("aeiou")
 
-
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        # y is a vowel only when preceded by a consonant
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
-
-
-def _measure(stem: str) -> int:
-    """Number of vowel-consonant sequences: [C](VC)^m[V]."""
-    m = 0
-    prev_vowel = False
-    for i in range(len(stem)):
-        if _is_consonant(stem, i):
-            if prev_vowel:
-                m += 1
-            prev_vowel = False
-        else:
-            prev_vowel = True
-    return m
-
-
-def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
-
-
-def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
-
-
-def _ends_cvc(word: str) -> bool:
-    """Ends consonant-vowel-consonant with the final consonant not w, x, y."""
-    n = len(word)
-    if n < 3:
-        return False
-    return (
-        _is_consonant(word, n - 3)
-        and not _is_consonant(word, n - 2)
-        and _is_consonant(word, n - 1)
-        and word[-1] not in "wxy"
-    )
+def _form(word: str) -> str:
+    """The consonant/vowel form of ``word``: one "c" or "v" per letter."""
+    form = ""
+    for ch in word:
+        form += "v" if ch in "aeiou" or (ch == "y" and form[-1:] == "c") else "c"
+    return form
 
 
 def _rule_step(word: str, rules, suffixes: tuple[str, ...]) -> str:
     """Apply the longest-suffix rule whose suffix matches.
 
-    ``rules`` is a sequence of (suffix, replacement, min_measure) triples,
-    ordered so that any suffix appears before its own proper suffixes, and
-    ``suffixes`` is the tuple of their suffixes: one ``endswith`` call
-    rejects most words.
+    ``rules`` holds (suffix, replacement, min_measure) triples, each suffix
+    before its own proper suffixes; ``suffixes`` lists them, so one
+    ``endswith`` call rejects most words. ``ion`` also needs s or t before it.
     """
-    if not word.endswith(suffixes):
-        return word
-    for suffix, repl, min_m in rules:
-        if word.endswith(suffix):
-            stem = word[: len(word) - len(suffix)]
-            if _measure(stem) > min_m:
-                return stem + repl
-            return word
+    if word.endswith(suffixes):
+        suffix, repl, min_m = next(rule for rule in rules if word.endswith(rule[0]))
+        stem = word[: len(word) - len(suffix)]
+        if _form(stem).count("vc") > min_m and (
+                suffix != "ion" or stem.endswith(("s", "t"))):
+            return stem + repl
     return word
 
 
@@ -103,7 +60,6 @@ _STEP2 = (
     ("ator", "ate", 0),
     ("eli", "e", 0),
 )
-_STEP2_SUFFIXES = tuple(rule[0] for rule in _STEP2)
 
 _STEP3 = (
     ("icate", "ic", 0),
@@ -114,7 +70,6 @@ _STEP3 = (
     ("ful", "", 0),
     ("ness", "", 0),
 )
-_STEP3_SUFFIXES = tuple(rule[0] for rule in _STEP3)
 
 _STEP4 = (
     ("ement", "", 1),
@@ -131,87 +86,54 @@ _STEP4 = (
     ("ous", "", 1),
     ("ive", "", 1),
     ("ize", "", 1),
-    ("ion", "", 1),  # extra s/t condition handled in _step4
+    ("ion", "", 1),
     ("al", "", 1),
     ("er", "", 1),
     ("ic", "", 1),
     ("ou", "", 1),
 )
-_STEP4_SUFFIXES = tuple(rule[0] for rule in _STEP4)
+
+_RULE_STEPS = tuple((rules, tuple(rule[0] for rule in rules))
+                    for rules in (_STEP2, _STEP3, _STEP4))
 
 
 def _step1a(word: str) -> str:
-    if word.endswith("sses"):
+    if word.endswith(("sses", "ies")):
         return word[:-2]
-    if word.endswith("ies"):
-        return word[:-2]
-    if word.endswith("ss"):
-        return word
-    if word.endswith("s"):
+    if word.endswith("s") and not word.endswith("ss"):
         return word[:-1]
     return word
 
 
 def _step1b(word: str) -> str:
     if word.endswith("eed"):
-        stem = word[:-3]
-        if _measure(stem) > 0:
-            return stem + "ee"
-        return word
-
-    stripped = None
+        return word[:-1] if _form(word[:-3]).count("vc") > 0 else word
     if word.endswith("ed"):
         stem = word[:-2]
-        if _has_vowel(stem):
-            stripped = stem
     elif word.endswith("ing"):
         stem = word[:-3]
-        if _has_vowel(stem):
-            stripped = stem
-    if stripped is None:
+    else:
         return word
-
-    word = stripped
-    if word.endswith(("at", "bl", "iz")):
-        return word + "e"
-    if _ends_double_consonant(word) and word[-1] not in "lsz":
-        return word[:-1]
-    if _measure(word) == 1 and _ends_cvc(word):
-        return word + "e"
-    return word
-
-
-def _step1c(word: str) -> str:
-    if word.endswith("y") and _has_vowel(word[:-1]):
-        return word[:-1] + "i"
-    return word
-
-
-def _step4(word: str) -> str:
-    if not word.endswith(_STEP4_SUFFIXES):
+    form = _form(stem)
+    if "v" not in form:
         return word
-    for suffix, repl, min_m in _STEP4:
-        if word.endswith(suffix):
-            stem = word[: len(word) - len(suffix)]
-            if _measure(stem) > min_m:
-                if suffix == "ion" and not stem.endswith(("s", "t")):
-                    return word
-                return stem + repl
-            return word
-    return word
+    if stem.endswith(("at", "bl", "iz")):
+        return stem + "e"
+    if stem[-1] == stem[-2:-1] and form[-1] == "c" and stem[-1] not in "lsz":
+        return stem[:-1]
+    if form.count("vc") == 1 and form.endswith("cvc") and stem[-1] not in "wxy":
+        return stem + "e"
+    return stem
 
 
-def _step5a(word: str) -> str:
+def _step5(word: str) -> str:
     if word.endswith("e"):
         stem = word[:-1]
-        m = _measure(stem)
-        if m > 1 or (m == 1 and not _ends_cvc(stem)):
-            return stem
-    return word
-
-
-def _step5b(word: str) -> str:
-    if word.endswith("ll") and _measure(word) > 1:
+        form = _form(stem)
+        m = form.count("vc")
+        if m > 1 or (m == 1 and not (form.endswith("cvc") and stem[-1] not in "wxy")):
+            word = stem
+    if word.endswith("ll") and _form(word).count("vc") > 1:
         return word[:-1]
     return word
 
@@ -220,12 +142,9 @@ def stem(word: str) -> str:
     """Stem one lowercase word."""
     if len(word) <= 2:
         return word
-    word = _step1a(word)
-    word = _step1b(word)
-    word = _step1c(word)
-    word = _rule_step(word, _STEP2, _STEP2_SUFFIXES)
-    word = _rule_step(word, _STEP3, _STEP3_SUFFIXES)
-    word = _step4(word)
-    word = _step5a(word)
-    word = _step5b(word)
-    return word
+    word = _step1b(_step1a(word))
+    if word.endswith("y") and "v" in _form(word[:-1]):
+        word = word[:-1] + "i"
+    for rules, suffixes in _RULE_STEPS:
+        word = _rule_step(word, rules, suffixes)
+    return _step5(word)

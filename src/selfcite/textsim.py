@@ -30,6 +30,7 @@ means are unaffected by the duplication.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import re
@@ -49,9 +50,6 @@ from .porter import stem
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
-_STOPWORDS: Optional[frozenset[str]] = None
-_STOPWORDS_SHA256: Optional[str] = None
-
 #: Citation ages above this are pooled into one open-ended bin.
 MAX_SINGLE_CITATION_AGE = 20
 
@@ -63,21 +61,16 @@ def _stopword_bytes() -> bytes:
     return resources.files("selfcite").joinpath("data/stopwords_en.txt").read_bytes()
 
 
+@functools.cache
 def load_stopwords() -> frozenset[str]:
     """The standard English Snowball stopword list shipped with the package."""
-    global _STOPWORDS
-    if _STOPWORDS is None:
-        words = _stopword_bytes().decode("utf-8").split()
-        _STOPWORDS = frozenset(words)
-    return _STOPWORDS
+    return frozenset(_stopword_bytes().decode("utf-8").split())
 
 
+@functools.cache
 def stopwords_sha256() -> str:
     """Hash of the shipped stopword file, echoed into run manifests."""
-    global _STOPWORDS_SHA256
-    if _STOPWORDS_SHA256 is None:
-        _STOPWORDS_SHA256 = hashlib.sha256(_stopword_bytes()).hexdigest()
-    return _STOPWORDS_SHA256
+    return hashlib.sha256(_stopword_bytes()).hexdigest()
 
 
 @dataclass(slots=True)
