@@ -3,7 +3,8 @@ import pytest
 from conftest import TESTDATA
 from selfcite.porter import _STEP2, _STEP3, _STEP4, stem
 
-# word<TAB>stem lines, the stems made by the stemmer this list was cut from
+# word<TAB>stem lines; each stem is the one the stemmer gave when the list
+# was made, so any change of stem is a change of behaviour
 GOLDEN = TESTDATA / "porter_golden.tsv"
 
 # final outputs of the published algorithm for its own worked examples
@@ -147,7 +148,6 @@ def test_suffix_tests(word, expected):
     assert stem(word) == expected
 
 
-
 @pytest.mark.parametrize("suffix", ["", "ed", "ing", "ness", "ement"])
 def test_long_y_run(suffix):
     # y alternates consonant, vowel, ... along the run: far deeper than the
@@ -204,6 +204,7 @@ def test_golden_vocabulary_covers_every_suffix():
         if len(word) > 2 and (word.endswith("ss") or not word.endswith(("s", "ed", "ing", "y"))):
             seen.update(_suffix_outcomes(word))
     suffixes = [rule[0] for rules in (_STEP2, _STEP3, _STEP4) for rule in rules]
+    # the 1980 rule set: 20 + 7 + 19 rules, without the later logi
     assert len(set(suffixes)) == len(suffixes) == 46
     missing = [(s, o) for s in suffixes for o in ("fires", "measure") if (s, o) not in seen]
     assert not missing
