@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from itertools import combinations
 from pathlib import Path
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .corpus import Corpus, atomic_write
-
-_EMPTY: dict = {}
 
 
 class CitationEdge(NamedTuple):
@@ -80,28 +78,16 @@ def intern_corpus(corpus: Corpus) -> InternedCorpus:
 class CollaborationIndex:
     """Unordered author pairs mapped to the earliest joint publication year.
 
-    Authors are string ids, or the interned int ids of an analysis run."""
+    ``adjacency`` maps each author to ``{collaborator: earliest joint
+    year}``, both ways round; an author who never co-published is absent
+    from it. Authors are string ids, or the interned int ids of an analysis
+    run."""
 
-    __slots__ = ("_adjacency", "n_pairs")
+    __slots__ = ("adjacency", "n_pairs")
 
     def __init__(self) -> None:
-        self._adjacency: dict[Hashable, dict[Hashable, int]] = {}
+        self.adjacency: dict[Hashable, dict[Hashable, int]] = {}
         self.n_pairs = 0
-
-    def _add(self, a: Hashable, b: Hashable, year: int) -> None:
-        adj_a = self._adjacency.setdefault(a, {})
-        prev = adj_a.get(b)
-        if prev is None:
-            self.n_pairs += 1
-            adj_a[b] = year
-            self._adjacency.setdefault(b, {})[a] = year
-        elif year < prev:
-            adj_a[b] = year
-            self._adjacency[b][a] = year
-
-    def neighbors(self, a: str) -> Mapping[str, int]:
-        """Collaborators of ``a`` with earliest joint years (read-only view)."""
-        return self._adjacency.get(a, _EMPTY)
 
     def __len__(self) -> int:
         return self.n_pairs
@@ -111,9 +97,17 @@ def index_collaborations(teams: Iterable[tuple[Sequence, int]]) -> Collaboration
     """All co-authorship pairs of ``(authors, year)`` teams with their
     earliest joint year."""
     index = CollaborationIndex()
+    adjacency = index.adjacency
     for authors, year in teams:
         for a, b in combinations(authors, 2):
-            index._add(a, b, year)
+            adj_a = adjacency.setdefault(a, {})
+            prev = adj_a.get(b)
+            if prev is None:
+                index.n_pairs += 1
+            elif prev <= year:
+                continue
+            adj_a[b] = year
+            adjacency.setdefault(b, {})[a] = year
     return index
 
 

@@ -18,10 +18,6 @@ from .classify import CitationType
 from .corpus import Corpus
 from .metrics import LOW_SUPPORT_AUTHORS, sequential_sum
 
-_DIRECT = CitationType.DIRECT
-_COAUTHOR = CitationType.COAUTHOR
-_COLLABORATOR = CitationType.COLLABORATOR
-
 #: Exclusion name -> whether it drops (direct, coauthor, collaborator)
 #: citations, cumulative levels first.
 EXCLUSIONS = {
@@ -41,6 +37,10 @@ DEFAULT_H_BUCKETS = (5, 15, 30, 50)
 HIST_BIN_WIDTH = 5
 
 _UNCITED = (0, 0, 0, 0)
+
+#: Citation type -> its slot in a ``per_paper`` cell; external citations
+#: count in the total alone.
+_SLOTS = {CitationType.DIRECT: 1, CitationType.COAUTHOR: 2, CitationType.COLLABORATOR: 3}
 
 
 def h_index(citation_counts: Iterable[int]) -> int:
@@ -82,21 +82,11 @@ class HindexTally:
         self.per_paper: dict = {}
 
     def add_edge(self, edge, citing_authors, ref_types, cited_authors, cite_types):
-        cited_id = edge.cited_id
-        per_paper = self.per_paper
         for a, t in zip(cited_authors, cite_types):
-            key = (a, cited_id)
-            cell = per_paper.get(key)
-            if cell is None:
-                cell = [0, 0, 0, 0]
-                per_paper[key] = cell
+            cell = self.per_paper.setdefault((a, edge.cited_id), [0, 0, 0, 0])
             cell[0] += 1
-            if t is _DIRECT:
-                cell[1] += 1
-            elif t is _COAUTHOR:
-                cell[2] += 1
-            elif t is _COLLABORATOR:
-                cell[3] += 1
+            if t in _SLOTS:
+                cell[_SLOTS[t]] += 1
 
 
 def finalize_decompositions(

@@ -26,8 +26,9 @@ It reads each :class:`~selfcite.textsim.TfIdfVector` in its compact layout
 (terms tuple, aligned ``array('d')`` of weights, norm made with the vector):
 per citing paper it builds the term set and term -> weight dict of the
 citing vector once, and per scored edge it takes the cosine of
-:func:`selfcite.textsim._cosine`, the rule the tally's own ``add_edge``
-uses (common terms in sorted order, each product added in turn). It adds
+:func:`selfcite.textsim._cosine`, the rule behind the
+:func:`~selfcite.textsim.cosine` that the tally's own ``add_edge`` calls
+(common terms in sorted order, each product added in turn). It adds
 the cosine to flat float and count cells per (author, type),
 (author, type, citation age bin) and direct-reference author, reference
 side first, in edge order, so every float sum keeps the association of the
@@ -100,8 +101,7 @@ def run_kernel(
     n_years = max(years, default=0) - min(years, default=0) + 1
     event_years = sorted(set(years))
     year_rank = {year: i for i, year in enumerate(event_years)}
-    collab = index_collaborations(zip(authors, years))
-    neighbors = collab.neighbors
+    adjacency = index_collaborations(zip(authors, years)).adjacency
     side_stride = 4 * len(event_years)
     author_stride = 2 * side_stride
     ev = [0] * (author_stride * len(view.author_ids)) if events else None
@@ -146,7 +146,7 @@ def run_kernel(
         for q in refs:
             cited = authors[q]
             cited_set = author_sets[q]
-            cite = _side_types(cited, cited_set, citing_set, citing, neighbors, year, _LABELS)
+            cite = _side_types(cited, cited_set, citing_set, citing, adjacency, year, _LABELS)
             if hc is not None:
                 i = cell_base[q]
                 for t in cite:
@@ -154,7 +154,7 @@ def run_kernel(
                     i += 4
             if not type_references:
                 continue
-            ref = _side_types(citing, citing_set, cited_set, cited, neighbors, year, _LABELS)
+            ref = _side_types(citing, citing_set, cited_set, cited, adjacency, year, _LABELS)
             if ev is not None:
                 for i, t in zip(ref_base, ref):
                     ev[i + t] += 1

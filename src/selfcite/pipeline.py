@@ -1,10 +1,12 @@
 """The reference tally feed: every tally takes classified edges via
 ``add_edge``.
 
-Neither the command line nor the table tests run this feed: they build
-every table with :func:`selfcite.kernel.tally_corpus`, whose integer count
-tables are projected into these same tallies. The per-tally ``add_edge``
-feed is the reference that the tests compare the kernel with.
+No command runs this feed: the command line builds every table with
+:func:`selfcite.kernel.tally_corpus`, whose integer count tables are
+projected into these same tallies. Only the tests, which compare the kernel
+with it, and the benchmark's traced replay (``perfbench/traced.py``), which
+times it, run it. So each tally's ``add_edge`` states its rule with no speed
+code.
 
 ``run_edge_tallies`` classifies the edge list in one sequential pass and
 feeds every edge to each tally in edge order, so floating sums always see

@@ -141,6 +141,9 @@ class SynthConfig:
 
         if self.n_authors < 1:
             bad("n_authors", "must be >= 1")
+        if self.seed < 0:
+            # random.Random(-s) draws the same stream as Random(s)
+            bad("seed", "must be >= 0")
         if not (YEAR_MIN <= self.year_start <= self.year_end <= YEAR_MAX):
             bad("year_start/year_end", f"need {YEAR_MIN} <= start <= end <= {YEAR_MAX}")
         if self.entry_years is not None and self.entry_years < 1:

@@ -44,7 +44,6 @@ from typing import Mapping, Optional
 
 from .classify import CitationType
 from .corpus import Corpus, CorpusError
-from .graph import CitationEdge
 from .metrics import LOW_SUPPORT_AUTHORS, rank_and_cut, sequential_sum
 from .porter import stem
 
@@ -256,91 +255,64 @@ def citation_age_bin(age: int) -> str:
     return str(age) if age <= MAX_SINGLE_CITATION_AGE else f"{MAX_SINGLE_CITATION_AGE + 1}+"
 
 
+def _add_to_cell(cells: dict, key, cos: float) -> None:
+    """Add one cosine to the ``[sum, n]`` cell of ``key``."""
+    cell = cells.setdefault(key, [0.0, 0])
+    cell[0] += cos
+    cell[1] += 1
+
+
 class SimilarityTally:
     """Per-author similarity sums, added in edge order: filled in one pass
     by :func:`selfcite.kernel.tally_corpus`, or one edge at a time by
     ``add_edge``, the reference feed the tests compare the kernel with.
 
     ``include`` (when given) restricts tallies to that author set; skipped
-    records are not counted anywhere. ``add_edge`` keeps the term lookup of
-    the last citing paper, as edges come grouped by citing paper.
+    records are not counted anywhere.
     """
 
     __slots__ = (
         "vectors", "include", "author_type", "author_type_age",
-        "author_selfref", "coverage", "negative_age_records", "_citing",
+        "author_selfref", "coverage", "negative_age_records",
     )
 
     def __init__(self, vectors: dict[str, TfIdfVector], include=None):
         self.vectors = vectors
         self.include = include
-        self._citing = (None, None)  # (citing paper id, its _term_lookup)
         self.author_type: dict = {}       # (author, ctype) -> [sum, n]
         self.author_type_age: dict = {}   # (author, ctype, age 0..21) -> [sum, n]
         self.author_selfref: dict = {}    # author -> [sum, n]; direct reference-side only
         self.coverage = SimilarityCoverage()
         self.negative_age_records = 0
 
-    def _edge_cosine(self, edge: CitationEdge) -> Optional[float]:
+    def add_edge(self, edge, citing_authors, ref_types, cited_authors, cite_types):
         u = self.vectors.get(edge.citing_id)
         v = self.vectors.get(edge.cited_id)
         if u is None or v is None:
             self.coverage.missing_abstract_edges += 1
-            return None
+            return
         if u.norm == 0.0 or v.norm == 0.0:
             self.coverage.zero_vector_edges += 1
-            return None
-        self.coverage.scored_edges += 1
-        pid, lookup = self._citing
-        if pid != edge.citing_id:
-            lookup = _term_lookup(u)
-            self._citing = (edge.citing_id, lookup)
-        return _cosine(*lookup, u.norm, v)
-
-    def add_edge(self, edge, citing_authors, ref_types, cited_authors, cite_types):
-        cos = self._edge_cosine(edge)
-        if cos is None:
             return
+        self.coverage.scored_edges += 1
+        cos = cosine(u, v)
         age = edge.citing_year - edge.cited_year
-        if age < 0:
-            age_key = None
-        else:
-            age_key = age if age <= MAX_SINGLE_CITATION_AGE else MAX_SINGLE_CITATION_AGE + 1
-        at = self.author_type
-        ata = self.author_type_age
-        asr = self.author_selfref
-        include = self.include
-        direct = CitationType.DIRECT
+        age_key = min(age, MAX_SINGLE_CITATION_AGE + 1)
         for authors, types, is_ref in (
             (citing_authors, ref_types, True),
             (cited_authors, cite_types, False),
         ):
             for a, t in zip(authors, types):
-                if include is not None and a not in include:
+                if self.include is not None and a not in self.include:
                     continue
                 self.coverage.records += 1
-                cell = at.get((a, t))
-                if cell is None:
-                    at[(a, t)] = [cos, 1]
-                else:
-                    cell[0] += cos
-                    cell[1] += 1
-                if age_key is None:
+                _add_to_cell(self.author_type, (a, t), cos)
+                if age < 0:
                     self.negative_age_records += 1
                 else:
-                    cell = ata.get((a, t, age_key))
-                    if cell is None:
-                        ata[(a, t, age_key)] = [cos, 1]
-                    else:
-                        cell[0] += cos
-                        cell[1] += 1
-                if is_ref and t is direct:
-                    cell = asr.get(a)
-                    if cell is None:
-                        asr[a] = [cos, 1]
-                    else:
-                        cell[0] += cos
-                        cell[1] += 1
+                    _add_to_cell(self.author_type_age, (a, t, age_key), cos)
+                if is_ref and t is CitationType.DIRECT:
+                    _add_to_cell(self.author_selfref, a, cos)
 
 
 def _author_first_rows(cells, column: str, label=str) -> list[dict]:

@@ -459,19 +459,25 @@ class TestSynthCommand:
          "field 'refs_per_paper_start': must be <= 700"),
         (b'{"n_authors": 1, "refs_per_paper_end": 1000}',
          "field 'refs_per_paper_end': must be <= 700"),
+        # Random(-s) draws the same stream as Random(s); a tuple case adds
+        # its command-line arguments after the config bytes
+        (b'{"n_authors": 5, "seed": -1}', "field 'seed': must be >= 0"),
+        ((b'{"n_authors": 5, "seed": 5}', "--seed", "-1"), "field 'seed': must be >= 0"),
     ], ids=["invalid_value", "invalid_utf8", "deeply_nested", "int_as_string", "int_as_bool",
             "int_as_float", "int_as_null", "oversized_integer", "float_as_null",
             "float_as_bool", "float_nan", "float_infinite", "entry_years_as_float",
             "disciplines_as_int", "disciplines_as_string", "disciplines_with_int",
             "papers_rate_too_high", "coauthors_rate_too_high", "refs_start_rate_too_high",
-            "refs_end_rate_too_high"])
+            "refs_end_rate_too_high", "seed_negative", "seed_override_negative"])
     def test_bad_config_exit_2(self, tmp_path, capsys, content, message):
+        content, *extra = content if isinstance(content, tuple) else (content,)
         config = tmp_path / "config.json"
         config.write_bytes(content)
-        assert run("synth", "--config", config, "--out", tmp_path / "s") == 2
+        assert run("synth", "--config", config, "--out", tmp_path / "s", *extra) == 2
         err = capsys.readouterr().err
         assert "data error" in err
         assert message in err
+        assert not (tmp_path / "s").exists()
 
 
 class TestFailedRunLeavesNoOutput:

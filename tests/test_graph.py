@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, permutations
 
 from hypothesis import given, strategies as st
 
@@ -7,13 +8,15 @@ from selfcite.graph import (
     build_collaboration_index,
     build_edges,
     export_edges,
+    index_collaborations,
+    intern_corpus,
 )
 from oracles import joint_paper_before, random_corpus
 
 
 def joint_before(index, a, b, year):
     # the classifier's strict-year rule: a joint paper before the citing year
-    joint = index.neighbors(a).get(b)
+    joint = index.adjacency.get(a, {}).get(b)
     return joint is not None and joint < year
 
 
@@ -67,7 +70,7 @@ class TestBuildEdges:
 
 class TestCollaborationIndex:
     def test_fix1_pairs(self, fix1_collab):
-        neighbors = {a: dict(fix1_collab.neighbors(a)) for a in "ABCD"}
+        neighbors = {a: dict(fix1_collab.adjacency.get(a, {})) for a in "ABCD"}
         assert neighbors == {"A": {"B": 2001}, "B": {"A": 2001, "C": 2002},
                              "C": {"B": 2002}, "D": {}}
 
@@ -84,7 +87,7 @@ class TestCollaborationIndex:
             PaperRecord("P2", 2003, "health", ("A", "B"), ()),
         ])
         index = build_collaboration_index(corpus)
-        assert index.neighbors("A")["B"] == 2003
+        assert index.adjacency.get("A", {})["B"] == 2003
 
     def test_before_queries(self, fix1, fix1_collab):
         for a, b, year, expected in (("A", "B", 2002, True), ("A", "B", 2001, False),
@@ -106,15 +109,21 @@ class TestCollaborationIndex:
                 assert joint_before(index, a, b, year) == joint_before(index, b, a, year)
 
     def test_matches_raw_record_scan(self):
+        # every author pair; the index of the interned corpus, read through
+        # its author ids, must be the string index
         rng = random.Random(19)
         for _ in range(10):
             corpus = random_corpus(rng)
             index = build_collaboration_index(corpus)
-            authors = sorted(corpus.author_index)
-            for _ in range(30):
-                a, b = rng.choice(authors), rng.choice(authors)
-                if a == b:
-                    continue
+            view = intern_corpus(corpus)
+            interned = index_collaborations(zip(view.authors, view.years))
+            ids = view.author_ids
+            assert {ids[a]: {ids[b]: year for b, year in adj.items()}
+                    for a, adj in interned.adjacency.items()} == index.adjacency
+            pairs = {frozenset(pair) for p in corpus.papers.values()
+                     for pair in combinations(p.author_ids, 2)}
+            assert len(index) == len(interned) == len(pairs)
+            for a, b in permutations(sorted(corpus.author_index), 2):
                 year = rng.randint(1989, 2012)
                 assert joint_before(index, a, b, year) == \
                     joint_paper_before(corpus, a, b, year)

@@ -299,6 +299,9 @@ class TestConfigValidation:
             SynthConfig(papers_per_author_year=0.0).validate()
         with pytest.raises(SynthConfigError, match="disciplines"):
             SynthConfig(disciplines=("astrology",)).validate()
+        # random.Random(-s) draws the same stream as Random(s)
+        with pytest.raises(SynthConfigError, match="'seed': must be >= 0"):
+            SynthConfig(seed=-1).validate()
 
     @pytest.mark.parametrize("name", ["papers_per_author_year", "coauthors_mean",
                                       "refs_per_paper_start", "refs_per_paper_end"])
