@@ -12,13 +12,13 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 Only the standard library and :mod:`selfcite.corpus`, which every subcommand
 uses, are imported at module level. Each subcommand imports the analysis
 modules it runs inside its own functions, so a run loads no module it does
-not execute.
+not execute; :mod:`dataclasses` (with :mod:`inspect`) is loaded by
+``synth`` alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import resource
@@ -372,6 +372,8 @@ def cmd_analysis(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    import dataclasses
+
     from .synth import SynthConfig, generate_with_stats, write_corpus
 
     run = _Run("synth", Path(args.out), _common_options(args))

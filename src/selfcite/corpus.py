@@ -8,6 +8,9 @@ analysis module only reads it.
 References may point at ids that are absent from the corpus. Those are
 kept and counted as unresolved; all rate denominators downstream use
 resolvable references only.
+
+Records are named tuples, not dataclasses: :mod:`dataclasses` (with
+:mod:`inspect`) is imported by :mod:`selfcite.synth` alone.
 """
 
 from __future__ import annotations
@@ -17,10 +20,9 @@ import os
 import re
 from collections import Counter, defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 DISCIPLINES = (
     "arts_humanities",
@@ -42,8 +44,7 @@ class CorpusError(Exception):
     """Malformed or inconsistent input data."""
 
 
-@dataclass(frozen=True, slots=True)
-class PaperRecord:
+class PaperRecord(NamedTuple):
     """One publication: identity, authorship, references, optional text."""
 
     paper_id: str
@@ -55,15 +56,13 @@ class PaperRecord:
     title: Optional[str] = None
 
 
-@dataclass(frozen=True, slots=True)
-class AuthorRecord:
+class AuthorRecord(NamedTuple):
     author_id: str
     gender: str = "unknown"
     display_name: Optional[str] = None
 
 
-@dataclass(slots=True)
-class AuthorIndexEntry:
+class AuthorIndexEntry(NamedTuple):
     """Aggregates derived from the papers an author appears on."""
 
     first_pub_year: int
@@ -76,8 +75,7 @@ class AuthorIndexEntry:
         return len(self.publication_ids)
 
 
-@dataclass(slots=True)
-class Corpus:
+class Corpus(NamedTuple):
     papers: dict[str, PaperRecord]
     authors: dict[str, AuthorRecord]
     author_index: dict[str, AuthorIndexEntry]
@@ -165,15 +163,11 @@ def _parse_paper(obj, source: str, lineno: int, ids: dict) -> PaperRecord:
     if title is not None and not isinstance(title, str):
         raise _fail(source, lineno, f"field 'title' must be a string when present (paper {pid})")
 
-    return PaperRecord(
-        paper_id=ids.setdefault(pid, pid),
-        year=year,
-        discipline=_constant(obj.get("discipline"), DISCIPLINES),
-        author_ids=tuple(map(ids.setdefault, authors, authors)),
-        reference_ids=tuple(map(ids.setdefault, references, references)),
-        abstract=abstract,
-        title=title,
-    )
+    # positional: half the time of a keyword call, on every paper
+    return PaperRecord(ids.setdefault(pid, pid), year,
+                       _constant(obj.get("discipline"), DISCIPLINES),
+                       tuple(map(ids.setdefault, authors, authors)),
+                       tuple(map(ids.setdefault, references, references)), abstract, title)
 
 
 def _parse_author(obj, source: str, lineno: int, ids: dict) -> AuthorRecord:
@@ -214,7 +208,9 @@ def iter_text_lines(path: Path, source: str):
 
 def _iter_json_lines(path: Path, source: str):
     for lineno, line in iter_text_lines(path, source):
-        stripped = line.strip()
+        # JSON's space and tab only (line ends are split off): a line of
+        # form feeds or no-break spaces is no blank line but invalid JSON
+        stripped = line.strip(" \t")
         if not stripped:
             continue
         try:
@@ -330,13 +326,7 @@ def _assemble(papers: dict[str, PaperRecord], authors: dict[str, AuthorRecord]) 
             if rid not in papers:
                 unresolved += 1
 
-    return Corpus(
-        papers=papers,
-        authors=authors,
-        author_index=index,
-        total_references=total,
-        unresolved_references=unresolved,
-    )
+    return Corpus(papers, authors, index, total, unresolved)
 
 
 def build_author_index(papers: Mapping[str, PaperRecord]) -> dict[str, AuthorIndexEntry]:

@@ -11,8 +11,7 @@ h-index is defined on counts, not on inflation-weighted values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .classify import CitationType
 from .corpus import Corpus
@@ -55,8 +54,7 @@ def h_index(citation_counts: Iterable[int]) -> int:
     return h
 
 
-@dataclass(slots=True)
-class HDecomposition:
+class HDecomposition(NamedTuple):
     """Observed h-index and its value under each exclusion of
     :data:`EXCLUSIONS` (``h_minus``, by name), evaluated from this author's
     perspective."""

@@ -15,11 +15,10 @@ are reported so coverage stays visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import groupby
 from operator import add, truediv
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .classify import CITATION_TYPES, CitationType, Perspective
 from .corpus import Corpus, CorpusError
@@ -90,8 +89,7 @@ _HEATMAP_BIN_ORDER = {pubs_bin_label(lo, hi): i
 # Inflation weights
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class InflationWeights:
+class InflationWeights(NamedTuple):
     """Per-year mean references per article and the derived weight
     w[y] = max(mu_ref) / mu_ref[y]."""
 
@@ -140,8 +138,7 @@ def compute_inflation_weights(corpus: Corpus) -> InflationWeights:
 
 def unit_weights(weights: InflationWeights) -> InflationWeights:
     """Copy of ``weights`` with every weight forced to exactly 1.0."""
-    return replace(
-        weights,
+    return weights._replace(
         mu_ref=dict(weights.mu_ref),
         weight={y: 1.0 for y in weights.weight},
         papers_per_year=dict(weights.papers_per_year),
@@ -153,8 +150,7 @@ def unit_weights(weights: InflationWeights) -> InflationWeights:
 # Author profiles
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class AuthorProfile:
+class AuthorProfile(NamedTuple):
     author_id: str
     first_pub_year: int
     last_pub_year: int
@@ -264,8 +260,7 @@ def finalize_profiles(
 # Age curves
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class AgeCurve:
+class AgeCurve(NamedTuple):
     """Type percentages per (facet, side, age bin) in ``rows``; pooled
     percentages are canonical, author means reported alongside. When
     inflation weights are supplied, citation-side cells additionally carry
@@ -499,8 +494,7 @@ def rank_and_cut(members: list, n_groups: int) -> list[tuple[int, list]]:
         enumerate(members), key=lambda im: ((im[0] + 1) * n_groups - 1) // total + 1)]
 
 
-@dataclass(slots=True)
-class PercentileStrata:
+class PercentileStrata(NamedTuple):
     rows: list[dict]
     excluded_undefined: int
     excluded_out_of_bins: int

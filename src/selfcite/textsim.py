@@ -36,11 +36,10 @@ import math
 import re
 from array import array
 from collections import Counter
-from dataclasses import asdict, dataclass
 from importlib import resources
 from itertools import chain, compress
 from operator import mul
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .classify import CitationType
 from .corpus import Corpus, CorpusError
@@ -72,8 +71,7 @@ def stopwords_sha256() -> str:
     return hashlib.sha256(_stopword_bytes()).hexdigest()
 
 
-@dataclass(slots=True)
-class TokenizedAbstract:
+class TokenizedAbstract(NamedTuple):
     paper_id: str
     stems: Counter
 
@@ -238,17 +236,23 @@ def cosine(u: TfIdfVector, v: TfIdfVector) -> float:
     return _cosine(*_term_lookup(u), u.norm, v)
 
 
-@dataclass(slots=True)
 class SimilarityCoverage:
     """Why edges did or did not produce similarity records."""
 
-    scored_edges: int = 0
-    missing_abstract_edges: int = 0
-    zero_vector_edges: int = 0
-    records: int = 0
+    __slots__ = ("scored_edges", "missing_abstract_edges", "zero_vector_edges", "records")
+
+    def __init__(self, scored_edges: int = 0, missing_abstract_edges: int = 0,
+                 zero_vector_edges: int = 0, records: int = 0):
+        self.scored_edges = scored_edges
+        self.missing_abstract_edges = missing_abstract_edges
+        self.zero_vector_edges = zero_vector_edges
+        self.records = records
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other) -> bool:
+        return type(other) is SimilarityCoverage and self.as_dict() == other.as_dict()
 
 
 def citation_age_bin(age: int) -> str:

@@ -133,9 +133,15 @@ class TestValidate:
         ("papers", b'{"id": "P1", "year": 2000, "discipline": ["health"], "authors": ["A"], '
                    b'"references": []}\n'),
         ("authors", b'{"id": "A", "gender": ["woman"]}\n'),
+        # only space and tab are JSON whitespace within a line
+        ("papers", b"\xc2\xa0\n"),
+        ("papers", b"\x0c\n"),
+        ("papers", b'{"id": "P1", "year": 2000, "discipline": "health", "authors": ["A"], '
+                   b'"references": []}\x0c\n'),
     ], ids=["missing_fields", "invalid_utf8", "deeply_nested", "tab_in_author_id",
             "lone_surrogate_id", "self_citing_paper", "oversized_integer_papers",
-            "oversized_integer_authors", "list_discipline", "list_gender"])
+            "oversized_integer_authors", "list_discipline", "list_gender",
+            "nbsp_line", "form_feed_line", "form_feed_after_object"])
     def test_malformed_input_exit_2(self, tmp_path, capsys, source, content):
         bad = tmp_path / "bad.jsonl"
         bad.write_bytes(content)

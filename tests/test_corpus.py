@@ -1,7 +1,6 @@
 import json
 import random
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +10,7 @@ from selfcite.classify import classify_all, read_classifications, write_classifi
 from selfcite.corpus import (
     DISCIPLINES,
     GENDERS,
+    AuthorIndexEntry,
     AuthorRecord,
     CorpusError,
     PaperRecord,
@@ -266,6 +266,34 @@ class TestOneObjectPerId:
         assert corpus.authors["author-a"] is authors[0]
 
 
+class TestRecords:
+    """Records are immutable named tuples."""
+
+    @pytest.mark.parametrize("record, field", [
+        (PaperRecord("P1", 2000, "health", ("A",), ()), "year"),
+        (AuthorRecord("A"), "gender"),
+        (AuthorIndexEntry(2000, 2001, ["P1"], "health"), "publication_ids"),
+    ])
+    def test_fields_cannot_be_assigned(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+
+    def test_keyword_and_positional_construction_agree(self):
+        paper = PaperRecord(paper_id="P1", year=2000, discipline="health",
+                            author_ids=("A",), reference_ids=("P0",))
+        assert paper == PaperRecord("P1", 2000, "health", ("A",), ("P0",), None, None)
+        assert (paper.abstract, paper.title) == (None, None)
+        author = AuthorRecord(author_id="A")
+        assert author == AuthorRecord("A", "unknown", None)
+        assert author.gender == "unknown"
+
+    def test_replace_returns_a_new_record(self):
+        paper = PaperRecord("P1", 2000, "health", ("A",), ("P0",))
+        changed = paper._replace(reference_ids=(), title="T")
+        assert changed == PaperRecord("P1", 2000, "health", ("A",), (), None, "T")
+        assert paper == PaperRecord("P1", 2000, "health", ("A",), ("P0",))
+
+
 class TestCorpusFromRecords:
     """In-memory records pass the id and year checks of :func:`load_corpus`."""
 
@@ -373,7 +401,7 @@ _ANY_PAPER = st.builds(
                           st.lists(_PAPER_IDS, max_size=4)).map(tuple),
 )
 # a valid paper does not cite itself
-_PAPER = _mostly(_ANY_PAPER.map(lambda p: replace(p, reference_ids=tuple(
+_PAPER = _mostly(_ANY_PAPER.map(lambda p: p._replace(reference_ids=tuple(
     r for r in p.reference_ids if r != p.paper_id))), _ANY_PAPER)
 _PAPERS = _mostly(st.lists(_PAPER, max_size=6, unique_by=lambda p: p.paper_id),
                   st.lists(_PAPER, max_size=6))

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import TESTDATA
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,12 +30,14 @@ tops = {name.partition(".")[0] for name in sys.modules}
 print(json.dumps(sorted(tops - set(sys.stdlib_module_names))))
 """
 
-# Runs a subcommand in process and prints the package modules it loaded.
+# Runs a subcommand in process and prints the package modules it loaded and
+# which of dataclasses and inspect (about 1 MB of RSS per process) it loaded.
 _LOADED = """
 import json, sys
 from selfcite.cli import main
 code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "selfcite")]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "selfcite"),
+                  sorted({"dataclasses", "inspect"}.intersection(sys.modules))]))
 """
 
 
@@ -57,18 +61,31 @@ def _loaded_modules(command, out):
                    "--papers", TESTDATA / "fix1_papers.jsonl",
                    "--authors", TESTDATA / "fix1_authors.jsonl", "--out", out)
     assert probe.returncode == 0, probe.stderr
-    code, modules = json.loads(probe.stdout.splitlines()[-1])
+    code, modules, stdlib = json.loads(probe.stdout.splitlines()[-1])
     assert code == 0
-    return modules
+    return modules, stdlib
 
 
 def test_validate_loads_only_the_corpus_module(tmp_path):
-    assert _loaded_modules("validate", tmp_path) == ["selfcite", "selfcite.cli", "selfcite.corpus"]
+    modules, _stdlib = _loaded_modules("validate", tmp_path)
+    assert modules == ["selfcite", "selfcite.cli", "selfcite.corpus"]
 
 
 def test_classify_loads_no_analysis_module(tmp_path):
-    assert _loaded_modules("classify", tmp_path) == [
+    modules, _stdlib = _loaded_modules("classify", tmp_path)
+    assert modules == [
         "selfcite", "selfcite.classify", "selfcite.cli", "selfcite.corpus", "selfcite.graph"]
+
+
+# Only synth uses dataclasses. On CPython 3.12+ importlib.resources, which
+# reads the stopword list of simil and report, imports inspect itself.
+@pytest.mark.parametrize("command", ["validate", "classify", "metrics", "hindex",
+                                     "simil", "report"])
+def test_analysis_commands_load_no_dataclasses(tmp_path, command):
+    _modules, stdlib = _loaded_modules(command, tmp_path)
+    assert "dataclasses" not in stdlib
+    if command not in ("simil", "report"):
+        assert "inspect" not in stdlib
 
 
 def test_readme_library_example_runs(tmp_path):
