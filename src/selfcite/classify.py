@@ -26,7 +26,6 @@ from .graph import (
     CitationEdge,
     CollaborationIndex,
     build_collaboration_index,
-    index_collaborations,
     intern_corpus,
     iter_edges,
 )
@@ -44,8 +43,8 @@ class Perspective(str, Enum):
     CITATION = "citation"    # author belongs to the cited paper
 
 
-#: The four types in precedence order: the order of the ``labels`` of
-#: :func:`_side_types`, and the interned kernel's types 0-3 index it.
+#: The four types in precedence order, indexed by the types 0-3 that
+#: :func:`_side_types` returns.
 CITATION_TYPES = tuple(CitationType)
 
 
@@ -56,30 +55,27 @@ class AuthorEdgeClass(NamedTuple):
     ctype: CitationType
 
 
-def _side_types(side_authors, side_set, other_set, other_authors, adjacency, citing_year,
-                labels=CITATION_TYPES):
-    """Types for every author on one side of an edge, in author order.
+def _side_types(side_authors, side_set, other_set, other_authors, adjacency, citing_year):
+    """Types for every author on one side of an edge, in author order, as
+    indices into :data:`CITATION_TYPES`: 0 direct, 1 coauthor,
+    2 collaborator, 3 external.
 
     ``adjacency`` is :attr:`selfcite.graph.CollaborationIndex.adjacency`:
     ``adjacency.get(a)`` is ``{collaborator: earliest joint year}`` of
-    author ``a``, or None for an author who never co-published. ``labels``
-    are the values returned for direct, coauthor, collaborator and
-    external, so one rule serves string ids with :class:`CitationType`
-    labels, interned int ids with labels 0-3 and the ``classify`` export
-    with rendered row ends."""
-    direct, coauthor, collaborator, external = labels
+    author ``a``, or None for an author who never co-published. Authors
+    are string ids or interned int ids alike."""
     if not side_set.isdisjoint(other_set):
         # an author off the intersection has a co-author on the other paper
-        return [direct if a in other_set else coauthor for a in side_authors]
+        return [0 if a in other_set else 1 for a in side_authors]
     out = []
     for a in side_authors:
-        ctype = external
+        ctype = 3
         adj = adjacency.get(a)
         if adj:
             for b in other_authors:
                 joint = adj.get(b)
                 if joint is not None and joint < citing_year:
-                    ctype = collaborator
+                    ctype = 2
                     break
         out.append(ctype)
     return out
@@ -107,11 +103,10 @@ def iter_edge_types(
         citing_set = author_sets[edge.citing_id]
         cited_set = author_sets[edge.cited_id]
         year = edge.citing_year
-        ref_types = _side_types(citing_authors, citing_set, cited_set, cited_authors,
-                                adjacency, year)
-        cite_types = _side_types(cited_authors, cited_set, citing_set, citing_authors,
-                                 adjacency, year)
-        yield edge, citing_authors, ref_types, cited_authors, cite_types
+        ref = _side_types(citing_authors, citing_set, cited_set, cited_authors, adjacency, year)
+        cite = _side_types(cited_authors, cited_set, citing_set, citing_authors, adjacency, year)
+        yield (edge, citing_authors, [CITATION_TYPES[t] for t in ref],
+               cited_authors, [CITATION_TYPES[t] for t in cite])
 
 
 def classify_all(
@@ -150,43 +145,29 @@ def write_classifications(
     return n
 
 
-class ExportCounts(NamedTuple):
-    """What one :func:`export_corpus` walk wrote and counted."""
-
-    edges: int
-    collaboration_pairs: int
-    reference_events: int
-    citation_events: int
-
-    @property
-    def rows(self) -> int:
-        return self.reference_events + self.citation_events
-
-
 def export_corpus(
     corpus: Corpus, edges_path: Union[str, Path], classifications_path: Union[str, Path]
-) -> ExportCounts:
+) -> dict:
     """Write the edge list and the classification export in one walk of the
-    interned corpus.
+    interned corpus. Returns the manifest counts ``edges``,
+    ``collaboration_pairs``, ``author_edge_events`` and ``classification_rows``.
 
     The files hold the bytes of :func:`~selfcite.graph.export_edges` over
     :func:`~selfcite.graph.iter_edges` and of :func:`write_classifications`
-    over :func:`classify_all`, built without a record per edge or row: the
-    labels of :func:`_side_types` are the rendered row ends, each edge adds
-    its ``"\\t<citing>\\t<cited>"`` middle, and each citing paper's lines go
-    to each file in one write. Either both files are replaced or, if the
-    walk raises, neither.
+    over :func:`classify_all`, built without a record per edge or row: each
+    type index of :func:`_side_types` picks a pre-rendered row end, each
+    edge adds its ``"\\t<citing>\\t<cited>"`` middle, and each citing
+    paper's lines go to each file in one write. Either both files are
+    replaced or, if the walk raises, neither.
     """
     view = intern_corpus(corpus)
     authors, author_sets, years = view.authors, view.author_sets, view.years
     paper_ids = view.paper_ids
-    collab = index_collaborations(zip(authors, years))
-    adjacency = collab.adjacency
+    adjacency = view.collab.adjacency
     names = [corpus.papers[pid].author_ids for pid in paper_ids]
     year_ends = [f"\t{year}\n" for year in years]
     ref_ends, cite_ends = (tuple(f"\t{side.value}\t{t.value}\n" for t in CITATION_TYPES)
                            for side in Perspective)
-    n_edges = n_reference = n_citation = 0
     with atomic_write(edges_path) as edges_fh, atomic_write(classifications_path) as rows_fh:
         for p, refs in enumerate(view.references):
             if not refs:
@@ -201,17 +182,16 @@ def export_corpus(
                 cited, cited_set, cited_id = authors[q], author_sets[q], paper_ids[q]
                 middle = head + cited_id
                 edge_lines.append(f"{lead}{cited_id}{year_tab}{year_ends[q]}")
-                ref = _side_types(citing, citing_set, cited_set, cited, adjacency, year, ref_ends)
-                cite = _side_types(cited, cited_set, citing_set, citing, adjacency, year,
-                                   cite_ends)
-                rows += [a + middle + end for a, end in zip(citing_names, ref)]
-                rows += [b + middle + end for b, end in zip(names[q], cite)]
-                n_citation += len(cited)
+                ref = _side_types(citing, citing_set, cited_set, cited, adjacency, year)
+                cite = _side_types(cited, cited_set, citing_set, citing, adjacency, year)
+                rows += [a + middle + ref_ends[t] for a, t in zip(citing_names, ref)]
+                rows += [b + middle + cite_ends[t] for b, t in zip(names[q], cite)]
             edges_fh.write("".join(edge_lines))
             rows_fh.write("".join(rows))
-            n_edges += len(refs)
-            n_reference += len(citing) * len(refs)
-    return ExportCounts(n_edges, len(collab), n_reference, n_citation)
+    events = view.author_edge_events()
+    return {"edges": sum(map(len, view.references)), "collaboration_pairs": len(view.collab),
+            "author_edge_events": events,
+            "classification_rows": events["reference"] + events["citation"]}
 
 
 def read_classifications(

@@ -222,13 +222,10 @@ def cmd_classify(args) -> int:
     with run.stage("export"):
         counts = export_corpus(corpus, run.path(EDGES_FILE), run.path(CLASSIFICATIONS_FILE))
     run.artifacts += [EDGES_FILE, CLASSIFICATIONS_FILE]
-    run.counts["edges"] = counts.edges
-    run.counts["collaboration_pairs"] = counts.collaboration_pairs
-    run.counts["author_edge_events"] = {"reference": counts.reference_events,
-                                        "citation": counts.citation_events}
-    run.counts["classification_rows"] = counts.rows
+    run.counts.update(counts)
     run.finish()
-    print(f"classify: {counts.edges} edges, {counts.rows} classification rows")
+    print(f"classify: {counts['edges']} edges, "
+          f"{counts['classification_rows']} classification rows")
     return 0
 
 
@@ -448,7 +445,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _check_numeric(args) -> None:
+def _check_options(args) -> None:
+    for option in ("papers", "authors", "out", "config"):
+        if getattr(args, option, None) == "":
+            raise UsageError(f"--{option} must not be empty")
     if getattr(args, "min_pubs", 0) < 0:
         raise UsageError("--min-pubs must be >= 0")
     if getattr(args, "n_percentiles", 1) < 1:
@@ -459,7 +459,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_numeric(args)
+        _check_options(args)
     except UsageError as exc:
         print(f"selfcite: usage error: {exc}", file=sys.stderr)
         return 1

@@ -2,15 +2,18 @@
 index.
 
 The index maps each author to the earliest joint year with every
-co-author. The strict-year reading of "former collaborator" that the
-classifier applies to it lives in :func:`selfcite.classify._side_types`: a
-joint paper in the citing year itself does not establish prior
-collaboration.
+co-author. :func:`intern_corpus` builds it once over the int author ids,
+and the interned view carries it to both of its walks, the analysis kernel
+and the ``classify`` export. The strict-year reading of "former
+collaborator" that the classifier applies to it lives in
+:func:`selfcite.classify._side_types`: a joint paper in the citing year
+itself does not establish prior collaboration.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
+from operator import mul
 from pathlib import Path
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -46,7 +49,8 @@ def build_edges(corpus: Corpus) -> list[CitationEdge]:
 class InternedCorpus(NamedTuple):
     """The corpus over dense int ids assigned in sorted string order: per
     paper its author tuple and set, its year, and its resolvable references
-    as a sorted int list."""
+    as a sorted int list, with the co-authorship index over the int author
+    ids that every interned walk types its edges with."""
 
     paper_ids: list[str]
     author_ids: list[str]
@@ -54,6 +58,16 @@ class InternedCorpus(NamedTuple):
     author_sets: list[frozenset[int]]
     years: list[int]
     references: list[list[int]]
+    collab: CollaborationIndex
+
+    def author_edge_events(self) -> dict[str, int]:
+        """Author-edge events per side: one per citing author and reference,
+        and one per cited author and edge."""
+        team_sizes = list(map(len, self.authors))
+        return {
+            "reference": sum(map(mul, team_sizes, map(len, self.references))),
+            "citation": sum(map(team_sizes.__getitem__, chain.from_iterable(self.references))),
+        }
 
 
 def intern_corpus(corpus: Corpus) -> InternedCorpus:
@@ -63,16 +77,19 @@ def intern_corpus(corpus: Corpus) -> InternedCorpus:
     author_ids = sorted(corpus.author_index)
     paper_index = {pid: i for i, pid in enumerate(paper_ids)}
     author_index = {aid: i for i, aid in enumerate(author_ids)}
-    view = InternedCorpus(paper_ids, author_ids, [], [], [], [])
+    authors, author_sets, years, references = [], [], [], []
     for pid in paper_ids:
         p = corpus.papers[pid]
         team = tuple([author_index[a] for a in p.author_ids])
-        view.authors.append(team)
-        view.author_sets.append(frozenset(team))
-        view.years.append(p.year)
-        view.references.append(
+        authors.append(team)
+        author_sets.append(frozenset(team))
+        years.append(p.year)
+        references.append(
             sorted([i for i in map(paper_index.get, p.reference_ids) if i is not None]))
-    return view
+    # the id maps go before the index is built, so the two never share the peak
+    del paper_index, author_index
+    return InternedCorpus(paper_ids, author_ids, authors, author_sets, years, references,
+                          index_collaborations(zip(authors, years)))
 
 
 class CollaborationIndex:

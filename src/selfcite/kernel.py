@@ -6,11 +6,11 @@ An analysis run interns the corpus once with
 :func:`~selfcite.graph.intern_corpus`: author and paper ids become dense
 ints in sorted string order, so int order is string order and every edge is
 met in the order of :func:`~selfcite.graph.iter_edges`. The kernel types
-both sides of each edge with the classifier of :mod:`selfcite.classify`
-(int ids, labels 0-3), as :func:`selfcite.classify.export_corpus` does for
-the ``classify`` export with labels that are rendered row ends. Per
-author-edge event it adds one to a count in each table the run needs: a
-flat list indexed by an int that packs the event's key. At the end the
+both sides of each edge as type indices 0-3 with the classifier of
+:mod:`selfcite.classify` and the co-authorship index of the interned view,
+as :func:`selfcite.classify.export_corpus` does for the ``classify``
+export. Per author-edge event it adds one to a count in each table the run
+needs: a flat list indexed by an int that packs the event's key. At the end the
 tables are projected into the reference tallies
 (:class:`~selfcite.metrics.ProfileTally`,
 :class:`~selfcite.metrics.AgeCurveTally`,
@@ -41,19 +41,17 @@ reference feed the tests compare with.
 from __future__ import annotations
 
 from itertools import chain, compress
-from operator import mul
 from typing import NamedTuple, Optional
 
 from .classify import CITATION_TYPES, Perspective, _side_types
 from .corpus import Corpus
-from .graph import InternedCorpus, index_collaborations, intern_corpus
+from .graph import InternedCorpus, intern_corpus
 from .hindex import HindexTally
 from .metrics import AgeCurveTally, CitationAgeTally, ProfileTally
 
 #: The tallies the kernel can project, by name.
 VIEWS = ("profile", "age_curve", "citation_age", "hindex")
 
-_LABELS = (0, 1, 2, 3)  # index into CITATION_TYPES
 _SIDES = (Perspective.REFERENCE, Perspective.CITATION)
 
 
@@ -101,7 +99,7 @@ def run_kernel(
     n_years = max(years, default=0) - min(years, default=0) + 1
     event_years = sorted(set(years))
     year_rank = {year: i for i, year in enumerate(event_years)}
-    adjacency = index_collaborations(zip(authors, years)).adjacency
+    adjacency = view.collab.adjacency
     side_stride = 4 * len(event_years)
     author_stride = 2 * side_stride
     ev = [0] * (author_stride * len(view.author_ids)) if events else None
@@ -146,7 +144,7 @@ def run_kernel(
         for q in refs:
             cited = authors[q]
             cited_set = author_sets[q]
-            cite = _side_types(cited, cited_set, citing_set, citing, adjacency, year, _LABELS)
+            cite = _side_types(cited, cited_set, citing_set, citing, adjacency, year)
             if hc is not None:
                 i = cell_base[q]
                 for t in cite:
@@ -154,7 +152,7 @@ def run_kernel(
                     i += 4
             if not type_references:
                 continue
-            ref = _side_types(citing, citing_set, cited_set, cited, adjacency, year, _LABELS)
+            ref = _side_types(citing, citing_set, cited_set, cited, adjacency, year)
             if ev is not None:
                 for i, t in zip(ref_base, ref):
                     ev[i + t] += 1
@@ -254,12 +252,7 @@ def tally_corpus(
         cells="hindex" in views,
         similarity=similarity,
     )
-    # one event per citing author and reference, and per cited author and edge
-    team_sizes = list(map(len, view.authors))
-    author_edge_events = {
-        "reference": sum(map(mul, team_sizes, map(len, view.references))),
-        "citation": sum(map(team_sizes.__getitem__, chain.from_iterable(view.references))),
-    }
+    author_edge_events = view.author_edge_events()
     del view
     profile = age_curve = citation_age = hindex = None
     if events is not None:

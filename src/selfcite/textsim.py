@@ -33,10 +33,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import os
 import re
 from array import array
 from collections import Counter
-from importlib import resources
 from itertools import chain, compress
 from operator import mul
 from typing import Mapping, NamedTuple, Optional
@@ -55,8 +55,11 @@ MAX_SINGLE_CITATION_AGE = 20
 HISTOGRAM_BIN_WIDTH = 0.02
 
 
+@functools.cache
 def _stopword_bytes() -> bytes:
-    return resources.files("selfcite").joinpath("data/stopwords_en.txt").read_bytes()
+    # a plain read: importlib.resources loads some twenty modules for one file
+    with open(os.path.join(os.path.dirname(__file__), "data", "stopwords_en.txt"), "rb") as fh:
+        return fh.read()
 
 
 @functools.cache

@@ -3,8 +3,10 @@ import random
 import pytest
 
 from selfcite.classify import (
+    CITATION_TYPES,
     CitationType,
     Perspective,
+    _side_types,
     classify_all,
     read_classifications,
     write_classifications,
@@ -82,6 +84,27 @@ class TestPaperLevel:
             flag = not set(fix1.papers[edge.citing_id].author_ids).isdisjoint(
                 fix1.papers[edge.cited_id].author_ids)
             assert flag == ref_direct == cite_direct
+
+
+class TestSideTypes:
+    # one side of an edge citing in 2000: A and X co-published in 1999, B
+    # and Y in 2000, and C never co-published
+    ADJACENCY = {"A": {"X": 1999}, "X": {"A": 1999}, "B": {"Y": 2000}, "Y": {"B": 2000}}
+
+    def test_indices_follow_citation_types(self):
+        assert CITATION_TYPES == (D, CA, CL, EX)
+
+    def test_intersecting_teams(self):
+        side, other = ("A", "B"), ("A", "X")
+        assert _side_types(side, frozenset(side), frozenset(other), other,
+                           self.ADJACENCY, 2000) == [0, 1]
+
+    def test_disjoint_teams(self):
+        # joint year one before the citing year, equal to it, and no entry
+        side, other = ("A", "B", "C"), ("X", "Y")
+        assert "C" not in self.ADJACENCY
+        assert _side_types(side, frozenset(side), frozenset(other), other,
+                           self.ADJACENCY, 2000) == [2, 3, 3]
 
 
 class TestClassifyAll:

@@ -211,6 +211,20 @@ class TestUsageErrors:
         assert run("metrics", "--papers", PAPERS, "--out", tmp_path,
                    "--n-percentiles", "0") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--papers", PAPERS, "--authors", "", "--out", "o"],
+        ["validate", "--papers", PAPERS, "--out", ""],
+        ["validate", "--papers", "", "--out", "o"],
+        ["synth", "--config", "", "--out", "o"],
+    ], ids=["authors", "out", "papers", "config"])
+    def test_empty_path_option(self, tmp_path, monkeypatch, capsys, argv):
+        # refused before any load or write, under the option's name
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv) == 1
+        flag = argv[argv.index("") - 1]
+        assert f"usage error: {flag} must not be empty" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestClassify:
     def test_fix1_export(self, tmp_path):
@@ -227,6 +241,15 @@ class TestClassify:
         assert m["counts"]["edges"] == 6
         assert m["counts"]["classification_rows"] == 17
         assert m["counts"]["author_edge_events"] == {"reference": 9, "citation": 8}
+
+    def test_collaboration_pairs_in_manifest(self, tmp_path):
+        assert run("classify", "--papers", PAPERS, "--out", tmp_path) == 0
+        pairs = set()
+        for line in Path(PAPERS).read_text().splitlines():
+            team = json.loads(line)["authors"]
+            pairs |= {frozenset((a, b)) for a in team for b in team if a != b}
+        assert pairs
+        assert manifest(tmp_path)["counts"]["collaboration_pairs"] == len(pairs)
 
     def test_failed_walk_keeps_both_exports(self, tmp_path, monkeypatch):
         import selfcite.classify

@@ -109,8 +109,9 @@ class TestCollaborationIndex:
                 assert joint_before(index, a, b, year) == joint_before(index, b, a, year)
 
     def test_matches_raw_record_scan(self):
-        # every author pair; the index of the interned corpus, read through
-        # its author ids, must be the string index
+        # every author pair; the index of the interned corpus, and the one
+        # intern_corpus carries, read through its author ids, must be the
+        # string index
         rng = random.Random(19)
         for _ in range(10):
             corpus = random_corpus(rng)
@@ -118,11 +119,12 @@ class TestCollaborationIndex:
             view = intern_corpus(corpus)
             interned = index_collaborations(zip(view.authors, view.years))
             ids = view.author_ids
-            assert {ids[a]: {ids[b]: year for b, year in adj.items()}
-                    for a, adj in interned.adjacency.items()} == index.adjacency
+            for collab in (interned, view.collab):
+                assert {ids[a]: {ids[b]: year for b, year in adj.items()}
+                        for a, adj in collab.adjacency.items()} == index.adjacency
             pairs = {frozenset(pair) for p in corpus.papers.values()
                      for pair in combinations(p.author_ids, 2)}
-            assert len(index) == len(interned) == len(pairs)
+            assert len(index) == len(interned) == len(view.collab) == len(pairs)
             for a, b in permutations(sorted(corpus.author_index), 2):
                 year = rng.randint(1989, 2012)
                 assert joint_before(index, a, b, year) == \

@@ -31,13 +31,16 @@ print(json.dumps(sorted(tops - set(sys.stdlib_module_names))))
 """
 
 # Runs a subcommand in process and prints the package modules it loaded and
-# which of dataclasses and inspect (about 1 MB of RSS per process) it loaded.
-_LOADED = """
+# which of the heavy standard modules below it loaded: dataclasses and
+# inspect (about 1 MB of RSS per process), and importlib.resources with the
+# zipfile and tempfile it pulls in.
+_HEAVY = ("dataclasses", "importlib.resources", "inspect", "tempfile", "zipfile")
+_LOADED = f"""
 import json, sys
 from selfcite.cli import main
 code = main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "selfcite"),
-                  sorted({"dataclasses", "inspect"}.intersection(sys.modules))]))
+                  sorted(set({_HEAVY!r}).intersection(sys.modules))]))
 """
 
 
@@ -77,15 +80,13 @@ def test_classify_loads_no_analysis_module(tmp_path):
         "selfcite", "selfcite.classify", "selfcite.cli", "selfcite.corpus", "selfcite.graph"]
 
 
-# Only synth uses dataclasses. On CPython 3.12+ importlib.resources, which
-# reads the stopword list of simil and report, imports inspect itself.
+# Only synth uses dataclasses, and simil and report read the stopword list
+# with a plain open.
 @pytest.mark.parametrize("command", ["validate", "classify", "metrics", "hindex",
                                      "simil", "report"])
 def test_analysis_commands_load_no_dataclasses(tmp_path, command):
     _modules, stdlib = _loaded_modules(command, tmp_path)
-    assert "dataclasses" not in stdlib
-    if command not in ("simil", "report"):
-        assert "inspect" not in stdlib
+    assert stdlib == []
 
 
 def test_readme_library_example_runs(tmp_path):
