@@ -7,7 +7,7 @@ inputs and options reproduces every CSV artifact byte for byte (the run
 manifest carries wall-clock and memory measurements and is excluded from
 that guarantee).
 
-Exit codes: 0 success, 1 usage error, 2 data error.
+Exit codes: 0 success, 1 usage error, 2 data, i/o or worker error.
 
 Only the standard library and :mod:`selfcite.corpus`, which every subcommand
 uses, are imported at module level. Each subcommand imports the analysis
@@ -160,6 +160,8 @@ class _Run:
             "stages": self.stages,
             "elapsed_seconds": round(time.perf_counter() - self.started, 3),
             "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+            # the largest of the reaped child processes, the kernel's workers
+            "children_peak_rss_kb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
         }
         with atomic_write(self.path(MANIFEST_FILE)) as fh:
             fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -346,12 +348,14 @@ def cmd_analysis(args) -> int:
         else:
             with run.stage("vectors"):
                 vectors = build_vectors(corpus)
-    with run.stage("tally"):
-        tallies = tally_corpus(corpus, views, include=eligible, vectors=vectors)
-        # Unweighted: figS7, figS8 and the similarity tables read raw counts only.
-        profiles = (finalize_profiles(corpus, tallies.profile)
-                    if tallies.profile is not None else None)
+    tallies = tally_corpus(corpus, views, include=eligible, vectors=vectors, stage=run.stage)
     run.counts["author_edge_events"] = tallies.author_edge_events
+    run.counts["kernel_workers"] = tallies.kernel_workers
+    profiles = None
+    if tallies.profile is not None:
+        with run.stage("profiles"):
+            # Unweighted: figS7, figS8 and the similarity tables read raw counts only.
+            profiles = finalize_profiles(corpus, tallies.profile)
 
     if "metrics" in tables:
         with run.stage("metrics"):
@@ -467,6 +471,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except CorpusError as exc:
         print(f"selfcite: data error: {exc}", file=sys.stderr)
+        return 2
+    except ChildProcessError as exc:
+        print(f"selfcite: worker error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"selfcite: i/o error: {exc}", file=sys.stderr)

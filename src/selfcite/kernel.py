@@ -36,11 +36,36 @@ side first, in edge order, so every float sum keeps the association of the
 projected into the tally's dicts with string ids and
 :class:`~selfcite.classify.CitationType` keys. ``add_edge`` stays as the
 reference feed the tests compare with.
+
+The pass runs in up to :data:`MAX_WORKERS` processes, one per usable CPU
+(the affinity mask). The citing papers are cut into contiguous chunks of
+near-equal author-edge events. The first chunk runs in the calling process;
+each later one runs in a child made with ``os.fork``, which sees the
+interned view and the vectors copy-on-write and sends its results back
+through a pipe as ``marshal`` data. Integer counts are summed, which is
+exact in any order. No chunk adds a float itself: it keeps the cosine of
+each scored edge and the types of both its sides, and the calling process
+replays them into the float cells chunk by chunk in chunk order, which is
+edge order, so the sums are the same floats for any number of workers. It
+replays its own chunk in blocks as the chunk goes, before any child's
+arrive, so it holds one chunk's scored edges at a time. The pass stays in
+one process where ``os.fork`` is missing, where one CPU is usable and where
+another thread runs, since a forked copy of a threaded process can
+deadlock.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress
+import marshal
+import mmap
+import os
+import signal
+import sys
+from array import array
+from bisect import bisect_left
+from contextlib import closing, nullcontext, suppress
+from itertools import accumulate, chain, compress
+from operator import add
 from typing import NamedTuple, Optional
 
 from .classify import CITATION_TYPES, Perspective, _side_types
@@ -51,6 +76,11 @@ from .metrics import AgeCurveTally, CitationAgeTally, ProfileTally
 
 #: The tallies the kernel can project, by name.
 VIEWS = ("profile", "age_curve", "citation_age", "hindex")
+
+#: The most processes one kernel pass runs in.
+MAX_WORKERS = 4
+
+_REPLAY_BLOCK = 1 << 12  # scored edges the in-process chunk keeps before it replays them
 
 _SIDES = (Perspective.REFERENCE, Perspective.CITATION)
 
@@ -72,6 +102,8 @@ class KernelTables(NamedTuple):
     than a dict of the (author, side, year, type) keys in use: at the
     acceptance scale 816k of its 1.12M slots are used, and a dict costs
     some 100 bytes per key against 8 bytes per slot.
+
+    ``workers`` is the number of processes the pass ran in.
     """
 
     events: Optional[list[int]]
@@ -79,6 +111,7 @@ class KernelTables(NamedTuple):
     cells: Optional[list[int]]
     event_years: list[int]
     n_years: int
+    workers: int
 
 
 def run_kernel(
@@ -94,106 +127,173 @@ def run_kernel(
     ``similarity`` needs it; ``cells`` reads the citation side alone.
     ``similarity``, a :class:`~selfcite.textsim.SimilarityTally` no edge has
     fed, gets its cells and coverage at the end of the pass.
+
+    The pass runs in :func:`_worker_count` processes; every count and
+    float is the same for any number.
     """
     authors, author_sets, years = view.authors, view.author_sets, view.years
+    references = view.references
     n_years = max(years, default=0) - min(years, default=0) + 1
     event_years = sorted(set(years))
     year_rank = {year: i for i, year in enumerate(event_years)}
     adjacency = view.collab.adjacency
     side_stride = 4 * len(event_years)
     author_stride = 2 * side_stride
-    ev = [0] * (author_stride * len(view.author_ids)) if events else None
-    ag = [0] * (8 * (2 * n_years - 1)) if ages else None
-    hc = None
     if cells:
         cell_base = []  # index of each paper's first cell
-        n = 0
+        n_cells = 0
         for team in authors:
-            cell_base.append(n)
-            n += 4 * len(team)
-        hc = [0] * n
+            cell_base.append(n_cells)
+            n_cells += 4 * len(team)
     type_references = events or ages or similarity is not None
+    replay = None
     if similarity is not None:
         from .textsim import MAX_SINGLE_CITATION_AGE as max_age, _cosine, _term_lookup
 
         age_bins = max_age + 2  # 0 .. max_age, then max_age + 1 for every older citation
         include = similarity.include
         vectors = list(map(similarity.vectors.get, view.paper_ids))
+        scorable = [v is not None and v.norm != 0.0 for v in vectors]
         included = [include is None or aid in include for aid in view.author_ids]
         n = 4 * len(included)
         at_sum, at_n = [0.0] * n, [0] * n
         ata_sum, ata_n = [0.0] * (age_bins * n), [0] * (age_bins * n)
         sr_sum, sr_n = [0.0] * len(included), [0] * len(included)
-        missing = zero = scored = 0
 
-    for p, refs in enumerate(view.references):
-        if not refs:
-            continue
-        citing = authors[p]
-        citing_set = author_sets[p]
-        year = years[p]
-        year_offset = 4 * year_rank[year]
-        ref_base = [a * author_stride + year_offset for a in citing]
-        cite_offset = side_stride + year_offset
-        if similarity is not None:
-            u = vectors[p]
-            if u is not None:
-                nu = u.norm
-                if nu != 0.0:
-                    u_terms, u_weights = _term_lookup(u)
-        for q in refs:
-            cited = authors[q]
-            cited_set = author_sets[q]
-            cite = _side_types(cited, cited_set, citing_set, citing, adjacency, year)
-            if hc is not None:
-                i = cell_base[q]
-                for t in cite:
-                    hc[i + t] += 1
-                    i += 4
-            if not type_references:
-                continue
-            ref = _side_types(citing, citing_set, cited_set, cited, adjacency, year)
-            if ev is not None:
-                for i, t in zip(ref_base, ref):
-                    ev[i + t] += 1
-                for b, t in zip(cited, cite):
-                    ev[b * author_stride + cite_offset + t] += 1
-            if ag is not None:
-                i = 8 * (year - years[q] + n_years - 1)
-                for t in ref:
-                    ag[i + t] += 1
-                i += 4
-                for t in cite:
-                    ag[i + t] += 1
-            if similarity is None:
-                continue
-            v = vectors[q]
-            if u is None or v is None:
-                missing += 1
-                continue
-            if nu == 0.0 or v.norm == 0.0:
-                zero += 1
-                continue
-            scored += 1
-            cos = _cosine(u_terms, u_weights, nu, v)
-            age = year - years[q]
-            age_bin = age if age <= max_age else max_age + 1
-            # reference side first, then citation side: each cell's sum
-            # takes its adds in the order of the add_edge feed
-            for a, t in chain(zip(citing, ref), zip(cited, cite)):
-                if not included[a]:
+        def replay(lo, hi, cosines, types):
+            """Add the scored edges of the citing papers in ``range(lo, hi)``
+            into the float cells in edge order, each cosine reference side
+            first, then citation side, so each cell's sum takes its adds in
+            the order of the add_edge feed."""
+            next_cosine = iter(cosines).__next__
+            k = 0
+            for p in range(lo, hi):
+                refs = references[p]
+                if not refs or not scorable[p]:
                     continue
-                i = 4 * a + t
-                at_sum[i] += cos
-                at_n[i] += 1
-                if age >= 0:
-                    i = age_bins * i + age_bin
-                    ata_sum[i] += cos
-                    ata_n[i] += 1
-            for a, t in zip(citing, ref):
-                if t == 0 and included[a]:
-                    sr_sum[a] += cos
-                    sr_n[a] += 1
+                citing = authors[p]
+                year = years[p]
+                n_citing = len(citing)
+                for q in compress(refs, map(scorable.__getitem__, refs)):
+                    cos = next_cosine()
+                    cited = authors[q]
+                    ref = types[k:k + n_citing]
+                    k += n_citing
+                    cite = types[k:k + len(cited)]
+                    k += len(cited)
+                    age = year - years[q]
+                    age_bin = age if age <= max_age else max_age + 1
+                    for a, t in chain(zip(citing, ref), zip(cited, cite)):
+                        if not included[a]:
+                            continue
+                        i = 4 * a + t
+                        at_sum[i] += cos
+                        at_n[i] += 1
+                        if age >= 0:
+                            i = age_bins * i + age_bin
+                            ata_sum[i] += cos
+                            ata_n[i] += 1
+                    for a, t in zip(citing, ref):
+                        if t == 0 and included[a]:
+                            sr_sum[a] += cos
+                            sr_n[a] += 1
+
+    def run_chunk(bounds, replay=None):
+        """The counts of the citing papers in ``range(*bounds)``, the
+        number of edges scored, with a missing abstract and with a zero
+        vector, then the cosine of each scored edge (``array('d')``) and the
+        types of its reference side then of its citation side (bytes) that
+        are not replayed yet. With ``replay``, the scored edges go to it
+        whenever a citing paper ends with :data:`_REPLAY_BLOCK` or more of
+        them kept, and at the end, so none are returned."""
+        ev = [0] * (author_stride * len(view.author_ids)) if events else None
+        ag = [0] * (8 * (2 * n_years - 1)) if ages else None
+        hc = [0] * n_cells if cells else None
+        cosines, types = array("d"), bytearray()
+        scored = missing = zero = 0
+        lo, hi = bounds
+        for p in range(lo, hi):
+            refs = references[p]
+            if not refs:
+                continue
+            citing = authors[p]
+            citing_set = author_sets[p]
+            year = years[p]
+            year_offset = 4 * year_rank[year]
+            ref_base = [a * author_stride + year_offset for a in citing]
+            cite_offset = side_stride + year_offset
+            if similarity is not None:
+                u = vectors[p]
+                if u is not None:
+                    nu = u.norm
+                    if nu != 0.0:
+                        u_terms, u_weights = _term_lookup(u)
+            for q in refs:
+                cited = authors[q]
+                cited_set = author_sets[q]
+                cite = _side_types(cited, cited_set, citing_set, citing, adjacency, year)
+                if hc is not None:
+                    i = cell_base[q]
+                    for t in cite:
+                        hc[i + t] += 1
+                        i += 4
+                if not type_references:
+                    continue
+                ref = _side_types(citing, citing_set, cited_set, cited, adjacency, year)
+                if ev is not None:
+                    for i, t in zip(ref_base, ref):
+                        ev[i + t] += 1
+                    for b, t in zip(cited, cite):
+                        ev[b * author_stride + cite_offset + t] += 1
+                if ag is not None:
+                    i = 8 * (year - years[q] + n_years - 1)
+                    for t in ref:
+                        ag[i + t] += 1
+                    i += 4
+                    for t in cite:
+                        ag[i + t] += 1
+                if similarity is None:
+                    continue
+                v = vectors[q]
+                if u is None or v is None:
+                    missing += 1
+                    continue
+                if nu == 0.0 or v.norm == 0.0:
+                    zero += 1
+                    continue
+                scored += 1
+                cosines.append(_cosine(u_terms, u_weights, nu, v))
+                types.extend(ref)
+                types.extend(cite)
+            if replay is not None and len(cosines) >= _REPLAY_BLOCK:
+                replay(lo, p + 1, cosines, types)
+                del cosines[:], types[:]
+                lo = p + 1
+        if replay is not None and cosines:
+            replay(lo, hi, cosines, types)
+            del cosines[:], types[:]
+        return ev, ag, hc, scored, missing, zero, cosines, types
+
+    # The first chunk runs in this process and replays its floats as it
+    # goes; each later chunk's arrive after it, so the replay is in edge
+    # order and holds one chunk's scored edges at a time.
+    chunks = _chunk_bounds(view, _worker_count())
+    ev = ag = hc = None
+    scored = missing = zero = 0
+    with closing(_fork_map(run_chunk, chunks[1:], lambda: run_chunk(chunks[0], replay))) as results:
+        for bounds, (c_ev, c_ag, c_hc, c_scored, c_missing, c_zero, cosines, types) in zip(
+                chunks, results):
+            ev = _add_counts(ev, c_ev)
+            ag = _add_counts(ag, c_ag)
+            hc = _add_counts(hc, c_hc)
+            # each chunk's data is dropped before the next chunk's arrives
+            del c_ev, c_ag, c_hc
+            scored += c_scored
+            missing += c_missing
+            zero += c_zero
+            if cosines:
+                replay(*bounds, memoryview(cosines).cast("d"), types)
+            del cosines, types
     if similarity is not None:
         coverage = similarity.coverage
         coverage.missing_abstract_edges += missing
@@ -206,12 +306,139 @@ def run_kernel(
         similarity.negative_age_records += records - sum(ata_n)
         _project_similarity(similarity, view.author_ids, age_bins,
                             at_sum, at_n, ata_sum, ata_n, sr_sum, sr_n)
-    return KernelTables(ev, ag, hc, event_years, n_years)
+    return KernelTables(ev, ag, hc, event_years, n_years, len(chunks))
+
+
+def _add_counts(total: Optional[list[int]], counts: Optional[list[int]]) -> Optional[list[int]]:
+    """``total`` plus ``counts`` slot by slot; ``counts`` itself when there
+    is no total yet."""
+    if total is None:
+        return counts
+    return list(map(add, total, counts))
+
+
+def _worker_count() -> int:
+    """The usable CPUs (the affinity mask), at most :data:`MAX_WORKERS`; 1
+    without ``os.fork`` or while another thread runs."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_WORKERS)
+
+
+def _chunk_bounds(view: InternedCorpus, n: int) -> list[tuple[int, int]]:
+    """At most ``n`` contiguous paper ranges ``(lo, hi)`` in paper order,
+    with near-equal author-edge events and at least one edge each; one range
+    over every paper when ``n`` is below 2 or the corpus has no edge."""
+    everything = [(0, len(view.references))]
+    if n < 2:
+        return everything
+    team_sizes = list(map(len, view.authors))
+    prefix = list(accumulate(
+        (len(refs) * team_sizes[p] + sum(map(team_sizes.__getitem__, refs))
+         for p, refs in enumerate(view.references)),
+        initial=0))
+    total = prefix[-1]
+    cuts = [0, *(bisect_left(prefix, total * k / n) for k in range(1, n)), len(prefix) - 1]
+    return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if prefix[hi] > prefix[lo]] or everything
+
+
+def _fork_map(fn, items, first):
+    """Yield ``first()``, then ``fn(item)`` for each of ``items`` in order.
+
+    Each ``fn(item)`` runs in a child made with ``os.fork``, which sends its
+    result back through a pipe as ``marshal`` data (lists, ints, floats,
+    None, and buffers such as ``array`` that arrive as bytes); ``first``
+    runs in this process while the children work. Each pipe is read to its
+    end and each child reaped before its result is yielded. A child that
+    exits non-zero or dies from a signal raises
+    :class:`ChildProcessError`. However the caller stops, by an exception,
+    an interrupt or ``close()``, every child not yet reaped is killed and
+    reaped.
+    """
+    children = []  # (pid, read end of its pipe), in item order
+    try:
+        for item in items:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _child_exit(fn, item, read_fd, write_fd, children)
+            children.append((pid, open(read_fd, "rb")))
+            os.close(write_fd)
+        yield first()
+        while children:
+            yield _receive(children)
+    finally:
+        for pid, pipe in children:  # left only when the caller stopped early
+            pipe.close()
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _receive(children: list):
+    """The result of the first of ``children``: its pipe read to the end,
+    the child reaped and taken off the list.
+
+    The child sends the length of its marshal data, then the data, which is
+    read into an anonymous ``mmap`` rather than a bytes object: once glibc
+    has freed a block as large as that, it raises its mmap threshold to the
+    block's size and serves later blocks below it from the heap, which
+    returns less memory. With the data read into a bytes object, a
+    full-scale ``report`` peaked at 592 MB (2 runs); with the map it peaks
+    at 544-564 MB (3 runs), and at 550 MB in one process."""
+    pid, pipe = children[0]
+    size = int.from_bytes(pipe.read(8), "little")
+    with mmap.mmap(-1, max(size, 1)) as data:
+        got = pipe.readinto(data)
+        pipe.close()
+        _, status = os.waitpid(pid, 0)
+        del children[0]
+        code = os.waitstatus_to_exitcode(status)
+        if code == 0:
+            return marshal.loads(data)
+        detail = f" ({data[:got].decode(errors='replace')})" if code == 1 and got else ""
+    how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+    raise ChildProcessError(f"edge-kernel worker {pid} {how}{detail}")
+
+
+def _child_exit(fn, item, read_fd: int, write_fd: int, siblings: list) -> None:
+    """The whole life of a forked child: close the read ends it inherited,
+    write ``fn(item)`` as marshal data, or the error that stopped it, and
+    end the process with ``os._exit``. It never returns or raises into the
+    caller's frames, and it flushes no buffer inherited from the parent."""
+    status = 1
+    try:
+        os.close(read_fd)
+        for _, pipe in siblings:
+            pipe.close()
+        try:
+            payload = marshal.dumps(fn(item))
+            failed = False
+        except BaseException as exc:  # a child may not unwind into the parent's code
+            payload = f"{type(exc).__name__}: {exc}".encode()
+            failed = True
+        with open(write_fd, "wb") as out:
+            out.write(len(payload).to_bytes(8, "little"))
+            out.write(payload)
+        status = 1 if failed else 0
+    finally:
+        os._exit(status)
 
 
 class Tallies(NamedTuple):
     """The reference tallies projected from one kernel pass (``None`` where
-    not asked for) and the author-edge events per side of the corpus."""
+    not asked for), the author-edge events per side of the corpus and the
+    number of processes the pass ran in."""
 
     profile: Optional[ProfileTally]
     age_curve: Optional[AgeCurveTally]
@@ -219,6 +446,7 @@ class Tallies(NamedTuple):
     hindex: Optional[HindexTally]
     similarity: Optional["SimilarityTally"]
     author_edge_events: dict[str, int]
+    kernel_workers: int
 
 
 def tally_corpus(
@@ -226,11 +454,16 @@ def tally_corpus(
     views=VIEWS,
     include: Optional[set] = None,
     vectors: Optional[dict] = None,
+    stage=nullcontext,
 ) -> Tallies:
     """Intern the corpus, run the kernel for ``views`` (a subset of
     :data:`VIEWS`), then project each view. ``include`` is the author set of
     the age-curve view and of the similarity tally, which the pass fills
     when ``vectors`` (tf-idf vectors by paper id) are given.
+
+    ``stage`` is called with ``"intern"``, ``"kernel"`` (the pass, which
+    fills the similarity tally) and ``"project"``, and the context manager
+    it returns wraps that step.
 
     The interned corpus and the collaboration index are dropped before the
     projection, and each count table once it is projected.
@@ -243,34 +476,37 @@ def tally_corpus(
         from .textsim import SimilarityTally
 
         similarity = SimilarityTally(vectors, include=include)
-    view = intern_corpus(corpus)
+    with stage("intern"):
+        view = intern_corpus(corpus)
     author_ids, paper_ids = view.author_ids, view.paper_ids
-    events, ages, cells, event_years, n_years = run_kernel(
-        view,
-        events="profile" in views or "age_curve" in views,
-        ages="citation_age" in views,
-        cells="hindex" in views,
-        similarity=similarity,
-    )
-    author_edge_events = view.author_edge_events()
-    del view
+    with stage("kernel"):
+        events, ages, cells, event_years, n_years, workers = run_kernel(
+            view,
+            events="profile" in views or "age_curve" in views,
+            ages="citation_age" in views,
+            cells="hindex" in views,
+            similarity=similarity,
+        )
+        author_edge_events = view.author_edge_events()
+        del view
     profile = age_curve = citation_age = hindex = None
-    if events is not None:
-        if "profile" in views:
-            profile = ProfileTally()
-        if "age_curve" in views:
-            age_curve = AgeCurveTally.for_corpus(corpus, include)
-        _project_events(events, event_years, author_ids, profile, age_curve)
-        del events
-    if ages is not None:
-        citation_age = CitationAgeTally()
-        _project_ages(ages, n_years, citation_age)
-        del ages
-    if cells is not None:
-        hindex = HindexTally()
-        _project_cells(cells, corpus, paper_ids, hindex)
+    with stage("project"):
+        if events is not None:
+            if "profile" in views:
+                profile = ProfileTally()
+            if "age_curve" in views:
+                age_curve = AgeCurveTally.for_corpus(corpus, include)
+            _project_events(events, event_years, author_ids, profile, age_curve)
+            del events
+        if ages is not None:
+            citation_age = CitationAgeTally()
+            _project_ages(ages, n_years, citation_age)
+            del ages
+        if cells is not None:
+            hindex = HindexTally()
+            _project_cells(cells, corpus, paper_ids, hindex)
     return Tallies(profile, age_curve, citation_age, hindex, similarity,
-                   author_edge_events)
+                   author_edge_events, workers)
 
 
 def _project_events(events, event_years, author_ids, profile, age_curve) -> None:

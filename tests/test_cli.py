@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from selfcite.cli import main, write_csv
+from selfcite.kernel import MAX_WORKERS
 from conftest import TESTDATA
 
 PAPERS = str(TESTDATA / "fix1_papers.jsonl")
@@ -399,10 +400,11 @@ def test_long_y_run_in_abstract(tmp_path, command, tables):
 _STAGES = {
     "validate": ["load"],
     "classify": ["load", "export"],
-    "metrics": ["load", "tally", "metrics"],
-    "hindex": ["load", "tally", "hindex"],
-    "simil": ["load", "vectors", "tally", "simil"],
-    "report": ["load", "vectors", "tally", "metrics", "hindex", "simil"],
+    "metrics": ["load", "intern", "kernel", "project", "profiles", "metrics"],
+    "hindex": ["load", "intern", "kernel", "project", "hindex"],
+    "simil": ["load", "vectors", "intern", "kernel", "project", "profiles", "simil"],
+    "report": ["load", "vectors", "intern", "kernel", "project", "profiles",
+               "metrics", "hindex", "simil"],
     "synth": ["generate", "write"],
 }
 #: Each stage's seconds and elapsed_seconds are rounded to the millisecond,
@@ -428,6 +430,9 @@ class TestManifestStages:
         assert sum(s["seconds"] for s in stages) <= m["elapsed_seconds"] + _ROUNDING_SLACK_S
         rss = [s["peak_rss_kb"] for s in stages]
         assert 0 < rss[0] and rss == sorted(rss) and rss[-1] <= m["peak_rss_kb"]
+        assert m["children_peak_rss_kb"] >= 0
+        if "kernel" in _STAGES[command]:
+            assert 1 <= m["counts"]["kernel_workers"] <= MAX_WORKERS
 
     def test_report_without_abstracts_has_no_vectors_stage(self, tmp_path):
         papers = tmp_path / "papers.jsonl"
@@ -437,7 +442,7 @@ class TestManifestStages:
         }) + "\n", encoding="utf-8")
         assert run("report", "--papers", papers, "--out", tmp_path / "o") == 0
         assert [s["name"] for s in manifest(tmp_path / "o")["stages"]] == [
-            "load", "tally", "metrics", "hindex", "simil"]
+            "load", "intern", "kernel", "project", "profiles", "metrics", "hindex", "simil"]
 
 
 class TestSynthCommand:

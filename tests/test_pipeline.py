@@ -1,3 +1,4 @@
+import os
 import random
 
 from selfcite.classify import CitationType, classify_all, read_classifications, write_classifications
@@ -58,56 +59,61 @@ class TestThreadIndependence:
 
 
 class TestKernel:
-    def test_kernel_equals_reference_feed(self):
-        # the CLI's fused int kernel, projected, must equal the per-tally
-        # add_edge feed on corpora with anachronistic references, unresolved
-        # ids, S10 < S2 string order and, on odd trials, an uncited paper
-        # from 1800 among papers from 1990-2010; similarity floats bit for bit
-        rng = random.Random(89)
-        for trial in range(20):
-            corpus = random_corpus(rng, max_papers=40, max_authors=10)
-            if trial % 2:
-                papers = list(corpus.papers.values())
-                papers.append(PaperRecord("S_old", 1800, papers[0].discipline,
-                                          papers[0].author_ids[:1], ()))
-                corpus = corpus_from_records(papers)
-            vectors = build_vectors(corpus) if corpus.papers_with_abstract else {}
-            include = {a for a in corpus.author_index if rng.random() < 0.7}
+    def test_kernel_equals_reference_feed(self, monkeypatch):
+        # the pass runs in one process per usable CPU: one, then two
+        for workers in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=workers: set(range(n)),
+                                raising=False)
+            # the CLI's fused int kernel, projected, must equal the per-tally
+            # add_edge feed on corpora with anachronistic references, unresolved
+            # ids, S10 < S2 string order and, on odd trials, an uncited paper
+            # from 1800 among papers from 1990-2010; similarity floats bit for bit
+            rng = random.Random(89)
+            for trial in range(20):
+                corpus = random_corpus(rng, max_papers=40, max_authors=10)
+                if trial % 2:
+                    papers = list(corpus.papers.values())
+                    papers.append(PaperRecord("S_old", 1800, papers[0].discipline,
+                                              papers[0].author_ids[:1], ()))
+                    corpus = corpus_from_records(papers)
+                vectors = build_vectors(corpus) if corpus.papers_with_abstract else {}
+                include = {a for a in corpus.author_index if rng.random() < 0.7}
 
-            base = all_five(corpus, vectors, include)
-            run_edge_tallies(corpus, iter_edges(corpus), build_collaboration_index(corpus), base)
+                base = all_five(corpus, vectors, include)
+                run_edge_tallies(corpus, iter_edges(corpus), build_collaboration_index(corpus),
+                                 base)
 
-            full = tally_corpus(corpus, include=include, vectors=vectors)
-            sim = full.similarity
-            kernel = [full.profile, full.age_curve, full.citation_age, full.hindex, sim]
-            assert integer_state(kernel) == integer_state(base)
-            assert similarity_state(sim) == similarity_state(base[4])
+                full = tally_corpus(corpus, include=include, vectors=vectors)
+                sim = full.similarity
+                kernel = [full.profile, full.age_curve, full.citation_age, full.hindex, sim]
+                assert integer_state(kernel) == integer_state(base)
+                assert similarity_state(sim) == similarity_state(base[4])
 
-            # 8 event slots per author and distinct paper year: the gap
-            # up to 1990 costs none
-            view = intern_corpus(corpus)
-            n_years = len({p.year for p in corpus.papers.values()})
-            tables = run_kernel(view, events=True, ages=False, cells=False)
-            assert len(tables.events) == 8 * n_years * len(view.author_ids)
+                # 8 event slots per author and distinct paper year: the gap
+                # up to 1990 costs none
+                view = intern_corpus(corpus)
+                n_years = len({p.year for p in corpus.papers.values()})
+                tables = run_kernel(view, events=True, ages=False, cells=False)
+                assert len(tables.events) == 8 * n_years * len(view.author_ids)
 
-            events = full.author_edge_events
-            assert events == {"reference": sum(base[0].ref_counts.values()),
-                              "citation": sum(base[0].cite_year_counts.values())}
+                events = full.author_edge_events
+                assert events == {"reference": sum(base[0].ref_counts.values()),
+                                  "citation": sum(base[0].cite_year_counts.values())}
 
-            hindex_only = tally_corpus(corpus, ["hindex"])
-            assert hindex_only.hindex.per_paper == full.hindex.per_paper
-            assert (hindex_only.profile, hindex_only.age_curve, hindex_only.citation_age,
-                    hindex_only.similarity) == (None, None, None, None)
-            assert hindex_only.author_edge_events == events
+                hindex_only = tally_corpus(corpus, ["hindex"])
+                assert hindex_only.hindex.per_paper == full.hindex.per_paper
+                assert (hindex_only.profile, hindex_only.age_curve, hindex_only.citation_age,
+                        hindex_only.similarity) == (None, None, None, None)
+                assert hindex_only.author_edge_events == events
 
-            simil_only = tally_corpus(corpus, ["profile"], include=include, vectors=vectors)
-            simil_sim = simil_only.similarity
-            assert (simil_only.profile.ref_counts, simil_only.profile.cite_year_counts) == (
-                full.profile.ref_counts, full.profile.cite_year_counts)
-            assert simil_only.hindex is None and simil_only.age_curve is None
-            assert similarity_state(simil_sim) == similarity_state(sim)
-            assert simil_sim.coverage == sim.coverage
-            assert simil_only.author_edge_events == events
+                simil_only = tally_corpus(corpus, ["profile"], include=include, vectors=vectors)
+                simil_sim = simil_only.similarity
+                assert (simil_only.profile.ref_counts, simil_only.profile.cite_year_counts) == (
+                    full.profile.ref_counts, full.profile.cite_year_counts)
+                assert simil_only.hindex is None and simil_only.age_curve is None
+                assert similarity_state(simil_sim) == similarity_state(sim)
+                assert simil_sim.coverage == sim.coverage
+                assert simil_only.author_edge_events == events
 
     def test_similarity_edge_cases(self):
         # "model" is in every non-empty abstract, so its idf is 0 and P4's

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from conftest import TESTDATA
+from smoke_cases import run_cases
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -98,3 +99,10 @@ def test_readme_library_example_runs(tmp_path):
     run = _child(example, cwd=tmp_path)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip()
+
+
+def test_packaging_smoke_cases(tmp_path, monkeypatch):
+    # the cases CI runs against the installed console script, here through
+    # python -m selfcite.cli from an empty working directory
+    monkeypatch.setenv("PYTHONPATH", str(SRC))
+    assert run_cases([sys.executable, "-m", "selfcite.cli"], tmp_path) == []
