@@ -12,7 +12,7 @@ itself does not establish prior collaboration.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import combinations
 from operator import mul
 from pathlib import Path
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence, Union
@@ -60,14 +60,18 @@ class InternedCorpus(NamedTuple):
     references: list[list[int]]
     collab: CollaborationIndex
 
-    def author_edge_events(self) -> dict[str, int]:
-        """Author-edge events per side: one per citing author and reference,
-        and one per cited author and edge."""
+    def paper_edge_events(self) -> tuple[list[int], list[int]]:
+        """Author-edge events per citing paper, in paper order, by side:
+        one per citing author and reference, and one per cited author and
+        edge."""
         team_sizes = list(map(len, self.authors))
-        return {
-            "reference": sum(map(mul, team_sizes, map(len, self.references))),
-            "citation": sum(map(team_sizes.__getitem__, chain.from_iterable(self.references))),
-        }
+        return (list(map(mul, team_sizes, map(len, self.references))),
+                [sum(map(team_sizes.__getitem__, refs)) for refs in self.references])
+
+    def author_edge_events(self) -> dict[str, int]:
+        """Author-edge events per side, the sums of :meth:`paper_edge_events`."""
+        reference, citation = self.paper_edge_events()
+        return {"reference": sum(reference), "citation": sum(citation)}
 
 
 def intern_corpus(corpus: Corpus) -> InternedCorpus:

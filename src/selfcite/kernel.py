@@ -46,12 +46,12 @@ through a pipe as ``marshal`` data. Integer counts are summed, which is
 exact in any order. No chunk adds a float itself: it keeps the cosine of
 each scored edge and the types of both its sides, and the calling process
 replays them into the float cells chunk by chunk in chunk order, which is
-edge order, so the sums are the same floats for any number of workers. It
-replays its own chunk in blocks as the chunk goes, before any child's
-arrive, so it holds one chunk's scored edges at a time. The pass stays in
-one process where ``os.fork`` is missing, where one CPU is usable and where
-another thread runs, since a forked copy of a threaded process can
-deadlock.
+edge order, so the sums are the same floats for any number of workers. Its
+own chunk's are replayed before any child's data is read, and each chunk's
+are dropped once replayed, so it holds one chunk's scored edges at a time.
+The pass stays in one process where ``os.fork`` is missing, where one CPU
+is usable and where another thread runs, since a forked copy of a threaded
+process can deadlock.
 """
 
 from __future__ import annotations
@@ -77,10 +77,9 @@ from .metrics import AgeCurveTally, CitationAgeTally, ProfileTally
 #: The tallies the kernel can project, by name.
 VIEWS = ("profile", "age_curve", "citation_age", "hindex")
 
-#: The most processes one kernel pass runs in.
-MAX_WORKERS = 4
-
-_REPLAY_BLOCK = 1 << 12  # scored edges the in-process chunk keeps before it replays them
+#: The most processes one kernel pass runs in: the only count measured,
+#: on a 2-CPU host.
+MAX_WORKERS = 2
 
 _SIDES = (Perspective.REFERENCE, Perspective.CITATION)
 
@@ -198,21 +197,17 @@ def run_kernel(
                             sr_sum[a] += cos
                             sr_n[a] += 1
 
-    def run_chunk(bounds, replay=None):
+    def run_chunk(bounds):
         """The counts of the citing papers in ``range(*bounds)``, the
         number of edges scored, with a missing abstract and with a zero
         vector, then the cosine of each scored edge (``array('d')``) and the
-        types of its reference side then of its citation side (bytes) that
-        are not replayed yet. With ``replay``, the scored edges go to it
-        whenever a citing paper ends with :data:`_REPLAY_BLOCK` or more of
-        them kept, and at the end, so none are returned."""
+        types of its reference side then of its citation side (bytes)."""
         ev = [0] * (author_stride * len(view.author_ids)) if events else None
         ag = [0] * (8 * (2 * n_years - 1)) if ages else None
         hc = [0] * n_cells if cells else None
         cosines, types = array("d"), bytearray()
         scored = missing = zero = 0
-        lo, hi = bounds
-        for p in range(lo, hi):
+        for p in range(*bounds):
             refs = references[p]
             if not refs:
                 continue
@@ -265,34 +260,27 @@ def run_kernel(
                 cosines.append(_cosine(u_terms, u_weights, nu, v))
                 types.extend(ref)
                 types.extend(cite)
-            if replay is not None and len(cosines) >= _REPLAY_BLOCK:
-                replay(lo, p + 1, cosines, types)
-                del cosines[:], types[:]
-                lo = p + 1
-        if replay is not None and cosines:
-            replay(lo, hi, cosines, types)
-            del cosines[:], types[:]
         return ev, ag, hc, scored, missing, zero, cosines, types
 
-    # The first chunk runs in this process and replays its floats as it
-    # goes; each later chunk's arrive after it, so the replay is in edge
-    # order and holds one chunk's scored edges at a time.
+    # The first chunk runs in this process and its floats are replayed
+    # before any child's data is read; each chunk's data is dropped before
+    # the next chunk's arrives, so the replay is in edge order and holds one
+    # chunk's scored edges at a time.
     chunks = _chunk_bounds(view, _worker_count())
     ev = ag = hc = None
     scored = missing = zero = 0
-    with closing(_fork_map(run_chunk, chunks[1:], lambda: run_chunk(chunks[0], replay))) as results:
+    with closing(_fork_map(run_chunk, chunks)) as results:
         for bounds, (c_ev, c_ag, c_hc, c_scored, c_missing, c_zero, cosines, types) in zip(
                 chunks, results):
             ev = _add_counts(ev, c_ev)
             ag = _add_counts(ag, c_ag)
             hc = _add_counts(hc, c_hc)
-            # each chunk's data is dropped before the next chunk's arrives
             del c_ev, c_ag, c_hc
             scored += c_scored
             missing += c_missing
             zero += c_zero
-            if cosines:
-                replay(*bounds, memoryview(cosines).cast("d"), types)
+            if cosines:  # array('d') from this process, bytes from a child
+                replay(*bounds, memoryview(cosines).cast("B").cast("d"), types)
             del cosines, types
     if similarity is not None:
         coverage = similarity.coverage
@@ -337,32 +325,28 @@ def _chunk_bounds(view: InternedCorpus, n: int) -> list[tuple[int, int]]:
     everything = [(0, len(view.references))]
     if n < 2:
         return everything
-    team_sizes = list(map(len, view.authors))
-    prefix = list(accumulate(
-        (len(refs) * team_sizes[p] + sum(map(team_sizes.__getitem__, refs))
-         for p, refs in enumerate(view.references)),
-        initial=0))
+    prefix = list(accumulate(map(add, *view.paper_edge_events()), initial=0))
     total = prefix[-1]
     cuts = [0, *(bisect_left(prefix, total * k / n) for k in range(1, n)), len(prefix) - 1]
     return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if prefix[hi] > prefix[lo]] or everything
 
 
-def _fork_map(fn, items, first):
-    """Yield ``first()``, then ``fn(item)`` for each of ``items`` in order.
+def _fork_map(fn, items):
+    """Yield ``fn(item)`` for each of ``items`` in order.
 
-    Each ``fn(item)`` runs in a child made with ``os.fork``, which sends its
-    result back through a pipe as ``marshal`` data (lists, ints, floats,
-    None, and buffers such as ``array`` that arrive as bytes); ``first``
-    runs in this process while the children work. Each pipe is read to its
-    end and each child reaped before its result is yielded. A child that
-    exits non-zero or dies from a signal raises
-    :class:`ChildProcessError`. However the caller stops, by an exception,
-    an interrupt or ``close()``, every child not yet reaped is killed and
-    reaped.
+    ``fn`` of the first item runs in this process while each later one runs
+    in a child made with ``os.fork``, which sends its result back through a
+    pipe as ``marshal`` data (lists, ints, floats, None, and buffers such as
+    ``array`` that arrive as bytes). Each pipe is read to its end and each
+    child reaped before its result is yielded. A child that exits non-zero
+    or dies from a signal raises :class:`ChildProcessError`. However the
+    caller stops, by an exception, an interrupt or ``close()``, every child
+    not yet reaped is killed and reaped.
     """
+    first, *rest = items
     children = []  # (pid, read end of its pipe), in item order
     try:
-        for item in items:
+        for item in rest:
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -374,7 +358,7 @@ def _fork_map(fn, items, first):
                 _child_exit(fn, item, read_fd, write_fd, children)
             children.append((pid, open(read_fd, "rb")))
             os.close(write_fd)
-        yield first()
+        yield fn(first)
         while children:
             yield _receive(children)
     finally:

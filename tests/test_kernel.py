@@ -83,11 +83,9 @@ def test_any_worker_count_gives_the_same_tables_and_float_bits(corpus, data):
     include = data.draw(st.none() | st.sets(st.sampled_from(sorted(corpus.author_index))))
     citing = sum(1 for refs in view.references if refs)
     results = []
-    # (workers, scored edges the in-process chunk keeps before it replays them)
-    for workers, block in ((1, kernel._REPLAY_BLOCK), (1, 1), (2, 2), (3, kernel._REPLAY_BLOCK),
-                           (citing + 1, 1)):
+    for workers in (1, 2, 3, citing + 1):
         sim = SimilarityTally(vectors, include=include)
-        with _workers(workers), patch.object(kernel, "_REPLAY_BLOCK", block):
+        with _workers(workers):
             tables = run_kernel(view, events=True, ages=True, cells=True, similarity=sim)
         assert 1 <= tables.workers <= max(1, min(workers, citing))
         results.append((tables._replace(workers=None), _similarity_bits(sim)))
@@ -112,7 +110,7 @@ def test_a_worker_that_ends_itself_raises_and_is_reaped():
         return item
 
     with pytest.raises(ChildProcessError, match="exited with status 3"):
-        list(_fork_map(chunk, [0, 1], lambda: chunk(2)))
+        list(_fork_map(chunk, [2, 0, 1]))
     _no_child_left()
 
 
@@ -123,7 +121,7 @@ def test_a_worker_error_names_the_exception():
         return item
 
     with pytest.raises(ChildProcessError, match="ValueError: no such cell"):
-        list(_fork_map(chunk, [0], lambda: chunk(1)))
+        list(_fork_map(chunk, [1, 0]))
     _no_child_left()
 
 
@@ -135,15 +133,15 @@ def test_an_interrupt_in_the_caller_kills_the_workers():
 
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        list(_fork_map(chunk, [0, 0], lambda: chunk(1)))
+        list(_fork_map(chunk, [1, 0, 0]))
     assert time.monotonic() - started < 30
     _no_child_left()
 
 
 def test_results_arrive_in_item_order():
-    assert list(_fork_map(lambda item: [item, float(item)], [1, 2, 3], lambda: "first")) == [
-        "first", [1, 1.0], [2, 2.0], [3, 3.0]]
-    assert list(_fork_map(lambda item: item, [], lambda: 7)) == [7]
+    assert list(_fork_map(lambda item: [item, float(item)], [0, 1, 2, 3])) == [
+        [0, 0.0], [1, 1.0], [2, 2.0], [3, 3.0]]
+    assert list(_fork_map(lambda item: item, [7])) == [7]
     _no_child_left()
 
 
