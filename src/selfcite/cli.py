@@ -313,11 +313,33 @@ def _simil_outputs(run: _Run, sim_tally, profiles, eligible, n_percentiles) -> N
     run.coverage["stopwords_sha256"] = stopwords_sha256()
 
 
+def _vectors(args, run: _Run, corpus) -> Optional[dict]:
+    """The tf-idf vectors of the simil tables, ``None`` when the run writes
+    none."""
+    if "simil" not in args.tables:
+        return None
+    from .textsim import build_vectors
+
+    # report writes every table group, so a corpus without abstracts must
+    # not cost it the other nine tables: with no vectors no edge is scored
+    # and the similarity tables are header-only. simil has nothing else
+    # to write, and build_vectors makes that case a data error.
+    if args.subcommand == "report" and corpus.papers_with_abstract == 0:
+        run.notes.append("no abstracts in corpus: similarity tables are header-only")
+        return {}
+    with run.stage("vectors"):
+        return build_vectors(corpus)
+
+
 def cmd_analysis(args) -> int:
     """metrics, hindex, simil and report: one pass of the interned kernel
-    builds only the tallies behind ``args.tables``, then each table group is
-    written."""
-    from .kernel import tally_corpus
+    counts only what ``args.tables`` need, then each table group is written.
+
+    Each view is projected just before the group that reads it, and each
+    tally is dropped once its last reader is done, so the run holds one
+    group's tallies at a time. No name here holds the tf-idf vectors: the
+    similarity tally drops them at the end of the pass."""
+    from .kernel import count_edges
     from .metrics import finalize_profiles
 
     tables = args.tables
@@ -334,39 +356,35 @@ def cmd_analysis(args) -> int:
         views += ["age_curve", "citation_age"]
     if "hindex" in tables:
         views.append("hindex")
-    vectors = None
-    if "simil" in tables:
-        from .textsim import build_vectors
-
-        # report writes every table group, so a corpus without abstracts must
-        # not cost it the other nine tables: with no vectors no edge is scored
-        # and the similarity tables are header-only. simil has nothing else
-        # to write, and build_vectors makes that case a data error.
-        if args.subcommand == "report" and corpus.papers_with_abstract == 0:
-            run.notes.append("no abstracts in corpus: similarity tables are header-only")
-            vectors = {}
-        else:
-            with run.stage("vectors"):
-                vectors = build_vectors(corpus)
-    tallies = tally_corpus(corpus, views, include=eligible, vectors=vectors, stage=run.stage)
-    run.counts["author_edge_events"] = tallies.author_edge_events
-    run.counts["kernel_workers"] = tallies.kernel_workers
+    counts = count_edges(corpus, views, include=eligible,
+                         vectors=_vectors(args, run, corpus), stage=run.stage)
+    run.counts["author_edge_events"] = counts.author_edge_events
+    run.counts["kernel_workers"] = counts.kernel_workers
     profiles = None
-    if tallies.profile is not None:
+    if "profile" in views:
+        with run.stage("project_profile"):
+            profile, age_curve = counts.project_events()
         with run.stage("profiles"):
             # Unweighted: figS7, figS8 and the similarity tables read raw counts only.
-            profiles = finalize_profiles(corpus, tallies.profile)
+            profiles = finalize_profiles(corpus, profile)
+        del profile
 
     if "metrics" in tables:
+        with run.stage("project_citation_age"):
+            citation_age = counts.project_citation_age()
         with run.stage("metrics"):
-            _metrics_outputs(run, corpus, profiles, tallies.age_curve, tallies.citation_age,
+            _metrics_outputs(run, corpus, profiles, age_curve, citation_age,
                              args.weighting, eligible, args.n_percentiles)
+        del age_curve, citation_age
     if "hindex" in tables:
+        with run.stage("project_hindex"):
+            hindex = counts.project_hindex()
         with run.stage("hindex"):
-            _hindex_outputs(run, corpus, tallies.hindex, eligible, args.individual)
+            _hindex_outputs(run, corpus, hindex, eligible, args.individual)
+        del hindex
     if "simil" in tables:
         with run.stage("simil"):
-            _simil_outputs(run, tallies.similarity, profiles, eligible, args.n_percentiles)
+            _simil_outputs(run, counts.similarity, profiles, eligible, args.n_percentiles)
     run.finish()
     print(f"{args.subcommand}: wrote {len(run.artifacts)} artifacts to {run.out_dir}")
     return 0

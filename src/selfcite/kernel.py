@@ -1,6 +1,7 @@
 """The fused integer edge kernel behind ``metrics``, ``hindex``, ``simil``
-and ``report``, and the one way into every table for library callers:
-:func:`tally_corpus` followed by the finalize step of each view.
+and ``report``, and the one way into every table: :func:`count_edges`, one
+projection per view, then the finalize step of each view.
+:func:`tally_corpus` projects every view at once for library callers.
 
 An analysis run interns the corpus once with
 :func:`~selfcite.graph.intern_corpus`: author and paper ids become dense
@@ -10,17 +11,18 @@ both sides of each edge as type indices 0-3 with the classifier of
 :mod:`selfcite.classify` and the co-authorship index of the interned view,
 as :func:`selfcite.classify.export_corpus` does for the ``classify``
 export. Per author-edge event it adds one to a count in each table the run
-needs: a flat list indexed by an int that packs the event's key. At the end the
-tables are projected into the reference tallies
+needs: a flat list indexed by an int that packs the event's key. Each table
+is then projected into its reference tallies
 (:class:`~selfcite.metrics.ProfileTally`,
 :class:`~selfcite.metrics.AgeCurveTally`,
 :class:`~selfcite.metrics.CitationAgeTally`,
-:class:`~selfcite.hindex.HindexTally`), so their finalize functions and
-every table writer keep their inputs. Those tallies' own ``add_edge``, fed
-by :func:`selfcite.pipeline.run_edge_tallies`, is the reference the tests
-compare the kernel with.
+:class:`~selfcite.hindex.HindexTally`) by one call of :class:`EdgeCounts`,
+which drops the table, so their finalize functions and every table writer
+keep their inputs while a caller holds one view's counts at a time. Those
+tallies' own ``add_edge``, fed by :func:`selfcite.pipeline.run_edge_tallies`,
+is the reference the tests compare the kernel with.
 
-Given tf-idf vectors, :func:`tally_corpus` builds a
+Given tf-idf vectors, :func:`count_edges` builds a
 :class:`~selfcite.textsim.SimilarityTally` and fills it in the same pass.
 It reads each :class:`~selfcite.textsim.TfIdfVector` in its compact layout
 (terms tuple, aligned ``array('d')`` of weights, norm made with the vector):
@@ -32,9 +34,9 @@ citing vector once, and per scored edge it takes the cosine of
 the cosine to flat float and count cells per (author, type),
 (author, type, citation age bin) and direct-reference author, reference
 side first, in edge order, so every float sum keeps the association of the
-``add_edge`` feed. At the end the cells and the coverage counts are
-projected into the tally's dicts with string ids and
-:class:`~selfcite.classify.CitationType` keys. ``add_edge`` stays as the
+``add_edge`` feed. At the end the tally lets go of the vectors, and the
+cells and the coverage counts are projected into its dicts with string ids
+and :class:`~selfcite.classify.CitationType` keys. ``add_edge`` stays as the
 reference feed the tests compare with.
 
 The pass runs in up to :data:`MAX_WORKERS` processes, one per usable CPU
@@ -125,7 +127,8 @@ def run_kernel(
     The reference side is typed only when ``events``, ``ages`` or
     ``similarity`` needs it; ``cells`` reads the citation side alone.
     ``similarity``, a :class:`~selfcite.textsim.SimilarityTally` no edge has
-    fed, gets its cells and coverage at the end of the pass.
+    fed, gets its cells and coverage at the end of the pass, and its
+    ``vectors`` become ``None``: a filled tally reads them no more.
 
     The pass runs in :func:`_worker_count` processes; every count and
     float is the same for any number.
@@ -283,6 +286,8 @@ def run_kernel(
                 replay(*bounds, memoryview(cosines).cast("B").cast("d"), types)
             del cosines, types
     if similarity is not None:
+        # the cells are projected where the vectors were: no reader is left
+        similarity.vectors = vectors = None
         coverage = similarity.coverage
         coverage.missing_abstract_edges += missing
         coverage.zero_vector_edges += zero
@@ -433,24 +438,83 @@ class Tallies(NamedTuple):
     kernel_workers: int
 
 
-def tally_corpus(
+class EdgeCounts:
+    """The count tables of one kernel pass over ``corpus``, for the views
+    asked for, each projected into its reference tally by one call; the
+    filled similarity tally (``None`` without vectors), the author-edge
+    events per side of the corpus and the number of processes the pass ran
+    in.
+
+    Each projection drops the table it reads, so a caller that writes one
+    table group at a time holds one view's counts at a time. A table is
+    projected once: a call for a view not asked for, or asked for again,
+    returns ``None``.
+    """
+
+    __slots__ = ("corpus", "include", "views", "author_ids", "paper_ids", "events", "ages",
+                 "cells", "event_years", "n_years", "similarity", "author_edge_events",
+                 "kernel_workers")
+
+    def __init__(self, corpus, include, views, author_ids, paper_ids, tables: KernelTables,
+                 similarity, author_edge_events):
+        self.corpus = corpus
+        self.include = include
+        self.views = views
+        self.author_ids = author_ids
+        self.paper_ids = paper_ids
+        self.events, self.ages, self.cells = tables.events, tables.ages, tables.cells
+        self.event_years, self.n_years = tables.event_years, tables.n_years
+        self.similarity = similarity
+        self.author_edge_events = author_edge_events
+        self.kernel_workers = tables.workers
+
+    def project_events(self) -> tuple[Optional[ProfileTally], Optional[AgeCurveTally]]:
+        """The profile and age-curve tallies, each ``None`` where not asked
+        for, from one walk of the events table."""
+        events, self.events = self.events, None
+        if events is None:
+            return None, None
+        profile = ProfileTally() if "profile" in self.views else None
+        age_curve = None
+        if "age_curve" in self.views:
+            age_curve = AgeCurveTally.for_corpus(self.corpus, self.include)
+        _project_events(events, self.event_years, self.author_ids, profile, age_curve)
+        return profile, age_curve
+
+    def project_citation_age(self) -> Optional[CitationAgeTally]:
+        ages, self.ages = self.ages, None
+        if ages is None:
+            return None
+        tally = CitationAgeTally()
+        _project_ages(ages, self.n_years, tally)
+        return tally
+
+    def project_hindex(self) -> Optional[HindexTally]:
+        cells, self.cells = self.cells, None
+        if cells is None:
+            return None
+        tally = HindexTally()
+        _project_cells(cells, self.corpus, self.paper_ids, tally)
+        return tally
+
+
+def count_edges(
     corpus: Corpus,
     views=VIEWS,
     include: Optional[set] = None,
     vectors: Optional[dict] = None,
     stage=nullcontext,
-) -> Tallies:
-    """Intern the corpus, run the kernel for ``views`` (a subset of
-    :data:`VIEWS`), then project each view. ``include`` is the author set of
-    the age-curve view and of the similarity tally, which the pass fills
-    when ``vectors`` (tf-idf vectors by paper id) are given.
+) -> EdgeCounts:
+    """Intern the corpus and run the kernel for ``views`` (a subset of
+    :data:`VIEWS`). ``include`` is the author set of the age-curve view and
+    of the similarity tally, which the pass fills when ``vectors`` (tf-idf
+    vectors by paper id) are given; the filled tally keeps no reference to
+    them.
 
-    ``stage`` is called with ``"intern"``, ``"kernel"`` (the pass, which
-    fills the similarity tally) and ``"project"``, and the context manager
-    it returns wraps that step.
-
-    The interned corpus and the collaboration index are dropped before the
-    projection, and each count table once it is projected.
+    ``stage`` is called with ``"intern"`` and ``"kernel"`` (the pass, which
+    fills the similarity tally), and the context manager it returns wraps
+    that step. The interned corpus and the co-authorship index are dropped
+    before this returns.
     """
     unknown = set(views) - set(VIEWS)
     if unknown or not views:
@@ -460,11 +524,11 @@ def tally_corpus(
         from .textsim import SimilarityTally
 
         similarity = SimilarityTally(vectors, include=include)
+        del vectors  # the tally's reference is the last, and the pass drops it
     with stage("intern"):
         view = intern_corpus(corpus)
-    author_ids, paper_ids = view.author_ids, view.paper_ids
     with stage("kernel"):
-        events, ages, cells, event_years, n_years, workers = run_kernel(
+        tables = run_kernel(
             view,
             events="profile" in views or "age_curve" in views,
             ages="citation_age" in views,
@@ -472,25 +536,21 @@ def tally_corpus(
             similarity=similarity,
         )
         author_edge_events = view.author_edge_events()
-        del view
-    profile = age_curve = citation_age = hindex = None
-    with stage("project"):
-        if events is not None:
-            if "profile" in views:
-                profile = ProfileTally()
-            if "age_curve" in views:
-                age_curve = AgeCurveTally.for_corpus(corpus, include)
-            _project_events(events, event_years, author_ids, profile, age_curve)
-            del events
-        if ages is not None:
-            citation_age = CitationAgeTally()
-            _project_ages(ages, n_years, citation_age)
-            del ages
-        if cells is not None:
-            hindex = HindexTally()
-            _project_cells(cells, corpus, paper_ids, hindex)
-    return Tallies(profile, age_curve, citation_age, hindex, similarity,
-                   author_edge_events, workers)
+    return EdgeCounts(corpus, include, frozenset(views), view.author_ids, view.paper_ids,
+                      tables, similarity, author_edge_events)
+
+
+def tally_corpus(
+    corpus: Corpus,
+    views=VIEWS,
+    include: Optional[set] = None,
+    vectors: Optional[dict] = None,
+) -> Tallies:
+    """:func:`count_edges`, then every view projected at once."""
+    counts = count_edges(corpus, views, include, vectors)
+    profile, age_curve = counts.project_events()
+    return Tallies(profile, age_curve, counts.project_citation_age(), counts.project_hindex(),
+                   counts.similarity, counts.author_edge_events, counts.kernel_workers)
 
 
 def _project_events(events, event_years, author_ids, profile, age_curve) -> None:

@@ -2,7 +2,7 @@
 ``add_edge``.
 
 No command runs this feed: the command line builds every table with
-:func:`selfcite.kernel.tally_corpus`, whose integer count tables are
+:func:`selfcite.kernel.count_edges`, whose integer count tables are
 projected into these same tallies. Only the tests, which compare the kernel
 with it, and the benchmark's traced replay (``perfbench/traced.py``), which
 times it, run it. So each tally's ``add_edge`` states its rule with no speed

@@ -46,7 +46,13 @@ from .corpus import Corpus, CorpusError
 from .metrics import LOW_SUPPORT_AUTHORS, rank_and_cut, sequential_sum
 from .porter import stem
 
+#: The token rule: a token is a run of ASCII letters and digits of the
+#: lowercased text. :func:`_tokens` applies it without a regex.
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+#: ``bytes.translate`` table of :func:`_tokens`: a-z and 0-9 are kept and
+#: every other byte becomes a space.
+_TOKEN_BYTES = bytes(c if 48 <= c <= 57 or 97 <= c <= 122 else 32 for c in range(256))
 
 #: Citation ages above this are pooled into one open-ended bin.
 MAX_SINGLE_CITATION_AGE = 20
@@ -83,12 +89,19 @@ class TokenizedAbstract(NamedTuple):
         return not self.stems
 
 
+def _tokens(text: str) -> list[str]:
+    """``_TOKEN_RE.findall(text.lower())``, about twice as fast: each
+    non-ASCII character of the lowercased text encodes as ``?``, and every
+    byte that is not a-z or 0-9 as a space to split on."""
+    return text.lower().encode("ascii", "replace").translate(_TOKEN_BYTES).decode("ascii").split()
+
+
 def _stem_counts(text: str, cache: dict[str, Optional[str]]) -> Counter:
     """Stem -> count over the tokens of ``text`` that are not stopwords, in
     the order of each stem's first occurrence. ``cache`` maps each token
     already seen to its stem, or to None for a stopword; new tokens are
     added to it."""
-    tokens = _TOKEN_RE.findall(text.lower())
+    tokens = _tokens(text)
     new = set(tokens).difference(cache)
     if new:
         stopwords = load_stopwords()
@@ -271,7 +284,7 @@ def _add_to_cell(cells: dict, key, cos: float) -> None:
 
 class SimilarityTally:
     """Per-author similarity sums, added in edge order: filled in one pass
-    by :func:`selfcite.kernel.tally_corpus`, or one edge at a time by
+    by :func:`selfcite.kernel.count_edges`, or one edge at a time by
     ``add_edge``, the reference feed the tests compare the kernel with.
 
     ``include`` (when given) restricts tallies to that author set; skipped

@@ -1,11 +1,16 @@
+import gc
 import json
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from selfcite import cli, kernel
 from selfcite.cli import main, write_csv
+from selfcite.hindex import HindexTally
 from selfcite.kernel import MAX_WORKERS
+from selfcite.metrics import AgeCurveTally, CitationAgeTally, ProfileTally
+from selfcite.textsim import SimilarityTally, TfIdfVector
 from conftest import TESTDATA
 
 PAPERS = str(TESTDATA / "fix1_papers.jsonl")
@@ -372,6 +377,38 @@ class TestReport:
             assert manifest(out)["counts"]["author_edge_events"] == {
                 "reference": 9, "citation": 8}, command
 
+    def test_report_holds_one_group_of_tallies_at_a_time(self, tmp_path, monkeypatch):
+        watched = (ProfileTally, AgeCurveTally, CitationAgeTally, HindexTally,
+                   SimilarityTally, TfIdfVector)
+        # objects of earlier tests are held, so no object of the run takes their ids
+        earlier = [o for o in gc.get_objects() if isinstance(o, watched)]
+        earlier_ids = set(map(id, earlier))
+        alive = {}
+
+        def watch(module, name):
+            step = getattr(module, name)
+
+            def inspected(*args, **kwargs):
+                alive[name] = sorted({type(o).__name__ for o in gc.get_objects()
+                                      if isinstance(o, watched) and id(o) not in earlier_ids})
+                return step(*args, **kwargs)
+            monkeypatch.setattr(module, name, inspected)
+
+        watch(kernel, "_project_similarity")
+        for name in ("_metrics_outputs", "_hindex_outputs", "_simil_outputs"):
+            watch(cli, name)
+        assert run("report", "--papers", PAPERS, "--authors", AUTHORS,
+                   "--out", tmp_path, "--min-pubs", "0") == 0
+        # the vectors go before the similarity cells are projected, the
+        # profile tally once the profiles are made, and each group's
+        # tallies after the group
+        assert alive == {
+            "_project_similarity": ["SimilarityTally"],
+            "_metrics_outputs": ["AgeCurveTally", "CitationAgeTally", "SimilarityTally"],
+            "_hindex_outputs": ["HindexTally", "SimilarityTally"],
+            "_simil_outputs": ["SimilarityTally"],
+        }
+
     def test_report_without_abstracts_writes_headers(self, tmp_path):
         papers = tmp_path / "papers.jsonl"
         papers.write_text(json.dumps({
@@ -400,11 +437,12 @@ def test_long_y_run_in_abstract(tmp_path, command, tables):
 _STAGES = {
     "validate": ["load"],
     "classify": ["load", "export"],
-    "metrics": ["load", "intern", "kernel", "project", "profiles", "metrics"],
-    "hindex": ["load", "intern", "kernel", "project", "hindex"],
-    "simil": ["load", "vectors", "intern", "kernel", "project", "profiles", "simil"],
-    "report": ["load", "vectors", "intern", "kernel", "project", "profiles",
-               "metrics", "hindex", "simil"],
+    "metrics": ["load", "intern", "kernel", "project_profile", "profiles",
+                "project_citation_age", "metrics"],
+    "hindex": ["load", "intern", "kernel", "project_hindex", "hindex"],
+    "simil": ["load", "vectors", "intern", "kernel", "project_profile", "profiles", "simil"],
+    "report": ["load", "vectors", "intern", "kernel", "project_profile", "profiles",
+               "project_citation_age", "metrics", "project_hindex", "hindex", "simil"],
     "synth": ["generate", "write"],
 }
 #: Each stage's seconds and elapsed_seconds are rounded to the millisecond,
@@ -442,7 +480,8 @@ class TestManifestStages:
         }) + "\n", encoding="utf-8")
         assert run("report", "--papers", papers, "--out", tmp_path / "o") == 0
         assert [s["name"] for s in manifest(tmp_path / "o")["stages"]] == [
-            "load", "intern", "kernel", "project", "profiles", "metrics", "hindex", "simil"]
+            "load", "intern", "kernel", "project_profile", "profiles",
+            "project_citation_age", "metrics", "project_hindex", "hindex", "simil"]
 
 
 class TestSynthCommand:

@@ -5,7 +5,7 @@ from selfcite.classify import CitationType, classify_all, read_classifications, 
 from selfcite.corpus import PaperRecord, corpus_from_records
 from selfcite.graph import build_collaboration_index, build_edges, intern_corpus, iter_edges
 from selfcite.hindex import HindexTally
-from selfcite.kernel import run_kernel, tally_corpus
+from selfcite.kernel import count_edges, run_kernel, tally_corpus
 from selfcite.metrics import AgeCurveTally, CitationAgeTally, ProfileTally
 from selfcite.pipeline import run_edge_tallies, run_record_tallies
 from selfcite.textsim import SimilarityTally, build_vectors
@@ -105,6 +105,15 @@ class TestKernel:
                 assert (hindex_only.profile, hindex_only.age_curve, hindex_only.citation_age,
                         hindex_only.similarity) == (None, None, None, None)
                 assert hindex_only.author_edge_events == events
+
+                # the two-step form projects each table once, then drops it;
+                # a filled similarity tally keeps no vectors
+                counts = count_edges(corpus, ["hindex"])
+                assert counts.project_events() == (None, None)
+                assert counts.project_citation_age() is None
+                assert counts.project_hindex().per_paper == full.hindex.per_paper
+                assert counts.project_hindex() is None and counts.cells is None
+                assert sim.vectors is None
 
                 simil_only = tally_corpus(corpus, ["profile"], include=include, vectors=vectors)
                 simil_sim = simil_only.similarity

@@ -12,6 +12,8 @@ from selfcite.metrics import finalize_profiles
 from selfcite.pipeline import run_edge_tallies, run_record_tallies
 from selfcite.textsim import (
     _SCAN_LIMIT,
+    _TOKEN_RE,
+    _tokens,
     SimilarityCoverage,
     SimilarityTally,
     TfIdfVector,
@@ -60,6 +62,16 @@ class TestPreprocess:
         # every other character, accented letters included, separates tokens
         assert dict(preprocess("naïve résumé").stems) == {"na": 1, "ve": 1, "r": 1, "sum": 1}
         assert dict(preprocess("ÉCOLE école").stems) == {"cole": 2}
+
+    @given(st.lists(
+        # the Kelvin sign and the dotted capital I lowercase to ASCII and to
+        # a letter plus a combining mark; the no-break space and the form
+        # feed separate tokens; lone surrogates cannot be encoded
+        st.sampled_from(["\u212a", "\u0130", "\xa0", "\x0c", "\ud800", "\udfff", "a", "Z", "7"])
+        | st.characters(exclude_categories=()),
+    ).map("".join))
+    def test_tokens_follow_the_regex_rule(self, text):
+        assert _tokens(text) == _TOKEN_RE.findall(text.lower())
 
     def test_numbers_kept_as_tokens(self):
         tokens = preprocess("model 42 models")
