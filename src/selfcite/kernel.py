@@ -1,7 +1,6 @@
 """The fused integer edge kernel behind ``metrics``, ``hindex``, ``simil``
 and ``report``, and the one way into every table: :func:`count_edges`, one
 projection per view, then the finalize step of each view.
-:func:`tally_corpus` projects every view at once for library callers.
 
 An analysis run interns the corpus once with
 :func:`~selfcite.graph.intern_corpus`: author and paper ids become dense
@@ -68,7 +67,7 @@ from bisect import bisect_left
 from contextlib import closing, nullcontext, suppress
 from itertools import accumulate, chain, compress
 from operator import add
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .classify import CITATION_TYPES, Perspective, _side_types
 from .corpus import Corpus
@@ -86,43 +85,11 @@ MAX_WORKERS = 2
 _SIDES = (Perspective.REFERENCE, Perspective.CITATION)
 
 
-class KernelTables(NamedTuple):
-    """The counts of one kernel pass, three flat lists (``None`` where not
-    asked for) indexed by packed ints:
-
-    * events, by ((2 * author + side) * len(event_years) + rank of the
-      citing year in event_years) * 4 + type, where event_years are the
-      distinct paper years in increasing order;
-    * ages, by ((publication age + n_years - 1) * 2 + side) * 4 + type,
-      where n_years is the span from the first paper year to the last;
-    * cells, four counts (one per type) per authorship slot, the slots of
-      the papers in int order and of each paper's authors in order.
-
-    The events list holds 8 counts per author and distinct paper year, used
-    or not, so a year gap in the corpus costs no slots. That is far smaller
-    than a dict of the (author, side, year, type) keys in use: at the
-    acceptance scale 816k of its 1.12M slots are used, and a dict costs
-    some 100 bytes per key against 8 bytes per slot.
-
-    ``workers`` is the number of processes the pass ran in.
-    """
-
-    events: Optional[list[int]]
-    ages: Optional[list[int]]
-    cells: Optional[list[int]]
-    event_years: list[int]
-    n_years: int
-    workers: int
-
-
-def run_kernel(
-    view: InternedCorpus,
-    events: bool,
-    ages: bool,
-    cells: bool,
-    similarity=None,
-) -> KernelTables:
-    """One pass over the interned edges in edge order.
+def _run_kernel(view: InternedCorpus, events: bool, ages: bool, cells: bool, similarity):
+    """One pass over the interned edges in edge order: the tables of
+    :class:`EdgeCounts` (``events``, ``ages`` and ``cells``, each ``None``
+    where not asked for), ``event_years``, ``n_years`` and the number of
+    processes the pass ran in, as a tuple in that order.
 
     The reference side is typed only when ``events``, ``ages`` or
     ``similarity`` needs it; ``cells`` reads the citation side alone.
@@ -299,7 +266,7 @@ def run_kernel(
         similarity.negative_age_records += records - sum(ata_n)
         _project_similarity(similarity, view.author_ids, age_bins,
                             at_sum, at_n, ata_sum, ata_n, sr_sum, sr_n)
-    return KernelTables(ev, ag, hc, event_years, n_years, len(chunks))
+    return ev, ag, hc, event_years, n_years, len(chunks)
 
 
 def _add_counts(total: Optional[list[int]], counts: Optional[list[int]]) -> Optional[list[int]]:
@@ -424,26 +391,29 @@ def _child_exit(fn, item, read_fd: int, write_fd: int, siblings: list) -> None:
         os._exit(status)
 
 
-class Tallies(NamedTuple):
-    """The reference tallies projected from one kernel pass (``None`` where
-    not asked for), the author-edge events per side of the corpus and the
-    number of processes the pass ran in."""
-
-    profile: Optional[ProfileTally]
-    age_curve: Optional[AgeCurveTally]
-    citation_age: Optional[CitationAgeTally]
-    hindex: Optional[HindexTally]
-    similarity: Optional["SimilarityTally"]
-    author_edge_events: dict[str, int]
-    kernel_workers: int
-
-
 class EdgeCounts:
     """The count tables of one kernel pass over ``corpus``, for the views
     asked for, each projected into its reference tally by one call; the
     filled similarity tally (``None`` without vectors), the author-edge
     events per side of the corpus and the number of processes the pass ran
-    in.
+    in (``kernel_workers``).
+
+    The tables are three flat lists (``None`` where not asked for) indexed
+    by packed ints:
+
+    * ``events``, by ((2 * author + side) * len(event_years) + rank of the
+      citing year in event_years) * 4 + type, where ``event_years`` are the
+      distinct paper years in increasing order;
+    * ``ages``, by ((publication age + n_years - 1) * 2 + side) * 4 + type,
+      where ``n_years`` is the span from the first paper year to the last;
+    * ``cells``, four counts (one per type) per authorship slot, the slots of
+      the papers in int order and of each paper's authors in order.
+
+    The events list holds 8 counts per author and distinct paper year, used
+    or not, so a year gap in the corpus costs no slots. That is far smaller
+    than a dict of the (author, side, year, type) keys in use: at the
+    acceptance scale 816k of its 1.12M slots are used, and a dict costs
+    some 100 bytes per key against 8 bytes per slot.
 
     Each projection drops the table it reads, so a caller that writes one
     table group at a time holds one view's counts at a time. A table is
@@ -452,21 +422,16 @@ class EdgeCounts:
     """
 
     __slots__ = ("corpus", "include", "views", "author_ids", "paper_ids", "events", "ages",
-                 "cells", "event_years", "n_years", "similarity", "author_edge_events",
-                 "kernel_workers")
+                 "cells", "event_years", "n_years", "kernel_workers", "similarity",
+                 "author_edge_events")
 
-    def __init__(self, corpus, include, views, author_ids, paper_ids, tables: KernelTables,
-                 similarity, author_edge_events):
-        self.corpus = corpus
-        self.include = include
-        self.views = views
-        self.author_ids = author_ids
-        self.paper_ids = paper_ids
-        self.events, self.ages, self.cells = tables.events, tables.ages, tables.cells
-        self.event_years, self.n_years = tables.event_years, tables.n_years
-        self.similarity = similarity
-        self.author_edge_events = author_edge_events
-        self.kernel_workers = tables.workers
+    def __init__(self, corpus, include, views, author_ids, paper_ids, events, ages, cells,
+                 event_years, n_years, kernel_workers, similarity, author_edge_events):
+        self.corpus, self.include, self.views = corpus, include, views
+        self.author_ids, self.paper_ids = author_ids, paper_ids
+        self.events, self.ages, self.cells = events, ages, cells
+        self.event_years, self.n_years, self.kernel_workers = event_years, n_years, kernel_workers
+        self.similarity, self.author_edge_events = similarity, author_edge_events
 
     def project_events(self) -> tuple[Optional[ProfileTally], Optional[AgeCurveTally]]:
         """The profile and age-curve tallies, each ``None`` where not asked
@@ -528,7 +493,7 @@ def count_edges(
     with stage("intern"):
         view = intern_corpus(corpus)
     with stage("kernel"):
-        tables = run_kernel(
+        tables = _run_kernel(
             view,
             events="profile" in views or "age_curve" in views,
             ages="citation_age" in views,
@@ -537,20 +502,7 @@ def count_edges(
         )
         author_edge_events = view.author_edge_events()
     return EdgeCounts(corpus, include, frozenset(views), view.author_ids, view.paper_ids,
-                      tables, similarity, author_edge_events)
-
-
-def tally_corpus(
-    corpus: Corpus,
-    views=VIEWS,
-    include: Optional[set] = None,
-    vectors: Optional[dict] = None,
-) -> Tallies:
-    """:func:`count_edges`, then every view projected at once."""
-    counts = count_edges(corpus, views, include, vectors)
-    profile, age_curve = counts.project_events()
-    return Tallies(profile, age_curve, counts.project_citation_age(), counts.project_hindex(),
-                   counts.similarity, counts.author_edge_events, counts.kernel_workers)
+                      *tables, similarity, author_edge_events)
 
 
 def _project_events(events, event_years, author_ids, profile, age_curve) -> None:

@@ -39,7 +39,7 @@ from array import array
 from collections import Counter
 from itertools import chain, compress
 from operator import mul
-from typing import Mapping, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .classify import CitationType
 from .corpus import Corpus, CorpusError
@@ -127,24 +127,15 @@ class TfIdfVector:
     ``array('d')`` aligned with the terms; ``norm``, computed once when the
     vector is made, adding the squared weights left to right in that order.
 
-    ``TfIdfVector(paper_id, weights)`` takes a term -> weight mapping, and
-    ``weights`` rebuilds that mapping as a new dict each time it is read (a
-    read-only copy). Vectors are equal when their paper id, terms (in
-    order) and values are; they have no hash."""
+    ``TfIdfVector(paper_id, terms, values)`` takes the terms tuple and their
+    weights in the same order, and ``weights`` rebuilds the term -> weight
+    mapping as a new dict each time it is read (a read-only copy). Vectors
+    are equal when their paper id, terms (in order) and values are; they
+    have no hash."""
 
     __slots__ = ("paper_id", "terms", "values", "norm")
 
-    def __init__(self, paper_id: str, weights: Mapping[str, float]):
-        self._fill(paper_id, tuple(weights), list(weights.values()))
-
-    @classmethod
-    def from_terms(cls, paper_id: str, terms: tuple, values: list) -> "TfIdfVector":
-        """The vector of ``terms`` with the aligned float ``values``."""
-        vector = cls.__new__(cls)
-        vector._fill(paper_id, terms, values)
-        return vector
-
-    def _fill(self, paper_id: str, terms: tuple, values: list) -> None:
+    def __init__(self, paper_id: str, terms: tuple, values: list):
         self.paper_id = paper_id
         self.terms = terms
         self.values = array("d", values)
@@ -161,7 +152,7 @@ class TfIdfVector:
             other.paper_id, other.terms, other.values)
 
     def __repr__(self) -> str:
-        return f"TfIdfVector({self.paper_id!r}, {self.weights!r})"
+        return f"TfIdfVector({self.paper_id!r}, {self.terms!r}, {self.values.tolist()!r})"
 
 
 def build_vectors(corpus: Corpus) -> dict[str, TfIdfVector]:
@@ -201,7 +192,7 @@ def build_vectors(corpus: Corpus) -> dict[str, TfIdfVector]:
             terms = tuple(compress(terms, kept))
             counts = compress(counts, kept)
         values = list(map(mul, counts, map(idf.__getitem__, terms)))
-        vectors[pid] = TfIdfVector.from_terms(pid, terms, values)
+        vectors[pid] = TfIdfVector(pid, terms, values)
     return vectors
 
 

@@ -5,7 +5,7 @@ import pytest
 from selfcite.classify import classify_all
 from selfcite.corpus import load_corpus
 from selfcite.graph import build_collaboration_index, build_edges
-from selfcite.kernel import tally_corpus
+from selfcite.kernel import count_edges
 from selfcite.metrics import finalize_profiles
 
 TESTDATA = Path(__file__).resolve().parent.parent / "testdata"
@@ -33,4 +33,4 @@ def fix1_records(fix1, fix1_edges, fix1_collab):
 
 @pytest.fixture(scope="session")
 def fix1_profiles(fix1):
-    return finalize_profiles(fix1, tally_corpus(fix1, ["profile"]).profile)
+    return finalize_profiles(fix1, count_edges(fix1, ["profile"]).project_events()[0])

@@ -12,7 +12,7 @@ from selfcite.cli import main
 from selfcite.corpus import PaperRecord, corpus_from_records, paper_to_obj
 from selfcite.graph import build_collaboration_index, build_edges, export_edges
 from selfcite.hindex import finalize_decompositions
-from selfcite.kernel import tally_corpus
+from selfcite.kernel import count_edges
 from selfcite.metrics import compute_inflation_weights, finalize_profiles, unit_weights
 from selfcite.synth import SynthConfig, generate, generate_with_stats, write_corpus
 from selfcite.textsim import TfIdfVector, build_vectors, cosine, similarity_means
@@ -125,7 +125,7 @@ def test_criterion_1_classify_command_writes_the_oracle_rows(tmp_path):
 def test_criterion_2_hindex_oracle_equivalence():
     authors_checked = 0
     for corpus in _oracle_corpora():
-        decomps = finalize_decompositions(corpus, tally_corpus(corpus, ["hindex"]).hindex)
+        decomps = finalize_decompositions(corpus, count_edges(corpus, ["hindex"]).project_hindex())
         for aid, dec in decomps.items():
             expected = brute_force_decompose(corpus, aid)
             assert dec.h_obs == expected["h_obs"]
@@ -144,7 +144,7 @@ def test_criterion_3_fix1_golden_values(fix1, fix1_profiles):
     a = fix1_profiles["A"]
     assert a.self_reference_rate == 2 / 3
     assert a.self_citation_rate == 2 / 5
-    dec = finalize_decompositions(fix1, tally_corpus(fix1, ["hindex"]).hindex)["A"]
+    dec = finalize_decompositions(fix1, count_edges(fix1, ["hindex"]).project_hindex())["A"]
     assert dec.h_obs == 2
     assert dec.h_minus["direct"] == 1
     assert dec.pct("direct") == 50.0
@@ -155,7 +155,7 @@ def test_criterion_3_fix1_golden_values(fix1, fix1_profiles):
 def test_criterion_4_planted_rate_recovery():
     corpus, stats = generate_with_stats(PLANTED_CONFIG)
     assert corpus.resolvable_references >= 5000
-    profiles = finalize_profiles(corpus, tally_corpus(corpus, ["profile"]).profile)
+    profiles = finalize_profiles(corpus, count_edges(corpus, ["profile"]).project_events()[0])
     direct = sum(p.ref_counts[D] for p in profiles.values())
     total = sum(p.ref_total for p in profiles.values())
     share = direct / total
@@ -163,7 +163,7 @@ def test_criterion_4_planted_rate_recovery():
 
     zero_config = dataclasses.replace(PLANTED_CONFIG, p_direct=0.0, p_external=1.0, seed=44)
     corpus0 = generate(zero_config)
-    profiles0 = finalize_profiles(corpus0, tally_corpus(corpus0, ["profile"]).profile)
+    profiles0 = finalize_profiles(corpus0, count_edges(corpus0, ["profile"]).project_events()[0])
     direct0 = sum(p.ref_counts[D] for p in profiles0.values())
     assert direct0 == 0
     print(f"ACCEPTANCE 4: PASS - planted 0.3 recovered as {share:.4f} "
@@ -181,7 +181,7 @@ def test_criterion_5_inflation_weights(fix1):
             checked_years += 1
 
     forced = unit_weights(compute_inflation_weights(fix1))
-    tally = tally_corpus(fix1, ["profile"]).profile
+    tally = count_edges(fix1, ["profile"]).project_events()[0]
     weighted = finalize_profiles(fix1, tally, forced)
     raw = finalize_profiles(fix1, tally)
     for aid in raw:
@@ -198,11 +198,12 @@ def test_criterion_6_similarity_properties():
     for _ in range(500):
         wu = {t: rng.uniform(0.01, 10.0) for t in rng.sample(terms, rng.randint(1, 8))}
         wv = {t: rng.uniform(0.01, 10.0) for t in rng.sample(terms, rng.randint(1, 8))}
-        u, v = TfIdfVector("u", wu), TfIdfVector("v", wv)
+        u = TfIdfVector("u", tuple(wu), list(wu.values()))
+        v = TfIdfVector("v", tuple(wv), list(wv.values()))
         base = cosine(u, v)
         assert abs(base - cosine(v, u)) <= 1e-12
         c = rng.uniform(0.001, 1000.0)
-        scaled = TfIdfVector("s", {t: c * w for t, w in wu.items()})
+        scaled = TfIdfVector("s", tuple(wu), [c * w for w in wu.values()])
         assert abs(cosine(scaled, v) - base) <= 1e-12 * max(base, 1.0)
 
     corpus = corpus_from_records([
@@ -222,7 +223,7 @@ def test_criterion_6_similarity_properties():
 
 def test_criterion_7_age_curve_shapes():
     corpus = generate(SHAPE_CONFIG)
-    curve = tally_corpus(corpus, ["age_curve"]).age_curve.finalize()
+    curve = count_edges(corpus, ["age_curve"]).project_events()[1].finalize()
 
     ref_shares = [curve.pooled_share(REF, D, {age}) for age in range(6)]
     assert all(s is not None for s in ref_shares)
@@ -250,9 +251,9 @@ def test_criterion_8_similarity_ordering():
         PaperRecord("Z2", 2003, "health", ("Z",), ("X1",),
                     abstract="market auction equilibrium pricing agent trade"),
     ])
-    tallies = tally_corpus(corpus, ["profile"], vectors=build_vectors(corpus))
-    tally = tallies.similarity
-    profiles = finalize_profiles(corpus, tallies.profile)
+    counts = count_edges(corpus, ["profile"], vectors=build_vectors(corpus))
+    tally = counts.similarity
+    profiles = finalize_profiles(corpus, counts.project_events()[0])
     rows = similarity_means(tally, profiles, key="discipline")
     means = {row["citation_type"]: row["similarity_author_mean"] for row in rows}
     assert means["direct"] > means["collaborator"] > means["external"]

@@ -11,14 +11,14 @@ from selfcite.hindex import (
     h_index,
     individual_exclusion_table,
 )
-from selfcite.kernel import tally_corpus
+from selfcite.kernel import count_edges
 from oracles import brute_force_decompose, brute_force_h, random_corpus
 
 counts_lists = st.lists(st.integers(min_value=0, max_value=50), max_size=30)
 
 
 def decompositions(corpus):
-    return finalize_decompositions(corpus, tally_corpus(corpus, ["hindex"]).hindex)
+    return finalize_decompositions(corpus, count_edges(corpus, ["hindex"]).project_hindex())
 
 
 class TestHIndex:

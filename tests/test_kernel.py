@@ -3,6 +3,7 @@ bits for any number of workers, and no child process left behind however a
 pass ends."""
 
 import os
+import signal
 import threading
 import time
 import warnings
@@ -16,8 +17,8 @@ from selfcite import kernel
 from selfcite.cli import main
 from selfcite.corpus import PaperRecord, corpus_from_records
 from selfcite.graph import intern_corpus
-from selfcite.kernel import _fork_map, run_kernel, tally_corpus
-from selfcite.textsim import SimilarityTally, build_vectors
+from selfcite.kernel import _fork_map, count_edges
+from selfcite.textsim import build_vectors
 from conftest import TESTDATA
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
@@ -84,18 +85,18 @@ def test_any_worker_count_gives_the_same_tables_and_float_bits(corpus, data):
     citing = sum(1 for refs in view.references if refs)
     results = []
     for workers in (1, 2, 3, citing + 1):
-        sim = SimilarityTally(vectors, include=include)
         with _workers(workers):
-            tables = run_kernel(view, events=True, ages=True, cells=True, similarity=sim)
-        assert 1 <= tables.workers <= max(1, min(workers, citing))
-        results.append((tables._replace(workers=None), _similarity_bits(sim)))
+            counts = count_edges(corpus, include=include, vectors=vectors)
+        assert 1 <= counts.kernel_workers <= max(1, min(workers, citing))
+        tables = counts.events, counts.ages, counts.cells, counts.event_years, counts.n_years
+        results.append((tables, _similarity_bits(counts.similarity)))
     assert all(r == results[0] for r in results[1:])
     _no_child_left()
 
 
-def test_tally_corpus_and_report_leave_no_child(tmp_path, cpus, fix1):
+def test_count_edges_and_report_leave_no_child(tmp_path, cpus, fix1):
     cpus(2)
-    assert tally_corpus(fix1).kernel_workers == 2
+    assert count_edges(fix1).kernel_workers == 2
     _no_child_left()
     assert main(["report", "--papers", str(TESTDATA / "fix1_papers.jsonl"),
                  "--authors", str(TESTDATA / "fix1_authors.jsonl"),
@@ -110,6 +111,19 @@ def test_a_worker_that_ends_itself_raises_and_is_reaped():
         return item
 
     with pytest.raises(ChildProcessError, match="exited with status 3"):
+        list(_fork_map(chunk, [2, 0, 1]))
+    _no_child_left()
+
+
+def test_a_worker_killed_by_a_signal_raises_and_is_reaped():
+    parent = os.getpid()
+
+    def chunk(item):
+        if item == 0 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return item
+
+    with pytest.raises(ChildProcessError, match="killed by signal 9"):
         list(_fork_map(chunk, [2, 0, 1]))
     _no_child_left()
 
@@ -174,10 +188,10 @@ def test_the_pass_stays_in_process(setting, cpus, fix1):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            tallies = tally_corpus(fix1)
+            counts = count_edges(fix1)
     finally:
         stop.set()
         if setting == "thread":
             thread.join(timeout=10)
     assert not thread.is_alive()
-    assert tallies.kernel_workers == 1
+    assert counts.kernel_workers == 1

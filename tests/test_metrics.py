@@ -6,7 +6,7 @@ import pytest
 from selfcite.classify import CitationType, Perspective, classify_all
 from selfcite.corpus import CorpusError, PaperRecord, corpus_from_records
 from selfcite.graph import build_collaboration_index, build_edges, iter_edges
-from selfcite.kernel import tally_corpus
+from selfcite.kernel import count_edges
 from selfcite.metrics import (
     AgeCurveTally,
     AuthorProfile,
@@ -37,15 +37,15 @@ def classified(corpus):
 
 
 def kernel_profiles(corpus, weights=None):
-    return finalize_profiles(corpus, tally_corpus(corpus, ["profile"]).profile, weights)
+    return finalize_profiles(corpus, count_edges(corpus, ["profile"]).project_events()[0], weights)
 
 
 def age_curve_tally(corpus, include=None):
-    return tally_corpus(corpus, ["age_curve"], include=include).age_curve
+    return count_edges(corpus, ["age_curve"], include=include).project_events()[1]
 
 
 def citation_age_tally(corpus):
-    return tally_corpus(corpus, ["citation_age"]).citation_age
+    return count_edges(corpus, ["citation_age"]).project_citation_age()
 
 
 def cells(curve, column="pct_pooled"):

@@ -1,11 +1,13 @@
 import os
 import random
 
+import pytest
+
 from selfcite.classify import CitationType, classify_all, read_classifications, write_classifications
 from selfcite.corpus import PaperRecord, corpus_from_records
-from selfcite.graph import build_collaboration_index, build_edges, intern_corpus, iter_edges
+from selfcite.graph import build_collaboration_index, build_edges, iter_edges
 from selfcite.hindex import HindexTally
-from selfcite.kernel import count_edges, run_kernel, tally_corpus
+from selfcite.kernel import count_edges
 from selfcite.metrics import AgeCurveTally, CitationAgeTally, ProfileTally
 from selfcite.pipeline import run_edge_tallies, run_record_tallies
 from selfcite.textsim import SimilarityTally, build_vectors
@@ -83,46 +85,49 @@ class TestKernel:
                 run_edge_tallies(corpus, iter_edges(corpus), build_collaboration_index(corpus),
                                  base)
 
-                full = tally_corpus(corpus, include=include, vectors=vectors)
-                sim = full.similarity
-                kernel = [full.profile, full.age_curve, full.citation_age, full.hindex, sim]
-                assert integer_state(kernel) == integer_state(base)
-                assert similarity_state(sim) == similarity_state(base[4])
-
+                full = count_edges(corpus, include=include, vectors=vectors)
                 # 8 event slots per author and distinct paper year: the gap
                 # up to 1990 costs none
-                view = intern_corpus(corpus)
                 n_years = len({p.year for p in corpus.papers.values()})
-                tables = run_kernel(view, events=True, ages=False, cells=False)
-                assert len(tables.events) == 8 * n_years * len(view.author_ids)
+                assert len(full.events) == 8 * n_years * len(full.author_ids)
+
+                profile, age_curve = full.project_events()
+                hindex = full.project_hindex()
+                sim = full.similarity
+                kernel = [profile, age_curve, full.project_citation_age(), hindex, sim]
+                assert integer_state(kernel) == integer_state(base)
+                assert similarity_state(sim) == similarity_state(base[4])
 
                 events = full.author_edge_events
                 assert events == {"reference": sum(base[0].ref_counts.values()),
                                   "citation": sum(base[0].cite_year_counts.values())}
 
-                hindex_only = tally_corpus(corpus, ["hindex"])
-                assert hindex_only.hindex.per_paper == full.hindex.per_paper
-                assert (hindex_only.profile, hindex_only.age_curve, hindex_only.citation_age,
-                        hindex_only.similarity) == (None, None, None, None)
+                # each table is projected once, then dropped, and a view not
+                # asked for projects to None; a filled similarity tally keeps
+                # no vectors
+                hindex_only = count_edges(corpus, ["hindex"])
+                assert hindex_only.similarity is None
+                assert hindex_only.project_events() == (None, None)
+                assert hindex_only.project_citation_age() is None
+                assert hindex_only.project_hindex().per_paper == hindex.per_paper
+                assert hindex_only.project_hindex() is None and hindex_only.cells is None
                 assert hindex_only.author_edge_events == events
-
-                # the two-step form projects each table once, then drops it;
-                # a filled similarity tally keeps no vectors
-                counts = count_edges(corpus, ["hindex"])
-                assert counts.project_events() == (None, None)
-                assert counts.project_citation_age() is None
-                assert counts.project_hindex().per_paper == full.hindex.per_paper
-                assert counts.project_hindex() is None and counts.cells is None
                 assert sim.vectors is None
 
-                simil_only = tally_corpus(corpus, ["profile"], include=include, vectors=vectors)
+                simil_only = count_edges(corpus, ["profile"], include=include, vectors=vectors)
+                simil_profile, simil_age_curve = simil_only.project_events()
                 simil_sim = simil_only.similarity
-                assert (simil_only.profile.ref_counts, simil_only.profile.cite_year_counts) == (
-                    full.profile.ref_counts, full.profile.cite_year_counts)
-                assert simil_only.hindex is None and simil_only.age_curve is None
+                assert (simil_profile.ref_counts, simil_profile.cite_year_counts) == (
+                    profile.ref_counts, profile.cite_year_counts)
+                assert simil_only.project_hindex() is None and simil_age_curve is None
                 assert similarity_state(simil_sim) == similarity_state(sim)
                 assert simil_sim.coverage == sim.coverage
                 assert simil_only.author_edge_events == events
+
+    @pytest.mark.parametrize("views", [[], ["profiles"]])
+    def test_count_edges_rejects_bad_views(self, views, fix1):
+        with pytest.raises(ValueError, match="non-empty subset"):
+            count_edges(fix1, views)
 
     def test_similarity_edge_cases(self):
         # "model" is in every non-empty abstract, so its idf is 0 and P4's
@@ -147,7 +152,7 @@ class TestKernel:
             base = SimilarityTally(vectors, include=include)
             run_edge_tallies(corpus, iter_edges(corpus), build_collaboration_index(corpus),
                              [base])
-            sim = tally_corpus(corpus, ["hindex"], include=include, vectors=vectors).similarity
+            sim = count_edges(corpus, ["hindex"], include=include, vectors=vectors).similarity
             assert similarity_state(sim) == similarity_state(base)
             assert sim.coverage == base.coverage
             assert sim.negative_age_records == base.negative_age_records

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from selfcite.classify import CitationType
 from selfcite.corpus import CorpusError, PaperRecord, corpus_from_records
 from selfcite.graph import build_collaboration_index, build_edges
-from selfcite.kernel import tally_corpus
+from selfcite.kernel import count_edges
 from selfcite.metrics import finalize_profiles
 from selfcite.pipeline import run_edge_tallies, run_record_tallies
 from selfcite.textsim import (
@@ -32,8 +32,8 @@ D = CitationType.DIRECT
 
 
 def similarity_tally(corpus, vectors=None, include=None):
-    return tally_corpus(corpus, ["profile"], include=include,
-                        vectors=build_vectors(corpus) if vectors is None else vectors).similarity
+    return count_edges(corpus, ["profile"], include=include,
+                       vectors=build_vectors(corpus) if vectors is None else vectors).similarity
 
 
 class TestPreprocess:
@@ -118,10 +118,10 @@ class TestBuildVectors:
         assert vectors["P1"].weights["alpha"] == pytest.approx(math.log(2))
 
     def test_vector_equality_and_weights_copy(self):
-        u = TfIdfVector("u", {"a": 1.0, "b": 2.0})
-        assert u == TfIdfVector("u", {"a": 1.0, "b": 2.0})
-        assert u != TfIdfVector("u", {"b": 2.0, "a": 1.0})  # term order fixes the norm's sum
-        assert u != TfIdfVector("v", {"a": 1.0, "b": 2.0})
+        u = TfIdfVector("u", ("a", "b"), [1.0, 2.0])
+        assert u == TfIdfVector("u", ("a", "b"), [1.0, 2.0])
+        assert u != TfIdfVector("u", ("b", "a"), [2.0, 1.0])  # term order fixes the norm's sum
+        assert u != TfIdfVector("v", ("a", "b"), [1.0, 2.0])
         u.weights["a"] = 5.0
         assert u.weights == {"a": 1.0, "b": 2.0}
 
@@ -240,22 +240,22 @@ class TestVectorOracle:
 
 class TestCosine:
     def test_identical_vectors(self):
-        u = TfIdfVector("u", {"a": 0.3, "b": 1.7, "c": 0.22})
+        u = TfIdfVector("u", ("a", "b", "c"), [0.3, 1.7, 0.22])
         assert cosine(u, u) == pytest.approx(1.0, abs=1e-9)
 
     def test_disjoint_supports(self):
-        u = TfIdfVector("u", {"a": 1.0})
-        v = TfIdfVector("v", {"b": 2.0})
+        u = TfIdfVector("u", ("a",), [1.0])
+        v = TfIdfVector("v", ("b",), [2.0])
         assert cosine(u, v) == 0.0
 
     def test_hand_computed_value(self):
-        u = TfIdfVector("u", {"a": 1.0, "b": 1.0})
-        v = TfIdfVector("v", {"a": 1.0})
+        u = TfIdfVector("u", ("a", "b"), [1.0, 1.0])
+        v = TfIdfVector("v", ("a",), [1.0])
         assert cosine(u, v) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
     def test_zero_vector_scores_zero(self):
-        u = TfIdfVector("u", {})
-        v = TfIdfVector("v", {"a": 1.0})
+        u = TfIdfVector("u", (), [])
+        v = TfIdfVector("v", ("a",), [1.0])
         assert cosine(u, v) == 0.0
         assert cosine(u, u) == 0.0
 
@@ -266,8 +266,8 @@ class TestCosine:
                            st.floats(min_value=0.01, max_value=100.0),
                            max_size=8))
     def test_symmetry_exact(self, wu, wv):
-        u = TfIdfVector("u", wu)
-        v = TfIdfVector("v", wv)
+        u = TfIdfVector("u", tuple(wu), list(wu.values()))
+        v = TfIdfVector("v", tuple(wv), list(wv.values()))
         assert cosine(u, v) == cosine(v, u)
 
     @given(st.dictionaries(st.sampled_from("abcdefgh"),
@@ -278,16 +278,18 @@ class TestCosine:
                            min_size=1, max_size=8),
            st.floats(min_value=0.001, max_value=1000.0))
     def test_scale_invariance(self, wu, wv, c):
-        u = TfIdfVector("u", wu)
-        v = TfIdfVector("v", wv)
-        scaled = TfIdfVector("s", {k: c * w for k, w in wu.items()})
+        u = TfIdfVector("u", tuple(wu), list(wu.values()))
+        v = TfIdfVector("v", tuple(wv), list(wv.values()))
+        scaled = TfIdfVector("s", tuple(wu), [c * w for w in wu.values()])
         assert cosine(scaled, v) == pytest.approx(cosine(u, v), rel=1e-12, abs=1e-12)
 
     def test_range(self):
         rng = random.Random(71)
         for _ in range(200):
-            u = TfIdfVector("u", {f"t{i}": rng.uniform(0, 5) for i in range(rng.randint(0, 6))})
-            v = TfIdfVector("v", {f"t{i}": rng.uniform(0, 5) for i in range(rng.randint(0, 6))})
+            wu = {f"t{i}": rng.uniform(0, 5) for i in range(rng.randint(0, 6))}
+            wv = {f"t{i}": rng.uniform(0, 5) for i in range(rng.randint(0, 6))}
+            u = TfIdfVector("u", tuple(wu), list(wu.values()))
+            v = TfIdfVector("v", tuple(wv), list(wv.values()))
             assert 0.0 <= cosine(u, v) <= 1.0
 
 
@@ -351,7 +353,7 @@ class TestAggregation:
         vectors = build_vectors(corpus)
         tally = similarity_tally(corpus, vectors)
         assert ("A", D) in tally.author_type
-        profiles = finalize_profiles(corpus, tally_corpus(corpus, ["profile"]).profile)
+        profiles = finalize_profiles(corpus, count_edges(corpus, ["profile"]).project_events()[0])
         rows = similarity_means(tally, profiles, key="discipline")
         direct_row = next(r for r in rows if r["citation_type"] == "direct")
         assert direct_row["similarity_author_mean"] == pytest.approx(
@@ -386,9 +388,9 @@ class TestAggregation:
         )
         corpus = generate(config)
         vectors = build_vectors(corpus)
-        tallies = tally_corpus(corpus, ["profile"], vectors=vectors)
-        tally = tallies.similarity
-        profiles = finalize_profiles(corpus, tallies.profile)
+        counts = count_edges(corpus, ["profile"], vectors=vectors)
+        tally = counts.similarity
+        profiles = finalize_profiles(corpus, counts.project_events()[0])
         rows = similarity_by_selfref_percentile(tally, profiles, n_groups=4)
         sims = [row["mean_direct_reference_similarity"] for row in rows]
         assert len(sims) == 4
