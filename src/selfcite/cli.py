@@ -5,7 +5,8 @@ edge pass), plus synthetic-corpus generation.
 Every analysis subcommand is deterministic: rerunning with identical
 inputs and options reproduces every CSV artifact byte for byte (the run
 manifest carries wall-clock and memory measurements and is excluded from
-that guarantee).
+that guarantee). Its ``peak_rss_kb`` figures are the peak of the
+command's own process (``VmHWM`` on Linux), not of the one that started it.
 
 Exit codes: 0 success, 1 usage error, 2 data, i/o or worker error.
 
@@ -13,13 +14,14 @@ Only the standard library and :mod:`selfcite.corpus`, which every subcommand
 uses, are imported at module level. Each subcommand imports the analysis
 modules it runs inside its own functions, so a run loads no module it does
 not execute; :mod:`dataclasses` (with :mod:`inspect`) is loaded by
-``synth`` alone.
+``synth`` alone. No subcommand imports :mod:`hashlib`, which would load
+OpenSSL's libcrypto: the manifest's digests come from
+:func:`selfcite.corpus.file_sha256` and CPython's builtin SHA-256.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import resource
 import sys
@@ -29,7 +31,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .corpus import Corpus, CorpusError, atomic_write, eligible_authors, load_corpus
+from .corpus import Corpus, CorpusError, atomic_write, eligible_authors, file_sha256, load_corpus
 
 CLASSIFICATIONS_FILE = "classifications.tsv"
 EDGES_FILE = "edges.tsv"
@@ -90,12 +92,19 @@ def write_csv(path: Path, columns: Sequence[str], rows) -> None:
             fh.write(",".join(_fmt(row[col]) for col in columns) + "\n")
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
+def _peak_rss_kb() -> int:
+    """The process's own peak RSS in KB: ``VmHWM`` where /proc/self/status
+    exists (Linux), else ``ru_maxrss``. On Linux, exec carries the launching
+    process's peak into the new program's ``ru_maxrss``, so a command
+    started by a large process would read that process's peak there."""
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            for line in fh:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
 class _Run:
@@ -119,7 +128,7 @@ class _Run:
 
     def add_input(self, path: Optional[Path]) -> None:
         if path is not None:
-            self.inputs[str(path)] = _sha256(path)
+            self.inputs[str(path)] = file_sha256(path)
 
     def path(self, name: str) -> Path:
         """``name`` in the output directory, which exists once this returns."""
@@ -130,13 +139,13 @@ class _Run:
     def stage(self, name: str):
         """Time the block as stage ``name``: when it completes, ``stages``
         gains its name, its seconds and the process's peak RSS so far
-        (``ru_maxrss``, in KB on Linux)."""
+        (:func:`_peak_rss_kb`)."""
         start = time.perf_counter()
         yield
         self.stages.append({
             "name": name,
             "seconds": round(time.perf_counter() - start, 3),
-            "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+            "peak_rss_kb": _peak_rss_kb(),
         })
 
     def record_corpus(self, corpus: Corpus) -> None:
@@ -159,7 +168,7 @@ class _Run:
             "notes": self.notes,
             "stages": self.stages,
             "elapsed_seconds": round(time.perf_counter() - self.started, 3),
-            "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+            "peak_rss_kb": _peak_rss_kb(),
             # the largest of the reaped child processes, the kernel's workers
             "children_peak_rss_kb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
         }

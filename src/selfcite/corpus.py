@@ -10,7 +10,9 @@ kept and counted as unresolved; all rate denominators downstream use
 resolvable references only.
 
 Records are named tuples, not dataclasses: :mod:`dataclasses` (with
-:mod:`inspect`) is imported by :mod:`selfcite.synth` alone.
+:mod:`inspect`) is imported by :mod:`selfcite.synth` alone. Likewise
+:data:`sha256`, the package's one SHA-256 constructor, comes from CPython's
+builtin module: :mod:`hashlib` is imported only where that is not built.
 """
 
 from __future__ import annotations
@@ -23,6 +25,26 @@ from contextlib import contextmanager
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
+
+# The package's one SHA-256 constructor: CPython's builtin module, since
+# hashlib loads OpenSSL's libcrypto, about 3.5 MB of RSS per process.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
+
+
+def file_sha256(path: Union[str, Path]) -> str:
+    """Hex SHA-256 of the file's bytes, read in 1 MiB blocks."""
+    digest = sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
 
 DISCIPLINES = (
     "arts_humanities",

@@ -31,7 +31,6 @@ means are unaffected by the duplication.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import os
 import re
@@ -42,7 +41,7 @@ from operator import mul
 from typing import NamedTuple, Optional
 
 from .classify import CitationType
-from .corpus import Corpus, CorpusError
+from .corpus import Corpus, CorpusError, sha256
 from .metrics import LOW_SUPPORT_AUTHORS, rank_and_cut, sequential_sum
 from .porter import stem
 
@@ -77,7 +76,7 @@ def load_stopwords() -> frozenset[str]:
 @functools.cache
 def stopwords_sha256() -> str:
     """Hash of the shipped stopword file, echoed into run manifests."""
-    return hashlib.sha256(_stopword_bytes()).hexdigest()
+    return sha256(_stopword_bytes()).hexdigest()
 
 
 class TokenizedAbstract(NamedTuple):
@@ -164,9 +163,11 @@ def build_vectors(corpus: Corpus) -> dict[str, TfIdfVector]:
 
     No document is held twice: each abstract's stem counts become a terms
     tuple and an aligned count array as soon as it is tokenized, and the
-    document frequencies turn into the idf in place. The vector keeps the
-    terms tuple; the count arrays go when the function returns. The
-    token -> stem cache is this call's own and goes before the idf pass.
+    document frequencies turn into the idf in place. The weighting pass
+    turns each document into its vector and drops its count array as it
+    goes, so the count arrays and the finished vectors are never all alive
+    together; the vector keeps the terms tuple. The token -> stem cache is
+    this call's own and goes before the idf pass.
     """
     docs = []  # (paper id, terms, term counts), in corpus order
     cache: dict[str, Optional[str]] = {}
@@ -186,7 +187,8 @@ def build_vectors(corpus: Corpus) -> dict[str, TfIdfVector]:
     dropped = {term for term, w in idf.items() if not w > 0.0}
 
     vectors: dict[str, TfIdfVector] = {}
-    for pid, terms, counts in docs:
+    for k, (pid, terms, counts) in enumerate(docs):
+        docs[k] = None
         if dropped and not dropped.isdisjoint(terms):
             kept = [term not in dropped for term in terms]
             terms = tuple(compress(terms, kept))

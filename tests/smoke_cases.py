@@ -18,9 +18,13 @@ with exit code 1; ``synth`` refuses a config field of the wrong type, a
 Poisson rate above 700 and a negative seed, with exit code 2. None of them
 may leave its ``--out`` directory behind. Every other case must pass, among
 them ``simil`` on an abstract holding a run of 1,200 y letters and
-``report`` into a fresh directory, with no ``classify`` before it.
+``report`` into a fresh directory, with no ``classify`` before it. Each
+passing run that reads a corpus must record the papers file's digest as
+:mod:`hashlib` computes it, so the CI matrix checks the package's builtin
+SHA-256 against it on every Python version.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -67,7 +71,8 @@ def run_cases(command: list[str], cwd: Path, data: Path = TESTDATA) -> list[str]
     """Run every case with ``command`` in ``cwd``; one line per failed case.
 
     Besides its exit code and its ``--out`` directory, a passing run that
-    reads a corpus must write a manifest whose first stage is ``load``."""
+    reads a corpus must write a manifest whose first stage is ``load`` and
+    whose digest of the papers file is :func:`hashlib.sha256`'s."""
     cwd = Path(cwd)
     for name, config in CONFIGS.items():
         (cwd / name).write_text(json.dumps(config), encoding="utf-8")
@@ -83,9 +88,14 @@ def run_cases(command: list[str], cwd: Path, data: Path = TESTDATA) -> list[str]
         elif out is not None and not out_may_exist and out.exists():
             failures.append(f"{shown}: left {out.name} behind")
         elif code == 0 and "--papers" in argv:
-            stages = json.loads((out / "run_manifest.json").read_text())["stages"]
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            stages = manifest["stages"]
+            papers = argv[argv.index("--papers") + 1]
+            expected_digest = hashlib.sha256((cwd / papers).read_bytes()).hexdigest()
             if stages[0]["name"] != "load":
                 failures.append(f"{shown}: first manifest stage is {stages[0]['name']}")
+            elif manifest["inputs"].get(str(Path(papers))) != expected_digest:
+                failures.append(f"{shown}: manifest digest of {papers} is not its SHA-256")
     return failures
 
 

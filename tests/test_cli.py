@@ -1,5 +1,9 @@
 import gc
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,8 +21,16 @@ PAPERS = str(TESTDATA / "fix1_papers.jsonl")
 AUTHORS = str(TESTDATA / "fix1_authors.jsonl")
 
 
+SRC = Path(cli.__file__).resolve().parent.parent
+STOPWORDS = SRC / "selfcite" / "data" / "stopwords_en.txt"
+
+
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def hashlib_sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def manifest(out_dir):
@@ -110,6 +122,12 @@ class TestValidate:
         assert m["counts"]["papers"] == 5
         assert m["counts"]["unresolved_references"] == 0
         assert "validate" in capsys.readouterr().out
+
+    def test_input_digests_equal_hashlib(self, tmp_path):
+        assert run("validate", "--papers", PAPERS, "--authors", AUTHORS,
+                   "--out", tmp_path) == 0
+        assert manifest(tmp_path)["inputs"] == {
+            PAPERS: hashlib_sha256(PAPERS), AUTHORS: hashlib_sha256(AUTHORS)}
 
     def test_empty_papers_file(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -328,7 +346,7 @@ class TestSimil:
                      "figS9_by_gender.csv"):
             assert (tmp_path / name).exists(), name
         m = manifest(tmp_path)
-        assert len(m["coverage"]["stopwords_sha256"]) == 64
+        assert m["coverage"]["stopwords_sha256"] == hashlib_sha256(STOPWORDS)
 
     def test_no_abstracts_is_data_error(self, tmp_path):
         papers = tmp_path / "papers.jsonl"
@@ -482,6 +500,29 @@ class TestManifestStages:
         assert [s["name"] for s in manifest(tmp_path / "o")["stages"]] == [
             "load", "intern", "kernel", "project_profile", "profiles",
             "project_citation_age", "metrics", "project_hindex", "hindex", "simil"]
+
+
+# Touches 64 MB, then runs the command in a child: on Linux the child's
+# ru_maxrss starts at this process's peak.
+_LARGE_LAUNCHER = """
+import subprocess, sys
+ballast = b"x" * (64 << 20)
+sys.exit(subprocess.run([sys.executable, "-m", "selfcite.cli", *sys.argv[1:]]).returncode)
+"""
+
+
+class TestManifestPeaks:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="the process's own peak is read from /proc/self/status")
+    def test_peaks_are_the_commands_own(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        launched = subprocess.run(
+            [sys.executable, "-c", _LARGE_LAUNCHER, "validate", "--papers", PAPERS,
+             "--authors", AUTHORS, "--out", tmp_path], env=env, capture_output=True, text=True)
+        assert launched.returncode == 0, launched.stderr
+        m = manifest(tmp_path)
+        peaks = [m["peak_rss_kb"]] + [s["peak_rss_kb"] for s in m["stages"]]
+        assert all(0 < kb < 64 << 10 for kb in peaks), peaks
 
 
 class TestSynthCommand:

@@ -3,6 +3,7 @@ import a third-party package, even one that happens to be installed. Each
 subcommand loads only the modules it runs, and the README's library example
 runs as written."""
 
+import hashlib
 import json
 import os
 import re
@@ -33,9 +34,11 @@ print(json.dumps(sorted(tops - set(sys.stdlib_module_names))))
 
 # Runs a subcommand in process and prints the package modules it loaded and
 # which of the heavy standard modules below it loaded: dataclasses and
-# inspect (about 1 MB of RSS per process), and importlib.resources with the
-# zipfile and tempfile it pulls in.
-_HEAVY = ("dataclasses", "importlib.resources", "inspect", "tempfile", "zipfile")
+# inspect (about 1 MB of RSS per process), importlib.resources with the
+# zipfile and tempfile it pulls in, and hashlib with _hashlib, which loads
+# OpenSSL's libcrypto (about 3.5 MB).
+_HEAVY = ("_hashlib", "dataclasses", "hashlib", "importlib.resources", "inspect",
+          "tempfile", "zipfile")
 _LOADED = f"""
 import json, sys
 from selfcite.cli import main
@@ -81,13 +84,42 @@ def test_classify_loads_no_analysis_module(tmp_path):
         "selfcite", "selfcite.classify", "selfcite.cli", "selfcite.corpus", "selfcite.graph"]
 
 
-# Only synth uses dataclasses, and simil and report read the stopword list
-# with a plain open.
+# Only synth uses dataclasses, simil and report read the stopword list with
+# a plain open, and every digest comes from CPython's builtin SHA-256.
 @pytest.mark.parametrize("command", ["validate", "classify", "metrics", "hindex",
                                      "simil", "report"])
-def test_analysis_commands_load_no_dataclasses(tmp_path, command):
+def test_analysis_commands_load_no_heavy_standard_module(tmp_path, command):
     _modules, stdlib = _loaded_modules(command, tmp_path)
     assert stdlib == []
+
+
+# Blocks both builtin SHA-256 modules before selfcite is imported, runs a
+# subcommand and prints whether the package fell back to hashlib and the
+# stopword digest.
+_FALLBACK = """
+import json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import hashlib
+from selfcite import corpus
+from selfcite.cli import main
+from selfcite.textsim import stopwords_sha256
+assert main(sys.argv[1:]) == 0
+print(json.dumps([corpus.sha256 is hashlib.sha256, stopwords_sha256()]))
+"""
+
+
+def test_digests_fall_back_to_hashlib(tmp_path):
+    papers, authors = TESTDATA / "fix1_papers.jsonl", TESTDATA / "fix1_authors.jsonl"
+    probe = _child(_FALLBACK, "validate", "--papers", papers, "--authors", authors,
+                   "--out", tmp_path)
+    assert probe.returncode == 0, probe.stderr
+    fell_back, stopwords = json.loads(probe.stdout.splitlines()[-1])
+    assert fell_back
+    inputs = json.loads((tmp_path / "run_manifest.json").read_text())["inputs"]
+    assert inputs == {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+                      for p in (papers, authors)}
+    stopword_file = SRC / "selfcite" / "data" / "stopwords_en.txt"
+    assert stopwords == hashlib.sha256(stopword_file.read_bytes()).hexdigest()
 
 
 def test_readme_library_example_runs(tmp_path):
