@@ -344,10 +344,10 @@ def cmd_analysis(args) -> int:
     """metrics, hindex, simil and report: one pass of the interned kernel
     counts only what ``args.tables`` need, then each table group is written.
 
-    Each view is projected just before the group that reads it, and each
-    tally is dropped once its last reader is done, so the run holds one
-    group's tallies at a time. No name here holds the tf-idf vectors: the
-    similarity tally drops them at the end of the pass."""
+    Each view, similarity included, is projected just before the group that
+    reads it, and each tally is dropped once its last reader is done, so the
+    run holds one group's tallies at a time. No name here holds the tf-idf
+    vectors: they go when count_edges returns."""
     from .kernel import count_edges
     from .metrics import finalize_profiles
 
@@ -392,8 +392,10 @@ def cmd_analysis(args) -> int:
             _hindex_outputs(run, corpus, hindex, eligible, args.individual)
         del hindex
     if "simil" in tables:
+        with run.stage("project_similarity"):
+            similarity = counts.project_similarity()
         with run.stage("simil"):
-            _simil_outputs(run, counts.similarity, profiles, eligible, args.n_percentiles)
+            _simil_outputs(run, similarity, profiles, eligible, args.n_percentiles)
     run.finish()
     print(f"{args.subcommand}: wrote {len(run.artifacts)} artifacts to {run.out_dir}")
     return 0

@@ -11,32 +11,33 @@ both sides of each edge as type indices 0-3 with the classifier of
 as :func:`selfcite.classify.export_corpus` does for the ``classify``
 export. Per author-edge event it adds one to a count in each table the run
 needs: a flat list indexed by an int that packs the event's key. Each table
-is then projected into its reference tallies
+is then projected into its reference tally
 (:class:`~selfcite.metrics.ProfileTally`,
 :class:`~selfcite.metrics.AgeCurveTally`,
 :class:`~selfcite.metrics.CitationAgeTally`,
-:class:`~selfcite.hindex.HindexTally`) by one call of :class:`EdgeCounts`,
-which drops the table, so their finalize functions and every table writer
-keep their inputs while a caller holds one view's counts at a time. Those
-tallies' own ``add_edge``, fed by :func:`selfcite.pipeline.run_edge_tallies`,
-is the reference the tests compare the kernel with.
+:class:`~selfcite.hindex.HindexTally` or the similarity tally of
+:mod:`selfcite.textsim`) by one call of :class:`EdgeCounts`, which drops
+the table, so their finalize functions and every table writer keep their
+inputs while a caller holds one view's counts at a time. Those tallies' own
+``add_edge``, fed by :func:`selfcite.pipeline.run_edge_tallies`, is the
+reference the tests compare the kernel with.
 
-Given tf-idf vectors, :func:`count_edges` builds a
-:class:`~selfcite.textsim.SimilarityTally` and fills it in the same pass.
-It reads each :class:`~selfcite.textsim.TfIdfVector` in its compact layout
-(terms tuple, aligned ``array('d')`` of weights, norm made with the vector):
-per citing paper it builds the term set and term -> weight dict of the
-citing vector once, and per scored edge it takes the cosine of
+Given tf-idf vectors, the pass also scores each edge. It reads each
+:class:`~selfcite.textsim.TfIdfVector` in its compact layout (terms tuple,
+aligned ``array('d')`` of weights, norm made with the vector): per citing
+paper it builds the term set and term -> weight dict of the citing vector
+once, and per scored edge it takes the cosine of
 :func:`selfcite.textsim._cosine`, the rule behind the
-:func:`~selfcite.textsim.cosine` that the tally's own ``add_edge`` calls
-(common terms in sorted order, each product added in turn). It adds
-the cosine to flat float and count cells per (author, type),
-(author, type, citation age bin) and direct-reference author, reference
-side first, in edge order, so every float sum keeps the association of the
-``add_edge`` feed. At the end the tally lets go of the vectors, and the
-cells and the coverage counts are projected into its dicts with string ids
-and :class:`~selfcite.classify.CitationType` keys. ``add_edge`` stays as the
-reference feed the tests compare with.
+:func:`~selfcite.textsim.cosine` that the similarity tally's own
+``add_edge`` calls (common terms in sorted order, each product added in
+turn). It adds the cosine to flat float and count cells per (author,
+type), (author, type, citation age bin) and direct-reference author,
+reference side first, in edge order, so every float sum keeps the
+association of the ``add_edge`` feed. The cells and the coverage counts
+leave the pass as one more table, and the pass's list of vectors goes when
+the pass ends; :meth:`EdgeCounts.project_similarity` projects the cells
+into the tally's dicts with string ids and
+:class:`~selfcite.classify.CitationType` keys.
 
 The pass runs in up to :data:`MAX_WORKERS` processes, one per usable CPU
 (the affinity mask). The citing papers are cut into contiguous chunks of
@@ -85,17 +86,19 @@ MAX_WORKERS = 2
 _SIDES = (Perspective.REFERENCE, Perspective.CITATION)
 
 
-def _run_kernel(view: InternedCorpus, events: bool, ages: bool, cells: bool, similarity):
+def _run_kernel(view: InternedCorpus, events: bool, ages: bool, cells: bool,
+                vectors: Optional[dict], include: Optional[set]):
     """One pass over the interned edges in edge order: the tables of
-    :class:`EdgeCounts` (``events``, ``ages`` and ``cells``, each ``None``
-    where not asked for), ``event_years``, ``n_years`` and the number of
-    processes the pass ran in, as a tuple in that order.
+    :class:`EdgeCounts` (``events``, ``ages``, ``cells`` and
+    ``similarity``, each ``None`` where not asked for), ``event_years``,
+    ``n_years`` and the number of processes the pass ran in, as a tuple in
+    that order.
 
     The reference side is typed only when ``events``, ``ages`` or
-    ``similarity`` needs it; ``cells`` reads the citation side alone.
-    ``similarity``, a :class:`~selfcite.textsim.SimilarityTally` no edge has
-    fed, gets its cells and coverage at the end of the pass, and its
-    ``vectors`` become ``None``: a filled tally reads them no more.
+    ``vectors`` needs it; ``cells`` reads the citation side alone. Given
+    ``vectors`` (tf-idf vectors by paper id), each edge is scored for the
+    authors in ``include`` (every author when ``None``) into the similarity
+    table.
 
     The pass runs in :func:`_worker_count` processes; every count and
     float is the same for any number.
@@ -114,14 +117,14 @@ def _run_kernel(view: InternedCorpus, events: bool, ages: bool, cells: bool, sim
         for team in authors:
             cell_base.append(n_cells)
             n_cells += 4 * len(team)
-    type_references = events or ages or similarity is not None
+    similarity = vectors is not None
+    type_references = events or ages or similarity
     replay = None
-    if similarity is not None:
+    if similarity:
         from .textsim import MAX_SINGLE_CITATION_AGE as max_age, _cosine, _term_lookup
 
         age_bins = max_age + 2  # 0 .. max_age, then max_age + 1 for every older citation
-        include = similarity.include
-        vectors = list(map(similarity.vectors.get, view.paper_ids))
+        vectors = list(map(vectors.get, view.paper_ids))
         scorable = [v is not None and v.norm != 0.0 for v in vectors]
         included = [include is None or aid in include for aid in view.author_ids]
         n = 4 * len(included)
@@ -187,7 +190,7 @@ def _run_kernel(view: InternedCorpus, events: bool, ages: bool, cells: bool, sim
             year_offset = 4 * year_rank[year]
             ref_base = [a * author_stride + year_offset for a in citing]
             cite_offset = side_stride + year_offset
-            if similarity is not None:
+            if similarity:
                 u = vectors[p]
                 if u is not None:
                     nu = u.norm
@@ -217,7 +220,7 @@ def _run_kernel(view: InternedCorpus, events: bool, ages: bool, cells: bool, sim
                     i += 4
                     for t in cite:
                         ag[i + t] += 1
-                if similarity is None:
+                if not similarity:
                     continue
                 v = vectors[q]
                 if u is None or v is None:
@@ -252,21 +255,10 @@ def _run_kernel(view: InternedCorpus, events: bool, ages: bool, cells: bool, sim
             if cosines:  # array('d') from this process, bytes from a child
                 replay(*bounds, memoryview(cosines).cast("B").cast("d"), types)
             del cosines, types
-    if similarity is not None:
-        # the cells are projected where the vectors were: no reader is left
-        similarity.vectors = vectors = None
-        coverage = similarity.coverage
-        coverage.missing_abstract_edges += missing
-        coverage.zero_vector_edges += zero
-        coverage.scored_edges += scored
-        # every included record has one (author, type) count, and one
-        # (author, type, age bin) count unless its citation age is negative
-        records = sum(at_n)
-        coverage.records += records
-        similarity.negative_age_records += records - sum(ata_n)
-        _project_similarity(similarity, view.author_ids, age_bins,
-                            at_sum, at_n, ata_sum, ata_n, sr_sum, sr_n)
-    return ev, ag, hc, event_years, n_years, len(chunks)
+    sim = None
+    if similarity:
+        sim = (scored, missing, zero, age_bins, at_sum, at_n, ata_sum, ata_n, sr_sum, sr_n)
+    return ev, ag, hc, sim, event_years, n_years, len(chunks)
 
 
 def _add_counts(total: Optional[list[int]], counts: Optional[list[int]]) -> Optional[list[int]]:
@@ -394,12 +386,11 @@ def _child_exit(fn, item, read_fd: int, write_fd: int, siblings: list) -> None:
 class EdgeCounts:
     """The count tables of one kernel pass over ``corpus``, for the views
     asked for, each projected into its reference tally by one call; the
-    filled similarity tally (``None`` without vectors), the author-edge
-    events per side of the corpus and the number of processes the pass ran
-    in (``kernel_workers``).
+    author-edge events per side of the corpus and the number of processes
+    the pass ran in (``kernel_workers``).
 
-    The tables are three flat lists (``None`` where not asked for) indexed
-    by packed ints:
+    The tables (``None`` where not asked for) are three flat count lists
+    indexed by packed ints, and the similarity table:
 
     * ``events``, by ((2 * author + side) * len(event_years) + rank of the
       citing year in event_years) * 4 + type, where ``event_years`` are the
@@ -407,7 +398,11 @@ class EdgeCounts:
     * ``ages``, by ((publication age + n_years - 1) * 2 + side) * 4 + type,
       where ``n_years`` is the span from the first paper year to the last;
     * ``cells``, four counts (one per type) per authorship slot, the slots of
-      the papers in int order and of each paper's authors in order.
+      the papers in int order and of each paper's authors in order;
+    * ``similarity``, given tf-idf vectors: the scored, missing-abstract and
+      zero-vector edge counts, ``age_bins``, then the sums and the counts of
+      the cells by 4 * author + type, by (4 * author + type) * age_bins + age
+      bin and by author for direct references, as a tuple in that order.
 
     The events list holds 8 counts per author and distinct paper year, used
     or not, so a year gap in the corpus costs no slots. That is far smaller
@@ -422,20 +417,23 @@ class EdgeCounts:
     """
 
     __slots__ = ("corpus", "include", "views", "author_ids", "paper_ids", "events", "ages",
-                 "cells", "event_years", "n_years", "kernel_workers", "similarity",
+                 "cells", "similarity", "event_years", "n_years", "kernel_workers",
                  "author_edge_events")
 
     def __init__(self, corpus, include, views, author_ids, paper_ids, events, ages, cells,
-                 event_years, n_years, kernel_workers, similarity, author_edge_events):
+                 similarity, event_years, n_years, kernel_workers, author_edge_events):
         self.corpus, self.include, self.views = corpus, include, views
         self.author_ids, self.paper_ids = author_ids, paper_ids
-        self.events, self.ages, self.cells = events, ages, cells
+        self.events, self.ages, self.cells, self.similarity = events, ages, cells, similarity
         self.event_years, self.n_years, self.kernel_workers = event_years, n_years, kernel_workers
-        self.similarity, self.author_edge_events = similarity, author_edge_events
+        self.author_edge_events = author_edge_events
 
     def project_events(self) -> tuple[Optional[ProfileTally], Optional[AgeCurveTally]]:
         """The profile and age-curve tallies, each ``None`` where not asked
-        for, from one walk of the events table."""
+        for, from one walk of the events table: profile counts and
+        per-author age-curve cells, with the age curve's include and pre-age
+        rules applied per (author, side, year, type) count instead of per
+        event."""
         events, self.events = self.events, None
         if events is None:
             return None, None
@@ -443,23 +441,97 @@ class EdgeCounts:
         age_curve = None
         if "age_curve" in self.views:
             age_curve = AgeCurveTally.for_corpus(self.corpus, self.include)
-        _project_events(events, self.event_years, self.author_ids, profile, age_curve)
+            include = age_curve.include
+            per_author = age_curve.per_author
+        author_ids, event_years = self.author_ids, self.event_years
+        n_event_years = len(event_years)
+        for i in compress(range(len(events)), events):
+            n = events[i]
+            i, t = divmod(i, 4)
+            i, year = divmod(i, n_event_years)
+            author, side = divmod(i, 2)
+            aid = author_ids[author]
+            year = event_years[year]
+            ctype = CITATION_TYPES[t]
+            if profile is not None:
+                if side:
+                    profile.cite_year_counts[(aid, ctype, year)] = n
+                else:
+                    cell = (aid, ctype)
+                    profile.ref_counts[cell] = profile.ref_counts.get(cell, 0) + n
+            if age_curve is not None:
+                first = age_curve.meta[aid][0]
+                if include is not None and aid not in include:
+                    age_curve.skipped_ineligible += n
+                elif year < first:
+                    age_curve.skipped_preage += n
+                else:
+                    per_author[(aid, _SIDES[side], year - first, ctype)] = n
         return profile, age_curve
 
     def project_citation_age(self) -> Optional[CitationAgeTally]:
+        """Events per (side, type, publication age); negative ages are
+        counted as excluded."""
         ages, self.ages = self.ages, None
         if ages is None:
             return None
         tally = CitationAgeTally()
-        _project_ages(ages, self.n_years, tally)
+        for i in compress(range(len(ages)), ages):
+            n = ages[i]
+            i, t = divmod(i, 4)
+            age, side = divmod(i, 2)
+            age -= self.n_years - 1
+            if age < 0:
+                tally.negative_excluded += n
+            else:
+                tally.counts[(_SIDES[side], CITATION_TYPES[t], age)] = n
         return tally
 
     def project_hindex(self) -> Optional[HindexTally]:
+        """Per cited (author, paper): [total, direct, coauthor, collaborator]."""
         cells, self.cells = self.cells, None
         if cells is None:
             return None
         tally = HindexTally()
-        _project_cells(cells, self.corpus, self.paper_ids, tally)
+        per_paper = tally.per_paper
+        i = 0
+        for pid in self.paper_ids:
+            for aid in self.corpus.papers[pid].author_ids:
+                direct, coauthor, collaborator, external = cells[i:i + 4]
+                total = direct + coauthor + collaborator + external
+                if total:
+                    per_paper[(aid, pid)] = [total, direct, coauthor, collaborator]
+                i += 4
+        return tally
+
+    def project_similarity(self):
+        """The :class:`~selfcite.textsim.SimilarityTally` of the pass, with
+        no vectors: its coverage counts, and each used cell as ``[sum, n]``
+        under its string id and :class:`~selfcite.classify.CitationType`
+        key."""
+        table, self.similarity = self.similarity, None
+        if table is None:
+            return None
+        from .textsim import SimilarityCoverage, SimilarityTally
+
+        scored, missing, zero, age_bins, at_sum, at_n, ata_sum, ata_n, sr_sum, sr_n = table
+        tally = SimilarityTally(None, include=self.include)
+        # every included record has one (author, type) count, and one
+        # (author, type, age bin) count unless its citation age is negative
+        records = sum(at_n)
+        tally.coverage = SimilarityCoverage(scored, missing, zero, records)
+        tally.negative_age_records = records - sum(ata_n)
+        author_ids = self.author_ids
+        for i in compress(range(len(at_n)), at_n):
+            a, t = divmod(i, 4)
+            tally.author_type[(author_ids[a], CITATION_TYPES[t])] = [at_sum[i], at_n[i]]
+        for i in compress(range(len(ata_n)), ata_n):
+            cell, age_bin = divmod(i, age_bins)
+            a, t = divmod(cell, 4)
+            tally.author_type_age[(author_ids[a], CITATION_TYPES[t], age_bin)] = [
+                ata_sum[i], ata_n[i]]
+        for a in compress(range(len(sr_n)), sr_n):
+            tally.author_selfref[author_ids[a]] = [sr_sum[a], sr_n[a]]
         return tally
 
 
@@ -472,24 +544,16 @@ def count_edges(
 ) -> EdgeCounts:
     """Intern the corpus and run the kernel for ``views`` (a subset of
     :data:`VIEWS`). ``include`` is the author set of the age-curve view and
-    of the similarity tally, which the pass fills when ``vectors`` (tf-idf
-    vectors by paper id) are given; the filled tally keeps no reference to
-    them.
+    of the similarity table, which the pass counts when ``vectors`` (tf-idf
+    vectors by paper id) are given; the counts keep no reference to them.
 
-    ``stage`` is called with ``"intern"`` and ``"kernel"`` (the pass, which
-    fills the similarity tally), and the context manager it returns wraps
-    that step. The interned corpus and the co-authorship index are dropped
-    before this returns.
+    ``stage`` is called with ``"intern"`` and ``"kernel"`` (the pass), and
+    the context manager it returns wraps that step. The interned corpus and
+    the co-authorship index are dropped before this returns.
     """
     unknown = set(views) - set(VIEWS)
     if unknown or not views:
         raise ValueError(f"views must be a non-empty subset of {VIEWS}")
-    similarity = None
-    if vectors is not None:
-        from .textsim import SimilarityTally
-
-        similarity = SimilarityTally(vectors, include=include)
-        del vectors  # the tally's reference is the last, and the pass drops it
     with stage("intern"):
         view = intern_corpus(corpus)
     with stage("kernel"):
@@ -498,84 +562,9 @@ def count_edges(
             events="profile" in views or "age_curve" in views,
             ages="citation_age" in views,
             cells="hindex" in views,
-            similarity=similarity,
+            vectors=vectors,
+            include=include,
         )
         author_edge_events = view.author_edge_events()
     return EdgeCounts(corpus, include, frozenset(views), view.author_ids, view.paper_ids,
-                      *tables, similarity, author_edge_events)
-
-
-def _project_events(events, event_years, author_ids, profile, age_curve) -> None:
-    """Profile counts and per-author age-curve cells, with the age curve's
-    include and pre-age rules applied per (author, side, year, type) count
-    instead of per event."""
-    if age_curve is not None:
-        include = age_curve.include
-        per_author = age_curve.per_author
-    n_event_years = len(event_years)
-    for i in compress(range(len(events)), events):
-        n = events[i]
-        i, t = divmod(i, 4)
-        i, year = divmod(i, n_event_years)
-        author, side = divmod(i, 2)
-        aid = author_ids[author]
-        year = event_years[year]
-        ctype = CITATION_TYPES[t]
-        if profile is not None:
-            if side:
-                profile.cite_year_counts[(aid, ctype, year)] = n
-            else:
-                cell = (aid, ctype)
-                profile.ref_counts[cell] = profile.ref_counts.get(cell, 0) + n
-        if age_curve is not None:
-            first = age_curve.meta[aid][0]
-            if include is not None and aid not in include:
-                age_curve.skipped_ineligible += n
-            elif year < first:
-                age_curve.skipped_preage += n
-            else:
-                per_author[(aid, _SIDES[side], year - first, ctype)] = n
-
-
-def _project_ages(ages, n_years, tally: CitationAgeTally) -> None:
-    """Events per (side, type, publication age); negative ages are counted
-    as excluded."""
-    for i in compress(range(len(ages)), ages):
-        n = ages[i]
-        i, t = divmod(i, 4)
-        age, side = divmod(i, 2)
-        age -= n_years - 1
-        if age < 0:
-            tally.negative_excluded += n
-        else:
-            tally.counts[(_SIDES[side], CITATION_TYPES[t], age)] = n
-
-
-def _project_cells(cells, corpus, paper_ids, tally: HindexTally) -> None:
-    """Per cited (author, paper): [total, direct, coauthor, collaborator]."""
-    per_paper = tally.per_paper
-    i = 0
-    for pid in paper_ids:
-        for aid in corpus.papers[pid].author_ids:
-            direct, coauthor, collaborator, external = cells[i:i + 4]
-            total = direct + coauthor + collaborator + external
-            if total:
-                per_paper[(aid, pid)] = [total, direct, coauthor, collaborator]
-            i += 4
-
-
-def _project_similarity(tally, author_ids, age_bins,
-                        at_sum, at_n, ata_sum, ata_n, sr_sum, sr_n) -> None:
-    """Each used similarity cell as ``[sum, n]`` under its string id and
-    :class:`~selfcite.classify.CitationType` key: cells by 4 * author + type,
-    by (4 * author + type) * age_bins + age bin, and by author for direct
-    references."""
-    for i in compress(range(len(at_n)), at_n):
-        a, t = divmod(i, 4)
-        tally.author_type[(author_ids[a], CITATION_TYPES[t])] = [at_sum[i], at_n[i]]
-    for i in compress(range(len(ata_n)), ata_n):
-        cell, age_bin = divmod(i, age_bins)
-        a, t = divmod(cell, 4)
-        tally.author_type_age[(author_ids[a], CITATION_TYPES[t], age_bin)] = [ata_sum[i], ata_n[i]]
-    for a in compress(range(len(sr_n)), sr_n):
-        tally.author_selfref[author_ids[a]] = [sr_sum[a], sr_n[a]]
+                      *tables, author_edge_events)

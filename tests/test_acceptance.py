@@ -252,7 +252,7 @@ def test_criterion_8_similarity_ordering():
                     abstract="market auction equilibrium pricing agent trade"),
     ])
     counts = count_edges(corpus, ["profile"], vectors=build_vectors(corpus))
-    tally = counts.similarity
+    tally = counts.project_similarity()
     profiles = finalize_profiles(corpus, counts.project_events()[0])
     rows = similarity_means(tally, profiles, key="discipline")
     means = {row["citation_type"]: row["similarity_author_mean"] for row in rows}

@@ -412,18 +412,18 @@ class TestReport:
                 return step(*args, **kwargs)
             monkeypatch.setattr(module, name, inspected)
 
-        watch(kernel, "_project_similarity")
+        watch(kernel.EdgeCounts, "project_similarity")
         for name in ("_metrics_outputs", "_hindex_outputs", "_simil_outputs"):
             watch(cli, name)
         assert run("report", "--papers", PAPERS, "--authors", AUTHORS,
                    "--out", tmp_path, "--min-pubs", "0") == 0
-        # the vectors go before the similarity cells are projected, the
-        # profile tally once the profiles are made, and each group's
-        # tallies after the group
+        # the vectors go when the pass returns, the profile tally once the
+        # profiles are made, each group's tallies after the group, and the
+        # similarity tally is made just before its group
         assert alive == {
-            "_project_similarity": ["SimilarityTally"],
-            "_metrics_outputs": ["AgeCurveTally", "CitationAgeTally", "SimilarityTally"],
-            "_hindex_outputs": ["HindexTally", "SimilarityTally"],
+            "project_similarity": [],
+            "_metrics_outputs": ["AgeCurveTally", "CitationAgeTally"],
+            "_hindex_outputs": ["HindexTally"],
             "_simil_outputs": ["SimilarityTally"],
         }
 
@@ -458,9 +458,11 @@ _STAGES = {
     "metrics": ["load", "intern", "kernel", "project_profile", "profiles",
                 "project_citation_age", "metrics"],
     "hindex": ["load", "intern", "kernel", "project_hindex", "hindex"],
-    "simil": ["load", "vectors", "intern", "kernel", "project_profile", "profiles", "simil"],
+    "simil": ["load", "vectors", "intern", "kernel", "project_profile", "profiles",
+              "project_similarity", "simil"],
     "report": ["load", "vectors", "intern", "kernel", "project_profile", "profiles",
-               "project_citation_age", "metrics", "project_hindex", "hindex", "simil"],
+               "project_citation_age", "metrics", "project_hindex", "hindex",
+               "project_similarity", "simil"],
     "synth": ["generate", "write"],
 }
 #: Each stage's seconds and elapsed_seconds are rounded to the millisecond,
@@ -499,7 +501,8 @@ class TestManifestStages:
         assert run("report", "--papers", papers, "--out", tmp_path / "o") == 0
         assert [s["name"] for s in manifest(tmp_path / "o")["stages"]] == [
             "load", "intern", "kernel", "project_profile", "profiles",
-            "project_citation_age", "metrics", "project_hindex", "hindex", "simil"]
+            "project_citation_age", "metrics", "project_hindex", "hindex",
+            "project_similarity", "simil"]
 
 
 # Touches 64 MB, then runs the command in a child: on Linux the child's

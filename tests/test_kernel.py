@@ -89,7 +89,7 @@ def test_any_worker_count_gives_the_same_tables_and_float_bits(corpus, data):
             counts = count_edges(corpus, include=include, vectors=vectors)
         assert 1 <= counts.kernel_workers <= max(1, min(workers, citing))
         tables = counts.events, counts.ages, counts.cells, counts.event_years, counts.n_years
-        results.append((tables, _similarity_bits(counts.similarity)))
+        results.append((tables, _similarity_bits(counts.project_similarity())))
     assert all(r == results[0] for r in results[1:])
     _no_child_left()
 

@@ -93,7 +93,7 @@ class TestKernel:
 
                 profile, age_curve = full.project_events()
                 hindex = full.project_hindex()
-                sim = full.similarity
+                sim = full.project_similarity()
                 kernel = [profile, age_curve, full.project_citation_age(), hindex, sim]
                 assert integer_state(kernel) == integer_state(base)
                 assert similarity_state(sim) == similarity_state(base[4])
@@ -103,10 +103,10 @@ class TestKernel:
                                   "citation": sum(base[0].cite_year_counts.values())}
 
                 # each table is projected once, then dropped, and a view not
-                # asked for projects to None; a filled similarity tally keeps
-                # no vectors
+                # asked for projects to None; a projected similarity tally
+                # keeps no vectors
                 hindex_only = count_edges(corpus, ["hindex"])
-                assert hindex_only.similarity is None
+                assert hindex_only.project_similarity() is None
                 assert hindex_only.project_events() == (None, None)
                 assert hindex_only.project_citation_age() is None
                 assert hindex_only.project_hindex().per_paper == hindex.per_paper
@@ -116,7 +116,7 @@ class TestKernel:
 
                 simil_only = count_edges(corpus, ["profile"], include=include, vectors=vectors)
                 simil_profile, simil_age_curve = simil_only.project_events()
-                simil_sim = simil_only.similarity
+                simil_sim = simil_only.project_similarity()
                 assert (simil_profile.ref_counts, simil_profile.cite_year_counts) == (
                     profile.ref_counts, profile.cite_year_counts)
                 assert simil_only.project_hindex() is None and simil_age_curve is None
@@ -152,7 +152,8 @@ class TestKernel:
             base = SimilarityTally(vectors, include=include)
             run_edge_tallies(corpus, iter_edges(corpus), build_collaboration_index(corpus),
                              [base])
-            sim = count_edges(corpus, ["hindex"], include=include, vectors=vectors).similarity
+            counts = count_edges(corpus, ["hindex"], include=include, vectors=vectors)
+            sim = counts.project_similarity()
             assert similarity_state(sim) == similarity_state(base)
             assert sim.coverage == base.coverage
             assert sim.negative_age_records == base.negative_age_records

@@ -35,8 +35,9 @@ D = CitationType.DIRECT
 
 
 def similarity_tally(corpus, vectors=None, include=None):
-    return count_edges(corpus, ["profile"], include=include,
-                       vectors=build_vectors(corpus) if vectors is None else vectors).similarity
+    counts = count_edges(corpus, ["profile"], include=include,
+                         vectors=build_vectors(corpus) if vectors is None else vectors)
+    return counts.project_similarity()
 
 
 class TestPreprocess:
@@ -391,7 +392,7 @@ class TestAggregation:
         corpus = generate(config)
         vectors = build_vectors(corpus)
         counts = count_edges(corpus, ["profile"], vectors=vectors)
-        tally = counts.similarity
+        tally = counts.project_similarity()
         profiles = finalize_profiles(corpus, counts.project_events()[0])
         rows = similarity_by_selfref_percentile(tally, profiles, n_groups=4)
         sims = [row["mean_direct_reference_similarity"] for row in rows]
