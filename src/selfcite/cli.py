@@ -124,6 +124,7 @@ class _Run:
         self.artifacts: list[str] = []
         self.notes: list[str] = []
         self.stages: list[dict] = []
+        self.children_private_kb = 0  # the edge pass's children, summed
         self.started = time.perf_counter()
 
     def add_input(self, path: Optional[Path]) -> None:
@@ -171,6 +172,7 @@ class _Run:
             "peak_rss_kb": _peak_rss_kb(),
             # the largest of the reaped child processes, the kernel's workers
             "children_peak_rss_kb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
+            "children_private_kb": self.children_private_kb,
         }
         with atomic_write(self.path(MANIFEST_FILE)) as fh:
             fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -369,6 +371,7 @@ def cmd_analysis(args) -> int:
                          vectors=_vectors(args, run, corpus), stage=run.stage)
     run.counts["author_edge_events"] = counts.author_edge_events
     run.counts["kernel_workers"] = counts.kernel_workers
+    run.children_private_kb = counts.children_private_kb
     profiles = None
     if "profile" in views:
         with run.stage("project_profile"):

@@ -40,13 +40,14 @@ into the tally's dicts with string ids and
 :class:`~selfcite.classify.CitationType` keys.
 
 The pass runs in up to :data:`MAX_WORKERS` processes, one per usable CPU
-(the affinity mask). The citing papers are cut into contiguous chunks of
-near-equal author-edge events. The first chunk runs in the calling process;
-each later one runs in a child made with ``os.fork``, which sees the
-interned view and the vectors copy-on-write and sends its results back
-through a pipe as ``marshal`` data. Integer counts are summed, which is
-exact in any order. No chunk adds a float itself: it keeps the cosine of
-each scored edge and the types of both its sides, and the calling process
+(the affinity mask, capped by the cgroup CPU quota). The citing papers are
+cut into contiguous chunks of near-equal author-edge events. The first
+chunk runs in the calling process; each later one runs in a child made with
+``os.fork``, which sees the interned view and the vectors copy-on-write and
+sends its results back through a pipe as ``marshal`` data, with its private
+dirty memory as its chunk ends. Integer counts are summed, which is exact
+in any order. No chunk adds a float itself: it keeps the cosine of each
+scored edge and the types of both its sides, and the calling process
 replays them into the float cells chunk by chunk in chunk order, which is
 edge order, so the sums are the same floats for any number of workers. Its
 own chunk's are replayed before any child's data is read, and each chunk's
@@ -83,6 +84,10 @@ VIEWS = ("profile", "age_curve", "citation_age", "hindex")
 #: on a 2-CPU host.
 MAX_WORKERS = 2
 
+#: The cgroup v2 CPU quota of this process, ``max`` or ``<quota> <period>``
+#: in microseconds; read only.
+CGROUP_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+
 _SIDES = (Perspective.REFERENCE, Perspective.CITATION)
 
 
@@ -91,8 +96,8 @@ def _run_kernel(view: InternedCorpus, events: bool, ages: bool, cells: bool,
     """One pass over the interned edges in edge order: the tables of
     :class:`EdgeCounts` (``events``, ``ages``, ``cells`` and
     ``similarity``, each ``None`` where not asked for), ``event_years``,
-    ``n_years`` and the number of processes the pass ran in, as a tuple in
-    that order.
+    ``n_years``, the number of processes the pass ran in and the children's
+    private memory in kB, as a tuple in that order.
 
     The reference side is typed only when ``events``, ``ages`` or
     ``vectors`` needs it; ``cells`` reads the citation side alone. Given
@@ -173,8 +178,10 @@ def _run_kernel(view: InternedCorpus, events: bool, ages: bool, cells: bool,
     def run_chunk(bounds):
         """The counts of the citing papers in ``range(*bounds)``, the
         number of edges scored, with a missing abstract and with a zero
-        vector, then the cosine of each scored edge (``array('d')``) and the
-        types of its reference side then of its citation side (bytes)."""
+        vector, the cosine of each scored edge (``array('d')``), the types
+        of its reference side then of its citation side (bytes), and the
+        private memory in kB of the process when it runs in a child (0 in
+        this one)."""
         ev = [0] * (author_stride * len(view.author_ids)) if events else None
         ag = [0] * (8 * (2 * n_years - 1)) if ages else None
         hc = [0] * n_cells if cells else None
@@ -233,18 +240,20 @@ def _run_kernel(view: InternedCorpus, events: bool, ages: bool, cells: bool,
                 cosines.append(_cosine(u_terms, u_weights, nu, v))
                 types.extend(ref)
                 types.extend(cite)
-        return ev, ag, hc, scored, missing, zero, cosines, types
+        private_kb = _private_dirty_kb() if os.getpid() != parent else 0
+        return ev, ag, hc, scored, missing, zero, cosines, types, private_kb
 
     # The first chunk runs in this process and its floats are replayed
     # before any child's data is read; each chunk's data is dropped before
     # the next chunk's arrives, so the replay is in edge order and holds one
     # chunk's scored edges at a time.
+    parent = os.getpid()
     chunks = _chunk_bounds(view, _worker_count())
     ev = ag = hc = None
-    scored = missing = zero = 0
+    scored = missing = zero = children_private_kb = 0
     with closing(_fork_map(run_chunk, chunks)) as results:
-        for bounds, (c_ev, c_ag, c_hc, c_scored, c_missing, c_zero, cosines, types) in zip(
-                chunks, results):
+        for bounds, (c_ev, c_ag, c_hc, c_scored, c_missing, c_zero, cosines, types,
+                     c_private_kb) in zip(chunks, results):
             ev = _add_counts(ev, c_ev)
             ag = _add_counts(ag, c_ag)
             hc = _add_counts(hc, c_hc)
@@ -252,13 +261,14 @@ def _run_kernel(view: InternedCorpus, events: bool, ages: bool, cells: bool,
             scored += c_scored
             missing += c_missing
             zero += c_zero
+            children_private_kb += c_private_kb
             if cosines:  # array('d') from this process, bytes from a child
                 replay(*bounds, memoryview(cosines).cast("B").cast("d"), types)
             del cosines, types
     sim = None
     if similarity:
         sim = (scored, missing, zero, age_bins, at_sum, at_n, ata_sum, ata_n, sr_sum, sr_n)
-    return ev, ag, hc, sim, event_years, n_years, len(chunks)
+    return ev, ag, hc, sim, event_years, n_years, len(chunks), children_private_kb
 
 
 def _add_counts(total: Optional[list[int]], counts: Optional[list[int]]) -> Optional[list[int]]:
@@ -270,8 +280,9 @@ def _add_counts(total: Optional[list[int]], counts: Optional[list[int]]) -> Opti
 
 
 def _worker_count() -> int:
-    """The usable CPUs (the affinity mask), at most :data:`MAX_WORKERS`; 1
-    without ``os.fork`` or while another thread runs."""
+    """The usable CPUs (the affinity mask, capped by :func:`_quota_cpus`),
+    at most :data:`MAX_WORKERS`; 1 without ``os.fork`` or while another
+    thread runs."""
     threading = sys.modules.get("threading")
     if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
         return 1
@@ -279,7 +290,38 @@ def _worker_count() -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
         cpus = os.cpu_count() or 1
+    quota = _quota_cpus()
+    if quota is not None:
+        cpus = min(cpus, quota)
     return min(cpus, MAX_WORKERS)
+
+
+def _quota_cpus() -> Optional[int]:
+    """The CPUs of the cgroup CPU quota, ceil(quota / period) from
+    :data:`CGROUP_CPU_MAX`; ``None`` for ``max``, a missing or unreadable
+    file or a malformed line."""
+    try:
+        with open(CGROUP_CPU_MAX, "rb") as fh:
+            quota, period = map(int, fh.read().split())
+    except (OSError, ValueError):
+        return None
+    if quota <= 0 or period <= 0:
+        return None
+    return -(-quota // period)
+
+
+def _private_dirty_kb() -> int:
+    """This process's ``Private_Dirty`` in kB from
+    ``/proc/self/smaps_rollup``; 0 where that file is missing or
+    unreadable."""
+    try:
+        with open("/proc/self/smaps_rollup", "rb") as fh:
+            for line in fh:
+                if line.startswith(b"Private_Dirty:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return 0
 
 
 def _chunk_bounds(view: InternedCorpus, n: int) -> list[tuple[int, int]]:
@@ -386,8 +428,9 @@ def _child_exit(fn, item, read_fd: int, write_fd: int, siblings: list) -> None:
 class EdgeCounts:
     """The count tables of one kernel pass over ``corpus``, for the views
     asked for, each projected into its reference tally by one call; the
-    author-edge events per side of the corpus and the number of processes
-    the pass ran in (``kernel_workers``).
+    author-edge events per side of the corpus, the number of processes the
+    pass ran in (``kernel_workers``) and the summed private memory in kB of
+    its children (``children_private_kb``, 0 when it forked none).
 
     The tables (``None`` where not asked for) are three flat count lists
     indexed by packed ints, and the similarity table:
@@ -418,15 +461,16 @@ class EdgeCounts:
 
     __slots__ = ("corpus", "include", "views", "author_ids", "paper_ids", "events", "ages",
                  "cells", "similarity", "event_years", "n_years", "kernel_workers",
-                 "author_edge_events")
+                 "children_private_kb", "author_edge_events")
 
     def __init__(self, corpus, include, views, author_ids, paper_ids, events, ages, cells,
-                 similarity, event_years, n_years, kernel_workers, author_edge_events):
+                 similarity, event_years, n_years, kernel_workers, children_private_kb,
+                 author_edge_events):
         self.corpus, self.include, self.views = corpus, include, views
         self.author_ids, self.paper_ids = author_ids, paper_ids
         self.events, self.ages, self.cells, self.similarity = events, ages, cells, similarity
         self.event_years, self.n_years, self.kernel_workers = event_years, n_years, kernel_workers
-        self.author_edge_events = author_edge_events
+        self.children_private_kb, self.author_edge_events = children_private_kb, author_edge_events
 
     def project_events(self) -> tuple[Optional[ProfileTally], Optional[AgeCurveTally]]:
         """The profile and age-curve tallies, each ``None`` where not asked

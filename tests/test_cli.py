@@ -488,7 +488,7 @@ class TestManifestStages:
         assert sum(s["seconds"] for s in stages) <= m["elapsed_seconds"] + _ROUNDING_SLACK_S
         rss = [s["peak_rss_kb"] for s in stages]
         assert 0 < rss[0] and rss == sorted(rss) and rss[-1] <= m["peak_rss_kb"]
-        assert m["children_peak_rss_kb"] >= 0
+        assert m["children_peak_rss_kb"] >= 0 and m["children_private_kb"] >= 0
         if "kernel" in _STAGES[command]:
             assert 1 <= m["counts"]["kernel_workers"] <= MAX_WORKERS
 

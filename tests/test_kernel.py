@@ -2,6 +2,7 @@
 bits for any number of workers, and no child process left behind however a
 pass ends."""
 
+import json
 import os
 import signal
 import threading
@@ -62,17 +63,20 @@ def _no_child_left():
 
 @contextmanager
 def _workers(n):
-    """Let the pass run in up to ``n`` processes."""
+    """Let the pass run in up to ``n`` processes, whatever the host's CPU
+    quota."""
     with patch.object(os, "sched_getaffinity", lambda pid: set(range(n)), create=True), \
-            patch.object(kernel, "MAX_WORKERS", n):
+            patch.object(kernel, "MAX_WORKERS", n), \
+            patch.object(kernel, "CGROUP_CPU_MAX", os.devnull + "/no-quota"):
         yield
 
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Set the usable CPUs the kernel sees."""
+    """Set the usable CPUs the kernel sees, with no CPU quota."""
     def set_cpus(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        monkeypatch.setattr(kernel, "CGROUP_CPU_MAX", os.devnull + "/no-quota")
     return set_cpus
 
 
@@ -102,6 +106,41 @@ def test_count_edges_and_report_leave_no_child(tmp_path, cpus, fix1):
                  "--authors", str(TESTDATA / "fix1_authors.jsonl"),
                  "--out", str(tmp_path / "o"), "--min-pubs", "0"]) == 0
     _no_child_left()
+
+
+@pytest.mark.parametrize("cpu_max,affinity,workers", [
+    ("100000 100000\n", True, 1), ("150000 100000\n", True, 2), ("max 100000\n", True, 4),
+    (None, True, 4), ("100000\n", True, 4), ("a b\n", True, 4), ("0 100000\n", True, 4),
+    ("", True, 4), ("150000 100000\n", False, 2), (None, False, 4)])
+def test_the_cgroup_cpu_quota_caps_the_workers(tmp_path, monkeypatch, cpu_max, affinity,
+                                               workers):
+    # 4 usable CPUs capped at ceil(quota / period); max, a missing file or a
+    # malformed line is no cap
+    cpu_max_file = tmp_path / "cpu.max"
+    if cpu_max is not None:
+        cpu_max_file.write_text(cpu_max)
+    monkeypatch.setattr(kernel, "CGROUP_CPU_MAX", str(cpu_max_file))
+    monkeypatch.setattr(kernel, "MAX_WORKERS", 8)
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    else:  # the os.cpu_count() fallback
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert kernel._worker_count() == workers
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps_rollup"),
+                    reason="a child's private memory is read from /proc/self/smaps_rollup")
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_manifest_sums_the_childrens_private_memory(tmp_path, cpus, n):
+    cpus(n)
+    out = tmp_path / "o"
+    assert main(["report", "--papers", str(TESTDATA / "fix1_papers.jsonl"),
+                 "--authors", str(TESTDATA / "fix1_authors.jsonl"),
+                 "--out", str(out), "--min-pubs", "0"]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["counts"]["kernel_workers"] == n
+    assert (manifest["children_private_kb"] > 0) == (n == 2)
 
 
 def test_a_worker_that_ends_itself_raises_and_is_reaped():

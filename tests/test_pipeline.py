@@ -97,6 +97,9 @@ class TestKernel:
                 kernel = [profile, age_curve, full.project_citation_age(), hindex, sim]
                 assert integer_state(kernel) == integer_state(base)
                 assert similarity_state(sim) == similarity_state(base[4])
+                assert full.project_events() == (None, None)
+                assert full.project_citation_age() is None
+                assert full.project_similarity() is None
 
                 events = full.author_edge_events
                 assert events == {"reference": sum(base[0].ref_counts.values()),
