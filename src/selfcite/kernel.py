@@ -290,10 +290,7 @@ def _worker_count() -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
         cpus = os.cpu_count() or 1
-    quota = _quota_cpus()
-    if quota is not None:
-        cpus = min(cpus, quota)
-    return min(cpus, MAX_WORKERS)
+    return min(cpus, _quota_cpus() or cpus, MAX_WORKERS)
 
 
 def _quota_cpus() -> Optional[int]:
